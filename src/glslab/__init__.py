@@ -6,6 +6,8 @@ averaging; log-concavity certification; explicit stability bounds with
 their improved constants; and constrained searches over the families.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapacityError,
     ConstraintError,
@@ -104,89 +106,9 @@ from . import corpus
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "Bump",
-    "C_STAR",
-    "CapacityError",
-    "ConstraintError",
-    "DomainError",
-    "EvolvedDensity",
-    "ExpansionFit",
-    "FlowError",
-    "FlowState",
-    "FunctionalReport",
-    "GAUSSIAN_CHEEGER",
-    "GaussianMeasureSpec",
-    "GaussianProfile",
-    "HALVED_CDC",
-    "HermiteExpansion",
-    "IdentityResult",
-    "IntegrationError",
-    "LabError",
-    "LogConcavityCertificate",
-    "NormalizationError",
-    "POINCARE_LOGCONCAVE",
-    "PipelineResult",
-    "PoincareEstimate",
-    "PositivityError",
-    "PressureData",
-    "QuadratureGrid",
-    "SearchProblem",
-    "SearchResult",
-    "StabilityBound",
-    "TailWeight",
-    "TestFunction",
-    "Tilt",
-    "TwoBumps",
-    "affine_manifold_distance_sq",
-    "bochner_identity",
-    "build_function",
-    "build_grid",
-    "center_mass",
-    "certificate_at_tstar",
-    "certify",
-    "certify_along_flow",
-    "cheeger_sandwich",
-    "compact_improvement_pipeline",
-    "constants_table",
-    "corpus",
-    "entropy_production_check",
-    "epsilon_expansion",
-    "evolve",
-    "excess_moment_decay_check",
-    "first_moment",
-    "fisher_dissipation_check",
-    "fisher_flux_identity",
-    "flow_csv_rows",
-    "flow_curve",
-    "improved_constant_compact",
-    "integrate",
-    "kappa_weight",
-    "l2_norm",
-    "lambda1_tail_lower",
-    "mehler_density",
-    "normalize",
-    "phi",
-    "phi_inv",
-    "pinsker_gap",
-    "poincare_chain",
-    "pressure_integrals",
-    "psi",
-    "q0_lower_bound",
-    "q_ode_check",
-    "report",
-    "run_search",
-    "second_moment_gap",
-    "t_star_compact",
-    "t_star_tail",
-    "tail_weight",
-    "tau_of_t",
-    "verify_bounds",
-    "verify_compact_support",
-    "verify_entropy_squared",
-    "verify_fisher_gap",
-    "verify_gaussian_tail",
-    "verify_kappa_weighted",
-    "verify_log_concave",
-]
+# every public name imported above; of the submodules only corpus is API
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and (name == "corpus" or not isinstance(value, _ModuleType))
+)

@@ -1,14 +1,14 @@
 """Command line front end.
 
 Subcommands: report, verify, flow, constants, logcc, search.  Outputs are
-deterministic JSON (sorted keys, no timestamps) or the fixed-column flow
-CSV, written atomically when --out is given.  Every payload embeds the
-sha256 of its own configuration so runs can be tied to their inputs.
+deterministic strict JSON (sorted keys, no timestamps, null for undefined
+values such as a skipped bound's margin) or the fixed-column flow CSV,
+written atomically when --out is given.  Every payload embeds the sha256
+of its own configuration so runs can be tied to their inputs.
 
 Exit codes: 0 success, 1 a bound was violated or a certificate refuted,
-2 usage error, 3 any lab error (capacity, domain, positivity, ...).
-
-GLSL_THREADS caps the worker pool used by `verify --all-builtin`.
+2 usage error (NaN or infinite float options too), 3 any lab error
+(capacity, domain, positivity, ...).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -49,18 +49,16 @@ def _config_hash(config: dict) -> str:
 
 
 def _emit(payload: str, out: str | None) -> None:
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out is None:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glslab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,8 +66,25 @@ def _emit(payload: str, out: str | None) -> None:
         raise
 
 
+def _strict(obj):
+    """obj with every NaN or infinite float replaced by None, for strict JSON."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2), out)
+    _emit(json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False), out)
+
+
+def finite_float(text: str) -> float:
+    """argparse type for float options: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _load_function(args: argparse.Namespace):
@@ -117,35 +132,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _verify_one(build: dict, order: int, names, eps: float, tol: float | None) -> dict:
     u = build_function(build)
     grid = _grid_for(u, order)
-    bounds = [
-        _apply_tol(b, tol) for b in verify_bounds(normalize(u, grid), grid, names=names, eps=eps)
-    ]
-    return {"build": build, "bounds": [b.to_json() for b in bounds]}
+    bounds = verify_bounds(normalize(u, grid), grid, names=names, eps=eps)
+    return {"build": build, "bounds": [_apply_tol(b, tol).to_json() for b in bounds]}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = tuple(args.bounds.split(",")) if args.bounds else None
     if args.all_builtin:
-        entries = corpus.entries()
-        workers = int(os.environ.get("GLSL_THREADS", "1") or "1")
-        jobs = [(e.name, e.build) for e in entries]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_verify_one, build, args.grid_order, names, args.eps, args.tol)
-                    for _, build in jobs
-                ]
-                results = [f.result() for f in futures]
-        else:
-            results = [
-                _verify_one(build, args.grid_order, names, args.eps, args.tol)
-                for _, build in jobs
-            ]
         records = [
-            {"entry": name, **result} for (name, _), result in zip(jobs, results)
+            {"entry": e.name, **_verify_one(e.build, args.grid_order, names, args.eps, args.tol)}
+            for e in corpus.entries()
         ]
     else:
-        u, source = _load_function(args)
+        _, source = _load_function(args)
         result = _verify_one(source["build"], args.grid_order, names, args.eps, args.tol)
         records = [{"entry": source.get("builtin"), **result}]
     config = {
@@ -156,9 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tol": args.tol,
         "all_builtin": args.all_builtin,
     }
-    n_violated = sum(
-        1 for rec in records for b in rec["bounds"] if b["status"] == "violated"
-    )
+    n_violated = sum(b["status"] == "violated" for rec in records for b in rec["bounds"])
     payload = {
         "config": config,
         "config_sha256": _config_hash(config),
@@ -262,10 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-builtin", action="store_true", help="run the whole corpus")
     p.add_argument("--bounds", help="comma separated bound names (default: all)")
     p.add_argument("--grid-order", type=int, default=64)
-    p.add_argument("--eps", type=float, default=0.1, help="tail exponent for gaussian_tail")
+    p.add_argument(
+        "--eps", type=finite_float, default=0.1, help="tail exponent for gaussian_tail"
+    )
     p.add_argument(
         "--tol",
-        type=float,
+        type=finite_float,
         default=None,
         help="fixed margin tolerance; default adapts to the quadrature error",
     )
@@ -281,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("constants", help="named constants and waiting times")
-    p.add_argument("--radius", type=float, action="append", help="compact support radius")
-    p.add_argument("--eps", type=float, action="append", help="tail exponent")
+    p.add_argument("--radius", type=finite_float, action="append", help="compact support radius")
+    p.add_argument("--eps", type=finite_float, action="append", help="tail exponent")
     p.add_argument("--out")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("logcc", help="certify log-concavity, optionally after evolution")
     _add_function_source(p)
-    p.add_argument("--time", type=float, default=0.0)
+    p.add_argument("--time", type=finite_float, default=0.0)
     p.add_argument("--probes", type=int, default=None)
     p.add_argument("--grid-order", type=int, default=64)
     p.add_argument("--out")

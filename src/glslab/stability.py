@@ -30,6 +30,10 @@ delta = I - E/2 and second moment gap A = int (|x|^2 - d) dnu:
 with psi(s) = s - (d/4) log(1 + 4s/d), C* = 1 + 1/1728, and the improved
 constants built by running the flow to an explicit waiting time and pulling
 the Fisher-to-entropy ratio Q = I/E back along its comparison ODE.
+
+All bounds of one instance read a single FunctionalReport: verify_bounds
+computes it once and passes it to every verifier as `rep`, and a verifier
+called alone computes its own.
 """
 
 from __future__ import annotations
@@ -227,8 +231,20 @@ class StabilityBound:
         }
 
 
-def _status(margin: float, qerr: float) -> str:
-    return "verified" if margin >= -2.0 * qerr else "violated"
+_CENTERED = ("centered", "barycenter norm {barycenter:.3e} is not zero")
+_MOMENT = ("second_moment_at_most_d", "second moment gap {rep.second_moment_gap:.3e} is positive")
+
+# The preconditions of each bound in the order they are checked, with the
+# message of the skipped record when one fails.  A message is formatted with
+# the report `rep`, its barycenter norm and the keywords the verifier passes.
+_PRECONDITIONS = {
+    "entropy_squared": (_MOMENT,),
+    "fisher_gap": (_MOMENT,),
+    "kappa_weighted": (_CENTERED,),
+    "log_concave": (("log_concave", "log-concavity certificate is {status!r}"), _CENTERED),
+    "compact_support": (("compact_support", "family {family!r} has unbounded support"), _CENTERED),
+    "gaussian_tail": (("tail_integrable", "tail integral diverged for eps = {eps}"), _CENTERED),
+}
 
 
 def _skipped(name: str, rep: FunctionalReport, constraints: dict, message: str) -> StabilityBound:
@@ -244,6 +260,35 @@ def _skipped(name: str, rep: FunctionalReport, constraints: dict, message: str) 
         status="skipped",
         constraints=constraints,
         message=message,
+    )
+
+
+def _unmet(
+    name: str, rep: FunctionalReport, constraints: dict, **context
+) -> StabilityBound | None:
+    """The skipped record for the first precondition of `name` that fails, else None."""
+    for key, message in _PRECONDITIONS[name]:
+        if not constraints[key]:
+            barycenter = float(np.linalg.norm(rep.first_moment))
+            text = message.format(rep=rep, barycenter=barycenter, **context)
+            return _skipped(name, rep, constraints, text)
+    return None
+
+
+def _checked(
+    name: str, lhs: float, rhs: float, quadrature_error: float, constraints: dict, **fields
+) -> StabilityBound:
+    """A bound whose preconditions hold: verified if lhs - rhs >= -2 x the error."""
+    margin = lhs - rhs
+    return StabilityBound(
+        name=name,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        quadrature_error=quadrature_error,
+        status="verified" if margin >= -2.0 * quadrature_error else "violated",
+        constraints=constraints,
+        **fields,
     )
 
 
@@ -263,62 +308,50 @@ def _nonnegative(value: float, error: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def verify_entropy_squared(u: TestFunction, grid: QuadratureGrid) -> StabilityBound:
+def verify_entropy_squared(
+    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
+) -> StabilityBound:
     """delta >= E^2 / (2d) for densities with second moment at most d."""
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     constraints = {"second_moment_at_most_d": _moment_at_most_d(rep)}
-    if not constraints["second_moment_at_most_d"]:
-        return _skipped(
-            "entropy_squared",
-            rep,
-            constraints,
-            f"second moment gap {rep.second_moment_gap:.3e} is positive",
-        )
-    rhs = rep.entropy**2 / (2.0 * u.d)
-    margin = rep.deficit - rhs
-    return StabilityBound(
-        name="entropy_squared",
-        lhs=rep.deficit,
-        rhs=rhs,
-        margin=margin,
+    skipped = _unmet("entropy_squared", rep, constraints)
+    if skipped:
+        return skipped
+    return _checked(
+        "entropy_squared",
+        rep.deficit,
+        rep.entropy**2 / (2.0 * u.d),
+        rep.quadrature_error,
+        constraints,
         constant=1.0 / (2.0 * u.d),
         exponent=2.0,
         distance=rep.entropy,
-        quadrature_error=rep.quadrature_error,
-        status=_status(margin, rep.quadrature_error),
-        constraints=constraints,
         extras={"entropy": rep.entropy, "deficit": rep.deficit},
     )
 
 
-def verify_fisher_gap(u: TestFunction, grid: QuadratureGrid) -> StabilityBound:
+def verify_fisher_gap(
+    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
+) -> StabilityBound:
     """delta >= psi(I), equivalently I >= phi(E), under the same moment condition."""
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     constraints = {"second_moment_at_most_d": _moment_at_most_d(rep)}
-    if not constraints["second_moment_at_most_d"]:
-        return _skipped(
-            "fisher_gap",
-            rep,
-            constraints,
-            f"second moment gap {rep.second_moment_gap:.3e} is positive",
-        )
+    skipped = _unmet("fisher_gap", rep, constraints)
+    if skipped:
+        return skipped
     fisher = _nonnegative(rep.fisher, rep.fisher_error, "Fisher information")
     entropy = _nonnegative(rep.entropy, rep.entropy_error, "entropy")
-    rhs = psi(fisher, u.d)
-    margin = rep.deficit - rhs
     # psi(phi(E)) >= E^2/(2d): the bound dominates entropy_squared on its domain
     cross = psi(phi(entropy, u.d), u.d) - entropy**2 / (2.0 * u.d)
-    return StabilityBound(
-        name="fisher_gap",
-        lhs=rep.deficit,
-        rhs=rhs,
-        margin=margin,
+    return _checked(
+        "fisher_gap",
+        rep.deficit,
+        psi(fisher, u.d),
+        rep.quadrature_error,
+        constraints,
         constant=float("nan"),
         exponent=float("nan"),
         distance=rep.fisher,
-        quadrature_error=rep.quadrature_error,
-        status=_status(margin, rep.quadrature_error),
-        constraints=constraints,
         extras={
             "fisher": rep.fisher,
             "entropy": rep.entropy,
@@ -327,39 +360,35 @@ def verify_fisher_gap(u: TestFunction, grid: QuadratureGrid) -> StabilityBound:
     )
 
 
-def kappa_weight(u: TestFunction, grid: QuadratureGrid) -> float:
+def kappa_weight(
+    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
+) -> float:
     """kappa = ||u|| / max(sqrt d, ||(x - x0) u||) with x0 the density barycenter."""
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     x = grid.nodes - rep.first_moment[None, :]
     moment = float(grid.weights @ (u.density(grid.nodes) * (x**2).sum(axis=1)))
     return rep.l2_norm / max(math.sqrt(u.d), math.sqrt(moment))
 
 
-def verify_kappa_weighted(u: TestFunction, grid: QuadratureGrid) -> StabilityBound:
+def verify_kappa_weighted(
+    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
+) -> StabilityBound:
     """delta >= kappa^2 E^2 / 2 for centered u; no second moment restriction."""
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     constraints = {"centered": _centered(rep)}
-    if not constraints["centered"]:
-        return _skipped(
-            "kappa_weighted",
-            rep,
-            constraints,
-            f"barycenter norm {float(np.linalg.norm(rep.first_moment)):.3e} is not zero",
-        )
-    kappa = kappa_weight(u, grid)
-    rhs = 0.5 * kappa**2 * rep.entropy**2
-    margin = rep.deficit - rhs
-    return StabilityBound(
-        name="kappa_weighted",
-        lhs=rep.deficit,
-        rhs=rhs,
-        margin=margin,
+    skipped = _unmet("kappa_weighted", rep, constraints)
+    if skipped:
+        return skipped
+    kappa = kappa_weight(u, grid, rep=rep)
+    return _checked(
+        "kappa_weighted",
+        rep.deficit,
+        0.5 * kappa**2 * rep.entropy**2,
+        rep.quadrature_error,
+        constraints,
         constant=0.5 * kappa**2,
         exponent=2.0,
         distance=rep.entropy,
-        quadrature_error=rep.quadrature_error,
-        status=_status(margin, rep.quadrature_error),
-        constraints=constraints,
         extras={"kappa": kappa},
     )
 
@@ -368,74 +397,52 @@ def verify_log_concave(
     u: TestFunction,
     grid: QuadratureGrid,
     certificate: LogConcavityCertificate,
+    *,
+    rep: FunctionalReport | None = None,
 ) -> StabilityBound:
     """I >= (C*/2) E for centered log-concave densities, C* = 1 + 1/1728."""
-    rep = report(u, grid)
-    constraints = {
-        "centered": _centered(rep),
-        "log_concave": certificate.certified,
-    }
-    if not certificate.certified:
-        return _skipped(
-            "log_concave",
-            rep,
-            constraints,
-            f"log-concavity certificate is {certificate.status!r}",
-        )
-    if not constraints["centered"]:
-        return _skipped(
-            "log_concave",
-            rep,
-            constraints,
-            f"barycenter norm {float(np.linalg.norm(rep.first_moment)):.3e} is not zero",
-        )
-    rhs = 0.5 * C_STAR * rep.entropy
-    margin = rep.fisher - rhs
-    return StabilityBound(
-        name="log_concave",
-        lhs=rep.fisher,
-        rhs=rhs,
-        margin=margin,
+    rep = report(u, grid) if rep is None else rep
+    constraints = {"centered": _centered(rep), "log_concave": certificate.certified}
+    skipped = _unmet("log_concave", rep, constraints, status=certificate.status)
+    if skipped:
+        return skipped
+    return _checked(
+        "log_concave",
+        rep.fisher,
+        0.5 * C_STAR * rep.entropy,
+        rep.quadrature_error,
+        constraints,
         constant=0.5 * C_STAR,
         exponent=1.0,
         distance=rep.entropy,
-        quadrature_error=rep.quadrature_error,
-        status=_status(margin, rep.quadrature_error),
-        constraints=constraints,
         extras={"min_eigenvalue": certificate.min_eigenvalue},
     )
 
 
-def verify_compact_support(u: TestFunction, grid: QuadratureGrid) -> StabilityBound:
+def verify_compact_support(
+    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
+) -> StabilityBound:
     """I >= (C(R)/2) E for centered u supported in a ball of radius R."""
     if u.support_radius is None:
         raise ConstraintError(
             f"compact_support needs a compactly supported family, got {u.family!r}"
         )
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     constraints = {"centered": _centered(rep), "compact_support": True}
-    if not constraints["centered"]:
-        return _skipped(
-            "compact_support",
-            rep,
-            constraints,
-            f"barycenter norm {float(np.linalg.norm(rep.first_moment)):.3e} is not zero",
-        )
+    skipped = _unmet("compact_support", rep, constraints)
+    if skipped:
+        return skipped
     radius = float(u.support_radius)
     c_r = improved_constant_compact(radius)
-    rhs = 0.5 * c_r * rep.entropy
-    margin = rep.fisher - rhs
-    return StabilityBound(
-        name="compact_support",
-        lhs=rep.fisher,
-        rhs=rhs,
-        margin=margin,
+    return _checked(
+        "compact_support",
+        rep.fisher,
+        0.5 * c_r * rep.entropy,
+        rep.quadrature_error,
+        constraints,
         constant=0.5 * c_r,
         exponent=1.0,
         distance=rep.entropy,
-        quadrature_error=rep.quadrature_error,
-        status=_status(margin, rep.quadrature_error),
-        constraints=constraints,
         extras={"support_radius": radius, "t_star": t_star_compact(radius)},
     )
 
@@ -490,35 +497,25 @@ def verify_gaussian_tail(
     grid: QuadratureGrid,
     eps: float = 0.1,
     t0: float | None = None,
+    *,
+    rep: FunctionalReport | None = None,
 ) -> StabilityBound:
     """I >= (C_tail/2) E for centered u with finite Gaussian tail integral."""
-    rep = report(u, grid)
+    rep = report(u, grid) if rep is None else rep
     tail = tail_weight(u, grid, eps, t0=t0)
     constraints = {"centered": _centered(rep), "tail_integrable": math.isfinite(tail.a_tail)}
-    if not constraints["tail_integrable"]:
-        return _skipped(
-            "gaussian_tail", rep, constraints, f"tail integral diverged for eps = {eps}"
-        )
-    if not constraints["centered"]:
-        return _skipped(
-            "gaussian_tail",
-            rep,
-            constraints,
-            f"barycenter norm {float(np.linalg.norm(rep.first_moment)):.3e} is not zero",
-        )
-    rhs = 0.5 * tail.constant * rep.entropy
-    margin = rep.fisher - rhs
-    return StabilityBound(
-        name="gaussian_tail",
-        lhs=rep.fisher,
-        rhs=rhs,
-        margin=margin,
+    skipped = _unmet("gaussian_tail", rep, constraints, eps=eps)
+    if skipped:
+        return skipped
+    return _checked(
+        "gaussian_tail",
+        rep.fisher,
+        0.5 * tail.constant * rep.entropy,
+        rep.quadrature_error + tail.quadrature_error,
+        constraints,
         constant=0.5 * tail.constant,
         exponent=1.0,
         distance=rep.entropy,
-        quadrature_error=rep.quadrature_error + tail.quadrature_error,
-        status=_status(margin, rep.quadrature_error + tail.quadrature_error),
-        constraints=constraints,
         extras={
             "eps": tail.eps,
             "a_tail": tail.a_tail,
@@ -534,10 +531,11 @@ def verify_bounds(
     names: tuple[str, ...] | None = None,
     eps: float = 0.1,
 ) -> list[StabilityBound]:
-    """Run the named bounds (default: all) on one instance.
+    """Run the named bounds (default: all) on one instance, all from one report.
 
     Statement preconditions that fail structurally (no compact support, no
-    certificate) come back as skipped records rather than raising.
+    certificate, a tail exponent out of range) come back as skipped records
+    rather than raising.
     """
     if names is None:
         names = BOUND_NAMES
@@ -548,31 +546,23 @@ def verify_bounds(
     rep = report(u, grid)
     for name in names:
         if name == "entropy_squared":
-            out.append(verify_entropy_squared(u, grid))
+            out.append(verify_entropy_squared(u, grid, rep=rep))
         elif name == "fisher_gap":
-            out.append(verify_fisher_gap(u, grid))
+            out.append(verify_fisher_gap(u, grid, rep=rep))
         elif name == "kappa_weighted":
-            out.append(verify_kappa_weighted(u, grid))
+            out.append(verify_kappa_weighted(u, grid, rep=rep))
         elif name == "log_concave":
-            cert = certify(u, grid)
-            out.append(verify_log_concave(u, grid, cert))
+            out.append(verify_log_concave(u, grid, certify(u, grid), rep=rep))
         elif name == "compact_support":
             if u.support_radius is None:
-                out.append(
-                    _skipped(
-                        "compact_support",
-                        rep,
-                        {"compact_support": False},
-                        f"family {u.family!r} has unbounded support",
-                    )
-                )
+                out.append(_unmet(name, rep, {"compact_support": False}, family=u.family))
             else:
-                out.append(verify_compact_support(u, grid))
+                out.append(verify_compact_support(u, grid, rep=rep))
         elif name == "gaussian_tail":
             try:
-                out.append(verify_gaussian_tail(u, grid, eps=eps))
+                out.append(verify_gaussian_tail(u, grid, eps=eps, rep=rep))
             except DomainError as exc:
-                out.append(_skipped("gaussian_tail", rep, {"tail_integrable": False}, str(exc)))
+                out.append(_skipped(name, rep, {"tail_integrable": False}, str(exc)))
     return out
 
 
@@ -619,29 +609,19 @@ def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> Pipel
     state = evolve(u, t_star, grid)
     cert = certify(state.v, grid)
     if rep.entropy < 1e-12 or rep.ratio_q is None or state.ratio_q is None:
-        return PipelineResult(
-            support_radius=radius,
-            t_star=t_star,
-            q0=rep.ratio_q,
-            q_tstar=state.ratio_q,
-            q0_bound=bound,
-            constant=improved_constant_compact(radius),
-            certificate=cert,
-            status="skipped",
-            message="entropy vanishes; the ratio Q is undefined",
+        status, message = "skipped", "entropy vanishes; the ratio Q is undefined"
+    else:
+        tol = 1e-8 + 2.0 * (state.quadrature_error + rep.quadrature_error)
+        checks = (
+            (cert.certified, f"certificate at t* is {cert.status!r}"),
+            (state.ratio_q >= 0.5 * C_STAR - tol, f"Q(t*) = {state.ratio_q!r} fell below C*/2"),
+            (
+                rep.ratio_q >= bound - tol,
+                f"Q(0) = {rep.ratio_q!r} fell below the pulled-back bound {bound!r}",
+            ),
         )
-    ok_cert = cert.certified
-    tol = 1e-8 + 2.0 * (state.quadrature_error + rep.quadrature_error)
-    ok_half = state.ratio_q >= 0.5 * C_STAR - tol
-    ok_q0 = rep.ratio_q >= bound - tol
-    status = "verified" if (ok_cert and ok_half and ok_q0) else "violated"
-    msgs = []
-    if not ok_cert:
-        msgs.append(f"certificate at t* is {cert.status!r}")
-    if not ok_half:
-        msgs.append(f"Q(t*) = {state.ratio_q!r} fell below C*/2")
-    if not ok_q0:
-        msgs.append(f"Q(0) = {rep.ratio_q!r} fell below the pulled-back bound {bound!r}")
+        failed = [msg for ok, msg in checks if not ok]
+        status, message = ("violated" if failed else "verified"), "; ".join(failed)
     return PipelineResult(
         support_radius=radius,
         t_star=t_star,
@@ -651,7 +631,7 @@ def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> Pipel
         constant=improved_constant_compact(radius),
         certificate=cert,
         status=status,
-        message="; ".join(msgs),
+        message=message,
     )
 
 

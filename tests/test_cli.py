@@ -84,8 +84,7 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["n_violated"] > 0
 
-    def test_all_builtin_with_thread_pool(self, capsys, monkeypatch):
-        monkeypatch.setenv("GLSL_THREADS", "2")
+    def test_all_builtin_subset_of_bounds(self, capsys):
         code, out = _run(
             capsys,
             [
@@ -108,6 +107,34 @@ class TestVerify:
             capsys, ["verify", "--builtin", "gaussian_s05", "--bounds", "spectral"]
         )
         assert code == 3
+
+    def test_all_builtin_output_is_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out = _run(capsys, ["verify", "--all-builtin", "--grid-order", "16"])
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        bounds = [b for record in payload["results"] for b in record["bounds"]]
+        skipped = [b for b in bounds if b["status"] == "skipped"]
+        assert skipped and all(b["margin"] is None for b in skipped)
+        assert all(b["constant"] is None for b in bounds if b["name"] == "fisher_gap")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["logcc", "--builtin", "bump_r2", "--time", "nan"],
+        ["verify", "--builtin", "gaussian_s05", "--tol", "nan"],
+        ["verify", "--builtin", "gaussian_s05", "--eps", "inf"],
+        ["constants", "--radius", "inf"],
+        ["constants", "--eps=-inf"],
+    ],
+)
+def test_non_finite_float_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 class TestFlow:

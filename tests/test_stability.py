@@ -7,6 +7,7 @@ q0_lower_bound(C*/2, t*(R)) = C(R)/2, which the tests pin without tolerance
 headroom.
 """
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from glslab import (
     POINCARE_LOGCONCAVE,
     StabilityBound,
     build_grid,
+    certify,
     cheeger_sandwich,
     compact_improvement_pipeline,
     constants_table,
@@ -47,7 +49,9 @@ from glslab import (
     verify_fisher_gap,
     verify_gaussian_tail,
     verify_kappa_weighted,
+    verify_log_concave,
 )
+from glslab import stability
 from glslab.stability import BOUND_NAMES
 
 
@@ -271,6 +275,42 @@ class TestVerifiers:
         assert payload["constraints"] == {"second_moment_at_most_d": True}
         assert isinstance(payload["extras"]["entropy"], float)
         assert isinstance(rec, StabilityBound)
+
+
+class TestSharedReport:
+    """verify_bounds computes one report and hands it to every verifier; a
+    verifier called alone computes the same report itself."""
+
+    def test_verify_bounds_computes_one_report(self, grid1, monkeypatch):
+        calls = []
+        real = stability.report
+
+        def counting(u, grid):
+            calls.append(u)
+            return real(u, grid)
+
+        monkeypatch.setattr(stability, "report", counting)
+        results = verify_bounds(corpus.get("gaussian_s05").function(), grid1)
+        assert len(results) == len(BOUND_NAMES)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", [entry.name for entry in corpus.entries()])
+    def test_standalone_verifiers_match_verify_bounds(self, name):
+        entry = corpus.get(name)
+        grid = build_grid(GaussianMeasureSpec(d=entry.d), 16)
+        u = entry.normalized(grid)
+        shared = {b.name: b for b in verify_bounds(u, grid)}
+        standalone = {
+            "entropy_squared": verify_entropy_squared(u, grid),
+            "fisher_gap": verify_fisher_gap(u, grid),
+            "kappa_weighted": verify_kappa_weighted(u, grid),
+            "log_concave": verify_log_concave(u, grid, certify(u, grid)),
+            "gaussian_tail": verify_gaussian_tail(u, grid),
+        }
+        if u.support_radius is not None:
+            standalone["compact_support"] = verify_compact_support(u, grid)
+        for bound, record in standalone.items():
+            assert json.dumps(record.to_json()) == json.dumps(shared[bound].to_json()), bound
 
 
 E_BASED = ("entropy_squared", "fisher_gap", "kappa_weighted", "log_concave")
