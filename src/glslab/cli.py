@@ -195,11 +195,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_logcc(args: argparse.Namespace) -> int:
     u, source = _load_function(args)
     grid = _grid_for(u, args.grid_order)
-    if args.time > 0:
+    if args.time == 0:
+        cert = certify(normalize(u, grid), grid, n_probes=args.probes)
+    else:
         state = evolve(normalize(u, grid), args.time, grid)
         cert = certify(state.v, grid, n_probes=args.probes)
-    else:
-        cert = certify(normalize(u, grid), grid, n_probes=args.probes)
     config = {
         "command": "logcc",
         "grid_order": args.grid_order,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+from .errors import DomainError
 from .measure import QuadratureGrid
 from .functions import TestFunction
 from .ou_flow import FlowState, evolve
@@ -132,7 +133,7 @@ def certificate_at_tstar(
 ) -> tuple[float, LogConcavityCertificate]:
     """Certificate at the waiting time t* = log(1 + R^2) / 2 for support radius R."""
     if support_radius <= 0:
-        raise ValueError(f"support radius must be positive, got {support_radius}")
+        raise DomainError(f"support radius must be positive, got {support_radius}")
     t_star = 0.5 * math.log1p(support_radius**2)
     state = evolve(u0, t_star, grid)
     return t_star, certify(state.v, grid, n_probes=n_probes)

@@ -8,6 +8,7 @@ so one quadrature in y gives h(t, .) pointwise, and differentiating under
 the integral gives grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t}
 int Hess h0(...).  EvolvedDensity wraps this average as a TestFunction for
 v = sqrt(h), which plugs into every functional and certifier unchanged.
+One pass over the inner points serves every average a call needs.
 
 The inner (y) rule starts at the outer order and is doubled until its
 embedded error estimate drops below 1e-9, capped at order 256; a residual
@@ -33,16 +34,20 @@ INNER_TOL = 1e-9
 INNER_WARN = 1e-6
 _POINT_BUDGET = 1 << 22
 _MASK_FLOOR = 1e-12
+# the averaged kinds in pass order; each carries e^{-order t} and `order` trailing axes
+_ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
 @dataclass(frozen=True, eq=False)
 class EvolvedDensity(TestFunction):
     """v = sqrt(h(t, .)) for h evolved from u0^2; evaluates by inner quadrature.
 
-    Raw inner averages are cached per point batch (keyed on the batch's
-    identity), so repeated functionals on the same grid pay for one pass.
-    The cache survives rescaling because the stored averages exclude the
-    amplitude factor.
+    One pass averages every kind a call needs (h, grad h, Hess h), with at
+    most one evaluation of u0's value, gradient and Hessian each.  Raw
+    averages are cached per kind, inner rule and point batch (keyed on the
+    batch's identity), as evolve comes back to a batch: h on the fine and
+    the coarse inner rule, then grad h for the report.  The cache survives
+    rescaling because the stored averages exclude the amplitude factor.
     """
 
     u0: TestFunction
@@ -53,54 +58,58 @@ class EvolvedDensity(TestFunction):
     family = "evolved"
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise FlowError(f"evolved density needs t > 0, got {self.t}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise FlowError(f"evolved density needs a finite t > 0, got {self.t}")
         object.__setattr__(self, "d", self.u0.d)
 
-    def _h0(self, pts: np.ndarray) -> np.ndarray:
-        return self.u0.density(pts)
+    def _integrands(self, z: np.ndarray, kinds: list[str]):
+        """h0, grad h0 and Hess h0 at z, for those of them in kinds."""
+        if kinds == ["grad"]:
+            # alone in every report: no u0 value outlives the product (d = 2 peak memory)
+            yield 2.0 * self.u0.value(z)[:, None] * self.u0.gradient(z)
+            return
+        u = self.u0.value(z)
+        if "h" in kinds:
+            yield u**2
+        if kinds != ["h"]:
+            g = self.u0.gradient(z)
+        if "grad" in kinds:
+            yield 2.0 * u[:, None] * g
+        if "hess" in kinds:
+            yield 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * self.u0.hessian(z))
 
-    def _grad_h0(self, pts: np.ndarray) -> np.ndarray:
-        return 2.0 * self.u0.value(pts)[:, None] * self.u0.gradient(pts)
-
-    def _hess_h0(self, pts: np.ndarray) -> np.ndarray:
-        g = self.u0.gradient(pts)
-        u = self.u0.value(pts)
-        hess = self.u0.hessian(pts)
-        return 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
-
-    def _average(self, x: np.ndarray, kind: str, evaluator, tail: tuple[int, ...]) -> np.ndarray:
+    def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
+        """h, grad h and Hess h of the evolved density at x, one array per kind."""
         x = _points(x, self.d)
-        key = (kind, id(self.inner), id(x))
-        hit = self.cache.get(key)
-        if hit is not None and hit[0] is x:
-            return hit[1]
-        decay = math.exp(-self.t)
-        spread = math.sqrt(-math.expm1(-2.0 * self.t))
-        yn, yw = self.inner.nodes, self.inner.weights
-        m = self.inner.n_points
-        out = np.empty((x.shape[0],) + tail)
-        chunk = max(1, _POINT_BUDGET // m)
-        for start in range(0, x.shape[0], chunk):
-            xb = x[start : start + chunk]
-            z = decay * xb[:, None, :] + spread * yn[None, :, :]
-            vals = evaluator(z.reshape(-1, self.d)).reshape((xb.shape[0], m) + tail)
-            out[start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
-        self.cache[key] = (x, out)
-        return out
+        hits = {kind: self.cache.get((kind, id(self.inner), id(x))) for kind in kinds}
+        avg = {kind: hit[1] for kind, hit in hits.items() if hit is not None and hit[0] is x}
+        todo = [kind for kind in _ORDER if kind in kinds and kind not in avg]
+        if todo:
+            decay = math.exp(-self.t)
+            spread = math.sqrt(-math.expm1(-2.0 * self.t))
+            yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
+            fresh = {kind: np.empty((x.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
+            chunk = max(1, _POINT_BUDGET // m)
+            for start in range(0, x.shape[0], chunk):
+                xb = x[start : start + chunk]
+                z = decay * xb[:, None, :] + spread * yn[None, :, :]
+                for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
+                    vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
+                    fresh[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
+            for kind, out in fresh.items():
+                self.cache[(kind, id(self.inner), id(x))] = (x, out)
+            avg.update(fresh)
+        scale = self.amplitude**2
+        return tuple(scale * math.exp(-_ORDER[kind] * self.t) * avg[kind] for kind in kinds)
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitude**2 * self._average(x, "h", self._h0, ())
+        return self._average(x, "h")[0]
 
     def density_gradient(self, x: np.ndarray) -> np.ndarray:
-        decay = math.exp(-self.t)
-        return self.amplitude**2 * decay * self._average(x, "grad", self._grad_h0, (self.d,))
+        return self._average(x, "grad")[0]
 
     def density_hessian(self, x: np.ndarray) -> np.ndarray:
-        decay2 = math.exp(-2.0 * self.t)
-        return self.amplitude**2 * decay2 * self._average(
-            x, "hess", self._hess_h0, (self.d, self.d)
-        )
+        return self._average(x, "hess")[0]
 
     def _mask(self, h: np.ndarray) -> np.ndarray:
         return h > _MASK_FLOOR * max(float(h.max()), 1e-300)
@@ -109,17 +118,14 @@ class EvolvedDensity(TestFunction):
         return np.sqrt(np.maximum(self.density(x), 0.0))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        h = self.density(x)
-        gh = self.density_gradient(x)
+        h, gh = self._average(x, "h", "grad")
         out = np.zeros_like(gh)
         mask = self._mask(h)
         out[mask] = gh[mask] / (2.0 * np.sqrt(h[mask]))[:, None]
         return out
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        h = self.density(x)
-        gh = self.density_gradient(x)
-        hh = self.density_hessian(x)
+        h, gh, hh = self._average(x, "h", "grad", "hess")
         out = np.zeros_like(hh)
         mask = self._mask(h)
         hm = h[mask]
@@ -130,9 +136,7 @@ class EvolvedDensity(TestFunction):
         return out
 
     def hess_log_density(self, x: np.ndarray) -> np.ndarray:
-        h = self.density(x)
-        gh = self.density_gradient(x)
-        hh = self.density_hessian(x)
+        h, gh, hh = self._average(x, "h", "grad", "hess")
         out = np.zeros_like(hh)
         mask = self._mask(h)
         gl = gh[mask] / h[mask, None]
@@ -193,27 +197,22 @@ def evolve(
     t: float,
     grid: QuadratureGrid,
     inner_order: int | None = None,
-    adapt: bool = True,
 ) -> FlowState:
     """Evolve u0 to time t and report functionals of the normalized state."""
-    if t < 0:
-        raise FlowError(f"evolution time must be nonnegative, got {t}")
     if t == 0:
         v_raw: TestFunction = u0
         inner_err = 0.0
-        used_order = 0
+        order = 0
     else:
         order = inner_order if inner_order is not None else grid.order
         order = min(max(order, 1), 256)
-        spec = GaussianMeasureSpec(d=u0.d)
         while True:
-            v_raw = EvolvedDensity(u0=u0, t=t, inner=build_grid(spec, order))
+            v_raw = mehler_density(u0, t, order)
             inner_err = _inner_mismatch(v_raw, grid)
-            if not adapt or inner_err <= INNER_TOL or order >= 256:
+            if inner_err <= INNER_TOL or order >= 256:
                 break
             order = min(2 * order, 256)
-        used_order = order
-        if adapt and inner_err > INNER_WARN:
+        if inner_err > INNER_WARN:
             warnings.warn(
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
                 stacklevel=2,
@@ -235,7 +234,7 @@ def evolve(
         second_moment_gap=rep.second_moment_gap,
         quadrature_error=rep.quadrature_error,
         inner_error=float(inner_err),
-        inner_order=used_order,
+        inner_order=order,
     )
 
 

@@ -160,6 +160,14 @@ class TestFlow:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("times", ["0.1,inf", "nan,0.5"])
+    def test_non_finite_times_fail_cleanly(self, capsys, times):
+        code = main(["flow", "--builtin", "gaussian_shifted", "--times", times])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestConstants:
     def test_headline_constant_digits(self, capsys):
@@ -202,6 +210,13 @@ class TestLogcc:
         payload = json.loads(out)
         assert payload["certificate"]["status"] == "certified"
         assert payload["config"]["time"] == 0.805
+
+    def test_negative_time_fails_cleanly(self, capsys):
+        code = main(["logcc", "--builtin", "bump_r2", "--time", "-0.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "nonnegative" in captured.err
 
 
 class TestSearch:

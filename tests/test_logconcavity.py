@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from glslab import (
+    DomainError,
     GaussianProfile,
     certificate_at_tstar,
     certify,
@@ -101,5 +102,5 @@ class TestAlongTheFlow:
         assert cert.certified
 
     def test_rejects_nonpositive_radius(self, grid1):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             certificate_at_tstar(corpus.get("bump_r1").normalized(grid1), 0.0, grid1)
