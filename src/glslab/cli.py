@@ -275,7 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_source(p)
     p.add_argument("--times", required=True, help="comma separated, strictly increasing")
     p.add_argument("--grid-order", type=int, default=64)
-    p.add_argument("--inner-order", type=int, default=None)
+    p.add_argument(
+        "--inner-order",
+        type=int,
+        default=None,
+        help="starting inner rule order of the quadrature path (default: --grid-order); "
+        "ignored for tilts and Gaussians, which evolve in closed form",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)
 

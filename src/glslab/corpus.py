@@ -50,7 +50,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     _entry("tilt_half", ("flow", "identity"), "tilt", 1, a=[0.5]),
     _entry("tilt_one", ("identity",), "tilt", 1, a=[1.0]),
     _entry("tilt_d2", ("identity",), "tilt", 2, a=[0.3, -0.4]),
-    _entry("tilt_d3", ("identity",), "tilt", 3, a=[0.2, 0.2, 0.2]),
+    _entry("tilt_d3", ("flow", "identity"), "tilt", 3, a=[0.2, 0.2, 0.2]),
     _entry("affine_eps01", ("flow",), "affine", 1, eps=0.1, nu=[1.0]),
     _entry("affine_eps02", ("excess_moment",), "affine", 1, eps=0.2, nu=[1.0]),
     _entry("affine_eps03", ("excess_moment",), "affine", 1, eps=0.3, nu=[1.0]),

@@ -67,6 +67,11 @@ class TestFunction:
     def with_scale(self, c: float) -> "TestFunction":
         raise NotImplementedError
 
+    def evolved(self, t: float) -> "TestFunction | None":
+        """The member v with v^2 = P_t(u^2) under the OU semigroup, None without
+        a closed form; t is finite and positive."""
+        return None
+
     def density(self, x: np.ndarray) -> np.ndarray:
         return self.value(x) ** 2
 
@@ -113,6 +118,11 @@ class Tilt(TestFunction):
 
     def with_scale(self, c: float) -> "Tilt":
         return replace(self, a=self.a, c=self.c * c)
+
+    def evolved(self, t: float) -> "Tilt":
+        # P_t c^2 e^{-2a.x} = c^2 e^{2(1 - e^{-2t})|a|^2} e^{-2 e^{-t} a.x}
+        growth = math.exp(-math.expm1(-2.0 * t) * float(self.a @ self.a))
+        return replace(self, a=math.exp(-t) * self.a, c=self.c * growth)
 
     def params(self) -> dict:
         return {"a": self.a.tolist(), "c": self.c}
@@ -228,6 +238,13 @@ class GaussianProfile(TestFunction):
 
     def with_scale(self, c: float) -> "GaussianProfile":
         return replace(self, amplitude=self.amplitude * c)
+
+    def evolved(self, t: float) -> "GaussianProfile":
+        # N(b, s2) flows to N(e^{-t} b, e^{-2t} s2 + 1 - e^{-2t}) with its mass;
+        # the clip keeps rounding from lifting a unit variance above 1
+        decay = math.exp(-t)
+        s2 = np.minimum(decay**2 * self.sigma2 - math.expm1(-2.0 * t), 1.0)
+        return replace(self, sigma2=s2, mean=decay * self.mean)
 
     def params(self) -> dict:
         return {

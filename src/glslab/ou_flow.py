@@ -1,20 +1,30 @@
-"""Exact Ornstein-Uhlenbeck evolution of densities by Gaussian averaging.
+"""Ornstein-Uhlenbeck evolution of densities, exact or by Gaussian averaging.
 
 The density h = u^2 evolves as
 
-    h(t, x) = int h0(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y),
+    h(t, x) = int h0(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y).
 
-so one quadrature in y gives h(t, .) pointwise, and differentiating under
-the integral gives grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t}
-int Hess h0(...).  EvolvedDensity wraps this average as a TestFunction for
+evolve, the one entry point, takes one of two paths.  A family with a
+closed form (TestFunction.evolved: Gaussian profiles and tilts, which the
+flow maps to themselves) evolves exactly; its FlowState carries
+inner_order = 0 and inner_error = 0.0, as at t = 0, and an inner_order
+argument is ignored.  Every other family goes through the quadrature path:
+one quadrature in y gives h(t, .) pointwise, and differentiating under the
+integral gives grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int
+Hess h0(...).  EvolvedDensity wraps this average as a TestFunction for
 v = sqrt(h), which plugs into every functional and certifier unchanged.
-One pass over the inner points serves every average a call needs.
+One pass over the inner points serves every average a call needs.  An
+average over more than MAX_AVERAGE_POINTS outer x inner points raises
+CapacityError before any work.
 
-The inner (y) rule starts at the outer order and is doubled until its
-embedded error estimate drops below 1e-9, capped at order 256; a residual
-above 1e-6 at the cap triggers a warning.  Exact facts checked downstream:
-mass is conserved, the density first moment decays like e^{-t}, the second
-moment gap like e^{-2t}, dE/dt = -4 I, and E, I are non-increasing.
+On the quadrature path the inner (y) rule starts at inner_order (default:
+the outer order) and is doubled until its embedded error estimate
+inner_error drops below 1e-9, capped at order 256; a residual above 1e-6 at
+the cap triggers a warning.  mehler_density is the quadrature path at a
+fixed inner order and the reference the closed forms are tested against.
+Exact facts checked downstream: mass is conserved, the density first
+moment decays like e^{-t}, the second moment gap like e^{-2t}, dE/dt = -4 I,
+and E, I are non-increasing.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FlowError
+from .errors import CapacityError, FlowError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
 from .functions import TestFunction, _points, l2_norm
 from .functionals import FunctionalReport, IdentityResult, report
@@ -33,6 +43,10 @@ from .functionals import FunctionalReport, IdentityResult, report
 INNER_TOL = 1e-9
 INNER_WARN = 1e-6
 _POINT_BUDGET = 1 << 22
+# outer x inner points of one average, minutes of work: d = 2 at order 64 with
+# an order-256 inner rule fits, certifier probes included; d = 3 at order 32
+# (1.1e9) does not, nor at order 64 (6.9e10, hours)
+MAX_AVERAGE_POINTS = 1 << 29
 _MASK_FLOOR = 1e-12
 # the averaged kinds in pass order; each carries e^{-order t} and `order` trailing axes
 _ORDER = {"h": 0, "grad": 1, "hess": 2}
@@ -45,9 +59,10 @@ class EvolvedDensity(TestFunction):
     One pass averages every kind a call needs (h, grad h, Hess h), with at
     most one evaluation of u0's value, gradient and Hessian each.  Raw
     averages are cached per kind, inner rule and point batch (keyed on the
-    batch's identity), as evolve comes back to a batch: h on the fine and
-    the coarse inner rule, then grad h for the report.  The cache survives
-    rescaling because the stored averages exclude the amplitude factor.
+    identity of the caller's array), as evolve comes back to a batch: h on
+    the fine and the coarse inner rule, then grad h for the report.  The
+    cache survives rescaling because the stored averages exclude the
+    amplitude factor.
     """
 
     u0: TestFunction
@@ -80,23 +95,29 @@ class EvolvedDensity(TestFunction):
 
     def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
         """h, grad h and Hess h of the evolved density at x, one array per kind."""
-        x = _points(x, self.d)
         hits = {kind: self.cache.get((kind, id(self.inner), id(x))) for kind in kinds}
         avg = {kind: hit[1] for kind, hit in hits.items() if hit is not None and hit[0] is x}
         todo = [kind for kind in _ORDER if kind in kinds and kind not in avg]
         if todo:
+            pts = _points(x, self.d)
+            yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
+            if pts.shape[0] * m > MAX_AVERAGE_POINTS:
+                raise CapacityError(
+                    f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
+                    f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
+                )
             decay = math.exp(-self.t)
             spread = math.sqrt(-math.expm1(-2.0 * self.t))
-            yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
-            fresh = {kind: np.empty((x.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
+            fresh = {kind: np.empty((pts.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
             chunk = max(1, _POINT_BUDGET // m)
-            for start in range(0, x.shape[0], chunk):
-                xb = x[start : start + chunk]
+            for start in range(0, pts.shape[0], chunk):
+                xb = pts[start : start + chunk]
                 z = decay * xb[:, None, :] + spread * yn[None, :, :]
                 for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
                     vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
                     fresh[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
             for kind, out in fresh.items():
+                # the reference to x keeps its id from being reused while cached
                 self.cache[(kind, id(self.inner), id(x))] = (x, out)
             avg.update(fresh)
         scale = self.amplitude**2
@@ -154,12 +175,21 @@ class EvolvedDensity(TestFunction):
         }
 
 
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise FlowError(f"evolution time must be nonnegative, got {t}")
+    if not math.isfinite(t):
+        raise FlowError(f"evolved density needs a finite t > 0, got {t}")
+
+
 def mehler_density(
     u0: TestFunction, t: float, inner_order: int = 64
 ) -> TestFunction:
-    """Raw evolved function at a fixed inner order; t = 0 returns u0 itself."""
-    if t < 0:
-        raise FlowError(f"evolution time must be nonnegative, got {t}")
+    """Raw evolved function at a fixed inner order; t = 0 returns u0 itself.
+
+    This is the quadrature path for every family, closed forms included.
+    """
+    _check_time(t)
     if t == 0:
         return u0
     inner = build_grid(GaussianMeasureSpec(d=u0.d), inner_order)
@@ -198,12 +228,20 @@ def evolve(
     grid: QuadratureGrid,
     inner_order: int | None = None,
 ) -> FlowState:
-    """Evolve u0 to time t and report functionals of the normalized state."""
-    if t == 0:
-        v_raw: TestFunction = u0
-        inner_err = 0.0
-        order = 0
-    else:
+    """Evolve u0 to time t and report functionals of the normalized state.
+
+    A family with a closed form (u0.evolved) evolves exactly, with
+    inner_order = 0 and inner_error = 0.0 in the state, and inner_order is
+    ignored.  Any other family is averaged by quadrature: the inner rule
+    starts at inner_order (default: the grid order) and doubles up to 256
+    until the inner_error between it and its embedded coarse rule is at most
+    INNER_TOL; the state records the order used and that error.
+    """
+    _check_time(t)
+    inner_err = 0.0
+    order = 0
+    v_raw = u0 if t == 0 else u0.evolved(t)
+    if v_raw is None:
         order = inner_order if inner_order is not None else grid.order
         order = min(max(order, 1), 256)
         while True:

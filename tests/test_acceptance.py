@@ -97,13 +97,13 @@ def test_criterion_02_affine_expansion_is_half_eps_fourth(grid1, grid2):
         assert elapsed < 30.0, f"took {elapsed:.1f} s"
 
 
-def test_criterion_03_moment_decay_and_semigroup(grid1, grid2):
-    grids = {1: grid1, 2: grid2}
+def test_criterion_03_moment_decay_and_semigroup(grid1, grid2, grid3):
+    grids = {1: grid1, 2: grid2, 3: grid3}
     with criterion(3, "moment decay e^{-t}, e^{-2t} and the semigroup law to 1e-7"):
         start = time.perf_counter()
         times = [0.1, 0.5, 1.0, 2.0]
         flow_entries = corpus.entries("flow")
-        assert len(flow_entries) == 5
+        assert len(flow_entries) == 6
         for entry in flow_entries:
             grid = grids[entry.d]
             u = entry.normalized(grid)

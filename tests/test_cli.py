@@ -168,6 +168,16 @@ class TestFlow:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    def test_infeasible_quadrature_flow_is_a_capacity_error(self, capsys, tmp_path):
+        build = {"family": "bump", "params": {"radius": 2.0}, "d": 3}
+        path = tmp_path / "bump_d3.json"
+        path.write_text(json.dumps(build))
+        code = main(["flow", "--family", str(path), "--times", "0,0.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "envelope" in captured.err
+
 
 class TestConstants:
     def test_headline_constant_digits(self, capsys):

@@ -15,7 +15,7 @@ def test_names_are_unique():
 
 @pytest.mark.parametrize(
     "tag,count",
-    [("identity", 10), ("flow", 5), ("log_concave", 7), ("compact", 3), ("excess_moment", 3), ("refute", 1)],
+    [("identity", 10), ("flow", 6), ("log_concave", 7), ("compact", 3), ("excess_moment", 3), ("refute", 1)],
 )
 def test_tag_counts(tag, count):
     assert len(corpus.entries(tag)) == count
@@ -44,10 +44,10 @@ def test_lookup_by_name():
         corpus.get("no_such_entry")
 
 
-def test_flow_entries_evolve_cleanly(grid1, grid2):
+def test_flow_entries_evolve_cleanly(grid1, grid2, grid3):
     # sign changes in u are fine here (only u^2 flows), but the evolved
     # density must be positive and keep unit mass
-    grids = {1: grid1, 2: grid2}
+    grids = {1: grid1, 2: grid2, 3: grid3}
     for entry in corpus.entries("flow"):
         grid = grids[entry.d]
         st = evolve(entry.normalized(grid), 0.2, grid)

@@ -7,6 +7,7 @@ every initial density, giving family-independent decay laws to test against.
 """
 
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from glslab import (
+    CapacityError,
     FlowError,
     GaussianMeasureSpec,
     GaussianProfile,
@@ -199,6 +201,110 @@ class TestOnePass:
             chunked = getattr(mehler_density(u, 0.5, 16), method)(x)
             atol = 8 * np.finfo(float).eps * np.abs(whole[method]).max()
             np.testing.assert_allclose(chunked, whole[method], rtol=0.0, atol=atol)
+
+
+_CLOSED_FORMS = ["gaussian_shifted", "gaussian_d2_aniso", "tilt_half", "tilt_d2"]
+
+
+class TestClosedForm:
+    """Gaussian profiles and tilts evolve in closed form inside evolve."""
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_matches_the_quadrature_reference(self, name, t):
+        u, x = _order16(name)
+        exact, reference = u.evolved(t), mehler_density(u, t, 64)
+        for method in ("density", "gradient", "hessian"):
+            want = getattr(reference, method)(x)
+            np.testing.assert_allclose(
+                getattr(exact, method)(x), want, rtol=0, atol=1e-13 * np.abs(want).max()
+            )
+        # exactly 0 for a tilt: a relative error means nothing there
+        np.testing.assert_allclose(
+            exact.hess_log_density(x), reference.hess_log_density(x), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_semigroup_law(self, name):
+        u = corpus.get(name).function()
+        for s, t in [(0.1, 0.4), (0.5, 1.5), (2.0, 0.3)]:
+            nested, direct = u.evolved(s).evolved(t).params(), u.evolved(s + t).params()
+            assert nested.keys() == direct.keys()
+            for key in nested:
+                np.testing.assert_allclose(nested[key], direct[key], rtol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_evolve_takes_the_exact_path(self, name, grid1, grid2):
+        grid = {1: grid1, 2: grid2}[corpus.get(name).d]
+        u = corpus.get(name).normalized(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default = evolve(u, 0.5, grid)
+            explicit = evolve(u, 0.5, grid, inner_order=4)
+        for st in (default, explicit):
+            assert st.inner_order == 0
+            assert st.inner_error == 0.0
+            assert st.v.family == u.family
+        assert explicit.entropy == default.entropy
+        assert explicit.fisher == default.fisher
+        with pytest.raises(FlowError, match="nonnegative"):
+            evolve(u, -0.5, grid)
+
+    def test_quadrature_families_have_no_closed_form(self, grid1):
+        for name in ("hermite_mixed", "affine_eps01", "bump_r2", "two_bumps_wide"):
+            assert corpus.get(name).function().evolved(0.5) is None
+        st = evolve(corpus.get("hermite_mixed").normalized(grid1), 0.5, grid1)
+        assert st.inner_order >= 64
+        assert st.inner_error > 0.0
+
+    def test_unit_variance_stays_admissible(self):
+        # e^{-2t} + (1 - e^{-2t}) can round above 1, which the family rejects
+        u = GaussianProfile(sigma2=np.array([1.0, 1.0]))
+        for t in np.linspace(0.01, 5.0, 200):
+            s2 = u.evolved(float(t)).sigma2
+            assert np.all(s2 <= 1.0)
+            np.testing.assert_allclose(s2, 1.0, rtol=2 * np.finfo(float).eps)
+
+
+class TestCache:
+    def test_bare_1d_batch_hits_the_cache(self, grid1, monkeypatch):
+        v = mehler_density(corpus.get("bump_r2").normalized(grid1), 0.5)
+        calls = Counter()
+        original = Bump.value
+
+        def counted(self, x):
+            calls["value"] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(Bump, "value", counted)
+        x = np.linspace(-2.0, 2.0, 9)
+        first = v.density(x)
+        for _ in range(2):
+            np.testing.assert_array_equal(v.density(x), first)
+        assert len(v.cache) == 1
+        assert calls["value"] == 1
+
+
+class TestCapacity:
+    """Averages beyond the point envelope fail before any work."""
+
+    def test_d3_quadrature_evolve_fails_fast(self, grid3):
+        u = normalize(Bump(radius=2.0, center=np.zeros(3)), grid3)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="envelope"):
+            evolve(u, 0.5, grid3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_envelope_is_counted_in_outer_times_inner_points(self, grid1, monkeypatch):
+        v = mehler_density(corpus.get("bump_r2").normalized(grid1), 0.5, 16)
+        x = np.linspace(-2.0, 2.0, 9)[:, None]
+        monkeypatch.setattr(ou_flow, "MAX_AVERAGE_POINTS", 9 * 16)
+        v.density(x)
+        monkeypatch.setattr(ou_flow, "MAX_AVERAGE_POINTS", 9 * 16 - 1)
+        with pytest.raises(CapacityError):
+            v.density(x.copy())
+        # a cached batch needs no new average
+        v.density(x)
 
 
 class TestFlowCurve:
