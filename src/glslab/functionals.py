@@ -6,10 +6,12 @@ For ||u||_{L2(dgamma)} = 1 the three core quantities are
     fisher   I(u) = int |grad u|^2 dgamma
     deficit  delta(u) = I(u) - E(u) / 2 >= 0
 
-together with the density moments used by the stability bounds.  Every
-integral carries an error estimate from the embedded coarse rule with a
-rounding floor (see measure), and the deficit error combines the two parts
-as err_I + err_E / 2.  The entropy error is at least rounding_floor(||u||^2):
+together with the density moments used by the stability bounds.  u is
+evaluated once per node set, the grid and its embedded coarse rule, and
+every integral and moment reads those arrays.  Every integral carries an
+error estimate from the coarse rule with a rounding floor (see
+measure.embedded), and the deficit error combines the two parts as
+err_I + err_E / 2.  The entropy error is at least rounding_floor(||u||^2):
 h = u^2 is itself only known to a few ulps, and d(h log h)/dh = 1 + log h,
 so at the Gaussian equality case (h = 1, E = 0) the entropy is pure rounding.
 
@@ -26,12 +28,13 @@ and computes the pressure integrals for P = -log u^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import NormalizationError, PositivityError
-from .measure import QuadratureGrid, integrate_with_error, rounding_floor
-from .functions import TestFunction, _require_unit_norm, l2_norm
+from .errors import PositivityError
+from .measure import QuadratureGrid, embedded, rounding_floor
+from .functions import TestFunction, _require_unit_norm
 
 SUPPORT_FLOOR = 1e-12
 
@@ -86,17 +89,12 @@ class FunctionalReport:
 
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized."""
-    norm = l2_norm(u, grid)
-    if abs(norm - 1.0) > 1e-8:
-        raise NormalizationError(
-            f"report requires ||u|| = 1 within 1e-8, got {norm!r}; normalize first"
-        )
     x = grid.nodes
-    h = u.density(x)
-    entropy, ent_err = integrate_with_error(grid, lambda pts: _xlogx(u.density(pts)))
-    fisher, fis_err = integrate_with_error(
-        grid, lambda pts: (u.gradient(pts) ** 2).sum(axis=1)
-    )
+    h, grad = u.density_and_gradient(x)
+    norm = _require_unit_norm(grid, h)
+    h_c, grad_c = u.density_and_gradient(grid.coarse.nodes)
+    entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
+    fisher, fis_err = embedded(grid, (grad**2).sum(axis=1), (grad_c**2).sum(axis=1))
     ent_err = max(ent_err, rounding_floor(norm**2))
     deficit = fisher - 0.5 * entropy
     ratio_q = fisher / entropy if entropy > 0 else None
@@ -132,11 +130,37 @@ class IdentityResult:
         return abs(self.residual) / scale
 
 
+_Terms = Callable[[np.ndarray], tuple[np.ndarray, ...]]
+
+
+def _integrals(grid: QuadratureGrid, terms: _Terms) -> list[tuple[float, float]]:
+    """embedded() of each integrand terms(x) returns, with one call per node set."""
+    return [embedded(grid, f, c) for f, c in zip(terms(grid.nodes), terms(grid.coarse.nodes))]
+
+
+def _identity(name: str, grid: QuadratureGrid, terms: _Terms) -> IdentityResult:
+    """lhs = rhs for terms(x) = (lhs integrand, rhs integrand)."""
+    (lhs, lhs_err), (rhs, rhs_err) = _integrals(grid, terms)
+    return IdentityResult(
+        name=name,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        residual=float(lhs - rhs),
+        error=float(lhs_err + rhs_err),
+    )
+
+
 def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
-    """Margin of E(u) >= ||u^2 - 1||_{L1}^2 / 4 for normalized u."""
-    _require_unit_norm(u, grid)
-    entropy, ent_err = integrate_with_error(grid, lambda pts: _xlogx(u.density(pts)))
-    tv, tv_err = integrate_with_error(grid, lambda pts: np.abs(u.density(pts) - 1.0))
+    """Margin of E(u) >= ||u^2 - 1||_{L1}^2 / 4 for normalized u.
+
+    The entropy error has report's floor rounding_floor(||u||^2).
+    """
+    h = u.density(grid.nodes)
+    norm = _require_unit_norm(grid, h)
+    h_c = u.density(grid.coarse.nodes)
+    entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
+    tv, tv_err = embedded(grid, np.abs(h - 1.0), np.abs(h_c - 1.0))
+    ent_err = max(ent_err, rounding_floor(norm**2))
     rhs = 0.25 * tv**2
     return IdentityResult(
         name="pinsker_gap",
@@ -147,37 +171,18 @@ def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     )
 
 
-def _generator(v: TestFunction, x: np.ndarray) -> np.ndarray:
-    """Lv = Laplacian v - x . grad v at the points x."""
-    hess = v.hessian(x)
-    grad = v.gradient(x)
-    return np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
-
-
 def bochner_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     """int (Lv)^2 dgamma = int ||Hess v||_F^2 dgamma + int |grad v|^2 dgamma."""
 
-    def lhs_term(x: np.ndarray) -> np.ndarray:
-        return _generator(v, x) ** 2
+    def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hess, grad = v.hessian(x), v.gradient(x)
+        lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
+        return lv**2, (hess**2).sum(axis=(1, 2)) + (grad**2).sum(axis=1)
 
-    def rhs_term(x: np.ndarray) -> np.ndarray:
-        hess = v.hessian(x)
-        grad = v.gradient(x)
-        return (hess**2).sum(axis=(1, 2)) + (grad**2).sum(axis=1)
-
-    lhs, lhs_err = integrate_with_error(grid, lhs_term)
-    rhs, rhs_err = integrate_with_error(grid, rhs_term)
-    return IdentityResult(
-        name="bochner_identity",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(lhs - rhs),
-        error=float(lhs_err + rhs_err),
-    )
+    return _identity("bochner_identity", grid, terms)
 
 
-def _positive_mask(v: TestFunction, x: np.ndarray) -> np.ndarray:
-    vals = v.value(x)
+def _positive_mask(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if vals.min() < 0:
         i = int(vals.argmin())
         raise PositivityError(
@@ -194,35 +199,19 @@ def fisher_flux_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResul
     negative value at any quadrature node raises PositivityError.
     """
 
-    def lhs_term(x: np.ndarray) -> np.ndarray:
-        mask = _positive_mask(v, x)
+    def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals = v.value(x)
-        grad = v.gradient(x)
-        out = np.zeros(x.shape[0])
-        lv = _generator(v, x)
-        out[mask] = lv[mask] * (grad[mask] ** 2).sum(axis=1) / vals[mask]
-        return out
-
-    def rhs_term(x: np.ndarray) -> np.ndarray:
-        mask = _positive_mask(v, x)
-        vals = v.value(x)
-        grad = v.gradient(x)
-        hess = v.hessian(x)
-        out = np.zeros(x.shape[0])
+        mask = _positive_mask(x, vals)
+        grad, hess = v.gradient(x), v.hessian(x)
+        lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
+        g2 = (grad**2).sum(axis=1)
         quad = (hess * grad[:, :, None] * grad[:, None, :]).sum(axis=(1, 2))
-        g4 = ((grad**2).sum(axis=1)) ** 2
-        out[mask] = -2.0 * quad[mask] / vals[mask] + g4[mask] / vals[mask] ** 2
-        return out
+        lhs, rhs = np.zeros(x.shape[0]), np.zeros(x.shape[0])
+        lhs[mask] = lv[mask] * g2[mask] / vals[mask]
+        rhs[mask] = -2.0 * quad[mask] / vals[mask] + g2[mask] ** 2 / vals[mask] ** 2
+        return lhs, rhs
 
-    lhs, lhs_err = integrate_with_error(grid, lhs_term)
-    rhs, rhs_err = integrate_with_error(grid, rhs_term)
-    return IdentityResult(
-        name="fisher_flux_identity",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(lhs - rhs),
-        error=float(lhs_err + rhs_err),
-    )
+    return _identity("fisher_flux_identity", grid, terms)
 
 
 @dataclass(frozen=True)
@@ -250,38 +239,24 @@ class PressureData:
 
 
 def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
-    _require_unit_norm(u, grid)
+    h = u.density(grid.nodes)
+    _require_unit_norm(grid, h)
+    gap = float(grid.weights @ (h * ((grid.nodes**2).sum(axis=1) - u.d)))
 
-    def fields(x: np.ndarray):
-        mask = _positive_mask(u, x)
+    def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vals = u.value(x)
-        grad = u.gradient(x)
-        hess = u.hessian(x)
+        mask = _positive_mask(x, vals)
+        grad, hess = u.gradient(x), u.hessian(x)
         gp = np.zeros_like(grad)
         gp[mask] = -2.0 * grad[mask] / vals[mask, None]
         hp = np.zeros_like(hess)
         gu = grad[mask] / vals[mask, None]
         hp[mask] = 2.0 * gu[:, :, None] * gu[:, None, :] - 2.0 * hess[mask] / vals[mask, None, None]
         h = vals**2
-        return h, gp, hp
+        hp2 = (hp**2).sum(axis=(1, 2))
+        return h * (gp**2).sum(axis=1), h * np.trace(hp, axis1=1, axis2=2), h * hp2
 
-    def f4_term(x: np.ndarray) -> np.ndarray:
-        h, gp, _ = fields(x)
-        return h * (gp**2).sum(axis=1)
-
-    def lap_term(x: np.ndarray) -> np.ndarray:
-        h, _, hp = fields(x)
-        return h * np.trace(hp, axis1=1, axis2=2)
-
-    def frob_term(x: np.ndarray) -> np.ndarray:
-        h, _, hp = fields(x)
-        return h * (hp**2).sum(axis=(1, 2))
-
-    f4, f4_err = integrate_with_error(grid, f4_term)
-    lap, lap_err = integrate_with_error(grid, lap_term)
-    frob, frob_err = integrate_with_error(grid, frob_term)
-    r2 = (grid.nodes**2).sum(axis=1)
-    gap = float(grid.weights @ (u.density(grid.nodes) * (r2 - u.d)))
+    (f4, f4_err), (lap, lap_err), (frob, frob_err) = _integrals(grid, terms)
     return PressureData(
         d=u.d,
         fisher4=float(f4),

@@ -75,6 +75,10 @@ class TestFunction:
     def density(self, x: np.ndarray) -> np.ndarray:
         return self.value(x) ** 2
 
+    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u^2 and grad u at x, for readers that need both on one node set."""
+        return self.value(x) ** 2, self.gradient(x)
+
     def hess_log_density(self, x: np.ndarray) -> np.ndarray:
         """Hess log(u^2) where u > 0; caller is responsible for masking."""
         u = self.value(x)
@@ -550,16 +554,18 @@ def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     return (grid.weights[:, None] * grid.nodes * h[:, None]).sum(axis=0)
 
 
-def _require_unit_norm(u: TestFunction, grid: QuadratureGrid, tol: float = 1e-8) -> None:
-    norm = l2_norm(u, grid)
-    if abs(norm - 1.0) > tol:
-        raise NormalizationError(f"expected unit L2 norm, got {norm!r}")
+def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray) -> float:
+    """||u|| from h = u^2 on grid.nodes; NormalizationError unless 1 within 1e-8."""
+    norm = math.sqrt(float(grid.weights @ h))
+    if abs(norm - 1.0) > 1e-8:
+        raise NormalizationError(f"expected unit L2 norm, got {norm!r}; normalize first")
+    return norm
 
 
 def second_moment_gap(u: TestFunction, grid: QuadratureGrid) -> float:
     """A = integral of u^2 (|x|^2 - d) dgamma for normalized u."""
-    _require_unit_norm(u, grid)
     h = u.density(grid.nodes)
+    _require_unit_norm(grid, h)
     r2 = (grid.nodes**2).sum(axis=1)
     return float(grid.weights @ (h * (r2 - u.d)))
 
@@ -575,7 +581,7 @@ def center_mass(u: TestFunction, grid: QuadratureGrid, tol: float = 1e-10) -> Ce
     """Return a representative with vanishing density first moment when the
     family supports exact recentring (gaussian mean, bump center); otherwise
     report the measured moment with recentred = False."""
-    _require_unit_norm(u, grid)
+    _require_unit_norm(grid, u.density(grid.nodes))
     m1 = first_moment(u, grid)
     if np.linalg.norm(m1) <= tol:
         return CenteredResult(function=u, shift=np.zeros(u.d), recentred=True)

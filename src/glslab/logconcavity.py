@@ -71,6 +71,8 @@ def certify(
     d = u.d
     if n_probes is None:
         n_probes = 512 * d
+    elif n_probes < 0:
+        raise DomainError(f"number of probes must be nonnegative, got {n_probes}")
     probes = np.vstack([grid.nodes, _probe_cloud(d, n_probes)])
     h = u.density(probes)
     threshold = SUPPORT_THRESHOLD * max(float(h.max()), 1e-300)

@@ -25,7 +25,7 @@ largest entropy residual measured over d = 1..3 and orders 2..256 was 4 ulps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,9 +80,9 @@ class QuadratureGrid:
     def n_points(self) -> int:
         return self.nodes.shape[0]
 
-    @property
+    @cached_property
     def coarse(self) -> "QuadratureGrid":
-        """Embedded lower-order partner used for error estimates."""
+        """Embedded lower-order partner used for error estimates, built once per grid."""
         return build_grid(GaussianMeasureSpec(self.d), _coarse_order(self.order))
 
 
@@ -117,8 +117,8 @@ def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     return QuadratureGrid(d=spec.d, order=order, nodes=nodes, weights=weights)
 
 
-def _values_on(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    values = np.asarray(f(grid.nodes), dtype=float)
+def _checked(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise IntegrationError(
             f"integrand returned shape {values.shape}, expected ({grid.n_points},)"
@@ -139,19 +139,28 @@ def rounding_floor(scale: float) -> float:
 
 def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f against dgamma.  f maps (n, d) arrays to (n,) arrays."""
-    return float(grid.weights @ _values_on(grid, f))
+    return float(grid.weights @ _checked(grid, f(grid.nodes)))
+
+
+def embedded(
+    grid: QuadratureGrid, fine_values: np.ndarray, coarse_values: np.ndarray
+) -> tuple[float, float]:
+    """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
+
+    fine_values and coarse_values are the integrand at grid.nodes and at
+    grid.coarse.nodes.  The floor is rounding_floor(sum_i w_i |f(x_i)|) over
+    the fine values; it is never 0 unless f vanishes on the grid.
+    """
+    coarse_grid = grid.coarse
+    values = _checked(grid, fine_values)
+    fine = float(grid.weights @ values)
+    coarse = float(coarse_grid.weights @ _checked(coarse_grid, coarse_values))
+    floor = rounding_floor(float(grid.weights @ np.abs(values)))
+    return fine, max(abs(fine - coarse), floor)
 
 
 def integrate_with_error(
     grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
-    """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
-
-    The floor is rounding_floor(sum_i w_i |f(x_i)|), taken from the fine-grid
-    values already computed; it is never 0 unless f vanishes on the grid.
-    """
-    values = _values_on(grid, f)
-    fine = float(grid.weights @ values)
-    coarse = integrate(grid.coarse, f)
-    floor = rounding_floor(float(grid.weights @ np.abs(values)))
-    return fine, max(abs(fine - coarse), floor)
+    """embedded() of f on the grid and its coarse partner."""
+    return embedded(grid, f(grid.nodes), f(grid.coarse.nodes))

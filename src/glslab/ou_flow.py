@@ -13,8 +13,9 @@ one quadrature in y gives h(t, .) pointwise, and differentiating under the
 integral gives grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int
 Hess h0(...).  EvolvedDensity wraps this average as a TestFunction for
 v = sqrt(h), which plugs into every functional and certifier unchanged.
-One pass over the inner points serves every average a call needs.  An
-average over more than MAX_AVERAGE_POINTS outer x inner points raises
+One pass over the inner points serves every average a call needs, and
+nothing is kept between calls; the functionals read each node set once.
+An average over more than MAX_AVERAGE_POINTS outer x inner points raises
 CapacityError before any work.
 
 On the quadrature path the inner (y) rule starts at inner_order (default:
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapacityError, FlowError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import TestFunction, _points, l2_norm
+from .functions import TestFunction, _points
 from .functionals import FunctionalReport, IdentityResult, report
 
 INNER_TOL = 1e-9
@@ -57,19 +58,15 @@ class EvolvedDensity(TestFunction):
     """v = sqrt(h(t, .)) for h evolved from u0^2; evaluates by inner quadrature.
 
     One pass averages every kind a call needs (h, grad h, Hess h), with at
-    most one evaluation of u0's value, gradient and Hessian each.  Raw
-    averages are cached per kind, inner rule and point batch (keyed on the
-    identity of the caller's array), as evolve comes back to a batch: h on
-    the fine and the coarse inner rule, then grad h for the report.  The
-    cache survives rescaling because the stored averages exclude the
-    amplitude factor.
+    most one evaluation of u0's value, gradient and Hessian each.  Nothing
+    is kept between calls: a reader that needs h and grad v on the same
+    points asks density_and_gradient for both.
     """
 
     u0: TestFunction
     t: float
     inner: QuadratureGrid
     amplitude: float = 1.0
-    cache: dict = field(default_factory=dict, repr=False)
     family = "evolved"
 
     def __post_init__(self) -> None:
@@ -79,10 +76,6 @@ class EvolvedDensity(TestFunction):
 
     def _integrands(self, z: np.ndarray, kinds: list[str]):
         """h0, grad h0 and Hess h0 at z, for those of them in kinds."""
-        if kinds == ["grad"]:
-            # alone in every report: no u0 value outlives the product (d = 2 peak memory)
-            yield 2.0 * self.u0.value(z)[:, None] * self.u0.gradient(z)
-            return
         u = self.u0.value(z)
         if "h" in kinds:
             yield u**2
@@ -95,31 +88,24 @@ class EvolvedDensity(TestFunction):
 
     def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
         """h, grad h and Hess h of the evolved density at x, one array per kind."""
-        hits = {kind: self.cache.get((kind, id(self.inner), id(x))) for kind in kinds}
-        avg = {kind: hit[1] for kind, hit in hits.items() if hit is not None and hit[0] is x}
-        todo = [kind for kind in _ORDER if kind in kinds and kind not in avg]
-        if todo:
-            pts = _points(x, self.d)
-            yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
-            if pts.shape[0] * m > MAX_AVERAGE_POINTS:
-                raise CapacityError(
-                    f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
-                    f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
-                )
-            decay = math.exp(-self.t)
-            spread = math.sqrt(-math.expm1(-2.0 * self.t))
-            fresh = {kind: np.empty((pts.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
-            chunk = max(1, _POINT_BUDGET // m)
-            for start in range(0, pts.shape[0], chunk):
-                xb = pts[start : start + chunk]
-                z = decay * xb[:, None, :] + spread * yn[None, :, :]
-                for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
-                    vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
-                    fresh[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
-            for kind, out in fresh.items():
-                # the reference to x keeps its id from being reused while cached
-                self.cache[(kind, id(self.inner), id(x))] = (x, out)
-            avg.update(fresh)
+        pts = _points(x, self.d)
+        yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
+        if pts.shape[0] * m > MAX_AVERAGE_POINTS:
+            raise CapacityError(
+                f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
+                f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
+            )
+        decay = math.exp(-self.t)
+        spread = math.sqrt(-math.expm1(-2.0 * self.t))
+        todo = [kind for kind in _ORDER if kind in kinds]
+        avg = {kind: np.empty((pts.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
+        chunk = max(1, _POINT_BUDGET // m)
+        for start in range(0, pts.shape[0], chunk):
+            xb = pts[start : start + chunk]
+            z = decay * xb[:, None, :] + spread * yn[None, :, :]
+            for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
+                vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
+                avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
         scale = self.amplitude**2
         return tuple(scale * math.exp(-_ORDER[kind] * self.t) * avg[kind] for kind in kinds)
 
@@ -138,12 +124,15 @@ class EvolvedDensity(TestFunction):
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.density(x), 0.0))
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h, gh = self._average(x, "h", "grad")
         out = np.zeros_like(gh)
         mask = self._mask(h)
         out[mask] = gh[mask] / (2.0 * np.sqrt(h[mask]))[:, None]
-        return out
+        return h, out
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.density_and_gradient(x)[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         h, gh, hh = self._average(x, "h", "grad", "hess")
@@ -196,12 +185,12 @@ def mehler_density(
     return EvolvedDensity(u0=u0, t=t, inner=inner)
 
 
-def _inner_mismatch(v: EvolvedDensity, grid: QuadratureGrid) -> float:
-    """Weighted L1 gap between the inner rule and its embedded coarse partner."""
-    coarse = replace(v, inner=v.inner.coarse)
+def _inner_mismatch(v: EvolvedDensity, grid: QuadratureGrid) -> tuple[float, np.ndarray]:
+    """Weighted L1 gap between the inner rule and its embedded coarse partner,
+    with v's density on the grid."""
     hf = v.density(grid.nodes)
-    hc = coarse.density(grid.nodes)
-    return float(grid.weights @ np.abs(hf - hc))
+    hc = replace(v, inner=v.inner.coarse).density(grid.nodes)
+    return float(grid.weights @ np.abs(hf - hc)), hf
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +235,7 @@ def evolve(
         order = min(max(order, 1), 256)
         while True:
             v_raw = mehler_density(u0, t, order)
-            inner_err = _inner_mismatch(v_raw, grid)
+            inner_err, h = _inner_mismatch(v_raw, grid)
             if inner_err <= INNER_TOL or order >= 256:
                 break
             order = min(2 * order, 256)
@@ -255,7 +244,10 @@ def evolve(
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
                 stacklevel=2,
             )
-    mass = l2_norm(v_raw, grid) ** 2
+    else:
+        h = v_raw.density(grid.nodes)
+    # ||sqrt h||^2 as l2_norm sums it, so that v is normalize(v_raw, grid) bit for bit
+    mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
     if mass <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
     v = v_raw.with_scale(1.0 / math.sqrt(mass))

@@ -64,6 +64,11 @@ class SearchProblem:
             raise ConstraintError("lower and upper must be nonempty and equally long")
         if any(lo > hi for lo, hi in zip(lower, upper)):
             raise ConstraintError(f"empty box: lower {lower} exceeds upper {upper}")
+        if self.restarts < 1 or self.maxiter < 1 or self.seed < 0:
+            raise ConstraintError(
+                "need restarts >= 1, maxiter >= 1 and seed >= 0, got "
+                f"{self.restarts}, {self.maxiter} and {self.seed}"
+            )
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

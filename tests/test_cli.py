@@ -221,6 +221,13 @@ class TestLogcc:
         assert payload["certificate"]["status"] == "certified"
         assert payload["config"]["time"] == 0.805
 
+    def test_negative_probe_count_fails_cleanly(self, capsys):
+        code = main(["logcc", "--builtin", "bump_r2", "--probes", "-3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "probes" in captured.err
+
     def test_negative_time_fails_cleanly(self, capsys):
         code = main(["logcc", "--builtin", "bump_r2", "--time", "-0.5"])
         captured = capsys.readouterr()
@@ -250,6 +257,29 @@ class TestSearch:
         assert payload["config"]["seed"] == 3
         assert payload["result"]["problem"]["name"] == "cli_affine"
         assert 0.01 - 1e-9 <= payload["result"]["best_params"][0] <= 0.2 + 1e-9
+
+
+    @pytest.mark.parametrize(
+        "override, argv",
+        [({"restarts": 0}, []), ({"maxiter": 0}, []), ({"seed": -1}, []), ({}, ["--seed", "-1"])],
+    )
+    def test_invalid_problem_fails_cleanly(self, capsys, tmp_path, override, argv):
+        problem = {
+            "name": "bad",
+            "objective": "deficit",
+            "family": "affine",
+            "d": 1,
+            "lower": [0.01],
+            "upper": [0.2],
+            **override,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code = main(["search", "--problem", str(path)] + argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "restarts" in captured.err
 
 
 def test_module_entry_point():

@@ -7,6 +7,7 @@ Both follow by direct integration against the Gaussian weight.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from glslab import (
     pressure_integrals,
     report,
 )
+from glslab.functions import Bump
 
 
 def gaussian_entropy(s2, mean):
@@ -95,6 +97,21 @@ class TestReport:
         assert payload["deficit"] == rep.deficit
         assert isinstance(payload["first_moment"], list)
 
+    def test_reads_each_node_set_once(self, grid1, monkeypatch):
+        u = corpus.get("bump_r2").normalized(grid1)
+        calls = Counter()
+        for name in ("value", "gradient"):
+            original = getattr(Bump, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[(_name, len(x))] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(Bump, name, counted)
+        report(u, grid1)
+        fine, coarse = grid1.n_points, grid1.coarse.n_points
+        assert calls == {(m, n): 1 for m in ("value", "gradient") for n in (fine, coarse)}
+
 
 class TestPinsker:
     def test_margin_positive_for_gaussian(self, grid1):
@@ -104,6 +121,15 @@ class TestPinsker:
     def test_exact_zero_for_constant(self, grid1):
         r = pinsker_gap(GaussianProfile(sigma2=np.array([1.0])), grid1)
         assert r.lhs == 0.0 and r.rhs == 0.0
+
+    def test_constant_residual_within_error_at_every_order(self):
+        # at u = 1 the entropy is pure rounding, so its error needs report's floor
+        for d, top in ((1, 64), (2, 64), (3, 48)):
+            u = GaussianProfile(sigma2=np.ones(d))
+            for order in range(2, top + 1):
+                grid = build_grid(GaussianMeasureSpec(d=d), order)
+                r = pinsker_gap(normalize(u, grid), grid)
+                assert r.residual >= -r.error, (d, order, r)
 
     def test_total_variation_oracle(self, grid1):
         # for u^2 = (0, 2) indicator-like tilts the L1 norm is computable;

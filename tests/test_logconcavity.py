@@ -62,6 +62,10 @@ class TestVerdicts:
         # probes outside the support are masked
         assert 0 < cert.n_active < cert.n_probes
 
+    def test_negative_probe_count_is_a_domain_error(self, grid1):
+        with pytest.raises(DomainError, match="probes"):
+            certify(GaussianProfile(sigma2=np.array([0.5])), grid1, n_probes=-3)
+
     def test_json_payload(self, grid1):
         cert = certify(GaussianProfile(sigma2=np.array([0.5])), grid1)
         payload = cert.to_json()

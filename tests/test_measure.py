@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glslab import CapacityError, GaussianMeasureSpec, IntegrationError, build_grid, integrate
-from glslab.measure import gauss_hermite_1d, integrate_with_error
+from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error
 
 
 def double_factorial(n: int) -> int:
@@ -117,6 +117,27 @@ class TestIntegration:
     def test_shape_mismatch_is_rejected(self, grid1):
         with pytest.raises(IntegrationError):
             integrate(grid1, lambda x: x[:5, 0])
+
+    def test_embedded_is_integrate_with_error_on_precomputed_values(self, grid1):
+        def f(x):
+            return np.exp(-x.sum(axis=1)) + np.abs(x[:, 0])
+
+        for grid in (grid1, build_grid(GaussianMeasureSpec(d=2), 20)):
+            got = embedded(grid, f(grid.nodes), f(grid.coarse.nodes))
+            assert got == integrate_with_error(grid, f)
+
+    def test_embedded_rejects_nonfinite_and_misshapen_values(self, grid1):
+        fine, coarse = np.ones(grid1.n_points), np.ones(grid1.coarse.n_points)
+        nan = fine.copy()
+        nan[3] = np.nan
+        for args in (
+            (nan, coarse),
+            (fine, np.full(coarse.shape, np.inf)),
+            (fine[:5], coarse),
+            (fine, fine),
+        ):
+            with pytest.raises(IntegrationError):
+                embedded(grid1, *args)
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,13 +174,23 @@ class TestOnePass:
     )
     def test_joint_pass_matches_one_kind_at_a_time(self, name):
         u, x = _order16(name)
-        filled = mehler_density(u, 0.5, 16)
-        filled.density(x)
-        filled.density_gradient(x)
-        filled.density_hessian(x)
-        for method in _METHODS[1:]:
-            fresh = mehler_density(u, 0.5, 16)
-            np.testing.assert_array_equal(getattr(fresh, method)(x), getattr(filled, method)(x))
+        joint = mehler_density(u, 0.5, 16)._average(x, "h", "grad", "hess")
+        for method, want in zip(("density", "density_gradient", "density_hessian"), joint):
+            np.testing.assert_array_equal(getattr(mehler_density(u, 0.5, 16), method)(x), want)
+
+    def test_quadrature_evolve_repeats_no_average(self, grid1, monkeypatch):
+        # no call averages the same kinds on the same inner rule and node set twice
+        calls = Counter()
+        original = ou_flow.EvolvedDensity._average
+
+        def counted(self, x, *kinds):
+            calls[(kinds, self.inner.order, len(x))] += 1
+            return original(self, x, *kinds)
+
+        monkeypatch.setattr(ou_flow.EvolvedDensity, "_average", counted)
+        state = evolve(corpus.get("bump_r2").normalized(grid1), 0.5, grid1)
+        assert state.inner_order > 0
+        assert calls and max(calls.values()) == 1, calls
 
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):
@@ -266,25 +276,6 @@ class TestClosedForm:
             np.testing.assert_allclose(s2, 1.0, rtol=2 * np.finfo(float).eps)
 
 
-class TestCache:
-    def test_bare_1d_batch_hits_the_cache(self, grid1, monkeypatch):
-        v = mehler_density(corpus.get("bump_r2").normalized(grid1), 0.5)
-        calls = Counter()
-        original = Bump.value
-
-        def counted(self, x):
-            calls["value"] += 1
-            return original(self, x)
-
-        monkeypatch.setattr(Bump, "value", counted)
-        x = np.linspace(-2.0, 2.0, 9)
-        first = v.density(x)
-        for _ in range(2):
-            np.testing.assert_array_equal(v.density(x), first)
-        assert len(v.cache) == 1
-        assert calls["value"] == 1
-
-
 class TestCapacity:
     """Averages beyond the point envelope fail before any work."""
 
@@ -302,9 +293,7 @@ class TestCapacity:
         v.density(x)
         monkeypatch.setattr(ou_flow, "MAX_AVERAGE_POINTS", 9 * 16 - 1)
         with pytest.raises(CapacityError):
-            v.density(x.copy())
-        # a cached batch needs no new average
-        v.density(x)
+            v.density(x)
 
 
 class TestFlowCurve:

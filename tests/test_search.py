@@ -74,6 +74,11 @@ class TestProblemConfig:
         with pytest.raises(ConstraintError):
             self._problem(lower=(1.0,), upper=(-1.0,))
 
+    @pytest.mark.parametrize("field, value", [("restarts", 0), ("maxiter", 0), ("seed", -1)])
+    def test_rejects_no_restarts_no_iterations_or_negative_seed(self, field, value):
+        with pytest.raises(ConstraintError):
+            self._problem(**{field: value})
+
     def test_load_problem(self, tmp_path):
         p = self._problem(name="from_disk")
         path = tmp_path / "problem.json"
