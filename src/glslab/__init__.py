@@ -57,12 +57,12 @@ from .ou_flow import (
 )
 from .logconcavity import (
     LogConcavityCertificate,
-    certificate_at_tstar,
     certify,
     certify_along_flow,
 )
 from .stability import (
     C_STAR,
+    Figures,
     GAUSSIAN_CHEEGER,
     HALVED_CDC,
     POINCARE_LOGCONCAVE,
@@ -75,7 +75,6 @@ from .stability import (
     constants_table,
     excess_moment_decay_check,
     improved_constant_compact,
-    kappa_weight,
     lambda1_tail_lower,
     phi,
     phi_inv,

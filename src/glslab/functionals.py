@@ -175,7 +175,7 @@ def bochner_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     """int (Lv)^2 dgamma = int ||Hess v||_F^2 dgamma + int |grad v|^2 dgamma."""
 
     def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hess, grad = v.hessian(x), v.gradient(x)
+        _, grad, hess = v.jet(x)
         lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
         return lv**2, (hess**2).sum(axis=(1, 2)) + (grad**2).sum(axis=1)
 
@@ -200,9 +200,8 @@ def fisher_flux_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResul
     """
 
     def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = v.value(x)
+        vals, grad, hess = v.jet(x)
         mask = _positive_mask(x, vals)
-        grad, hess = v.gradient(x), v.hessian(x)
         lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
         g2 = (grad**2).sum(axis=1)
         quad = (hess * grad[:, :, None] * grad[:, None, :]).sum(axis=(1, 2))
@@ -244,9 +243,8 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
     gap = float(grid.weights @ (h * ((grid.nodes**2).sum(axis=1) - u.d)))
 
     def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        vals = u.value(x)
+        vals, grad, hess = u.jet(x)
         mask = _positive_mask(x, vals)
-        grad, hess = u.gradient(x), u.hessian(x)
         gp = np.zeros_like(grad)
         gp[mask] = -2.0 * grad[mask] / vals[mask, None]
         hp = np.zeros_like(hess)

@@ -79,6 +79,10 @@ class TestFunction:
         """u^2 and grad u at x, for readers that need both on one node set."""
         return self.value(x) ** 2, self.gradient(x)
 
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u, grad u and Hess u at x, for readers that need all three on one node set."""
+        return self.value(x), self.gradient(x), self.hessian(x)
+
     def hess_log_density(self, x: np.ndarray) -> np.ndarray:
         """Hess log(u^2) where u > 0; caller is responsible for masking."""
         u = self.value(x)

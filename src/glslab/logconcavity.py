@@ -18,7 +18,6 @@ band keeps borderline curvature from flipping with the probe set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +124,3 @@ def certify_along_flow(
         state = evolve(u0, float(t), grid, inner_order=inner_order)
         out.append((state, certify(state.v, grid, n_probes=n_probes)))
     return out
-
-
-def certificate_at_tstar(
-    u0: TestFunction,
-    support_radius: float,
-    grid: QuadratureGrid,
-    n_probes: int | None = None,
-) -> tuple[float, LogConcavityCertificate]:
-    """Certificate at the waiting time t* = log(1 + R^2) / 2 for support radius R."""
-    if support_radius <= 0:
-        raise DomainError(f"support radius must be positive, got {support_radius}")
-    t_star = 0.5 * math.log1p(support_radius**2)
-    state = evolve(u0, t_star, grid)
-    return t_star, certify(state.v, grid, n_probes=n_probes)

@@ -60,7 +60,8 @@ class EvolvedDensity(TestFunction):
     One pass averages every kind a call needs (h, grad h, Hess h), with at
     most one evaluation of u0's value, gradient and Hessian each.  Nothing
     is kept between calls: a reader that needs h and grad v on the same
-    points asks density_and_gradient for both.
+    points asks density_and_gradient for both, one that needs v, grad v and
+    Hess v asks jet.
     """
 
     u0: TestFunction
@@ -124,26 +125,34 @@ class EvolvedDensity(TestFunction):
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.density(x), 0.0))
 
-    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, gh = self._average(x, "h", "grad")
+    def _gradient(self, h: np.ndarray, gh: np.ndarray) -> np.ndarray:
+        """grad v = grad h / (2 sqrt h) on the support, 0 off it."""
         out = np.zeros_like(gh)
         mask = self._mask(h)
         out[mask] = gh[mask] / (2.0 * np.sqrt(h[mask]))[:, None]
-        return h, out
+        return out
+
+    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, gh = self._average(x, "h", "grad")
+        return h, self._gradient(h, gh)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.density_and_gradient(x)[1]
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v, grad v and Hess v from one average of h, grad h and Hess h."""
         h, gh, hh = self._average(x, "h", "grad", "hess")
-        out = np.zeros_like(hh)
+        hess = np.zeros_like(hh)
         mask = self._mask(h)
         hm = h[mask]
         ghm = gh[mask]
-        out[mask] = hh[mask] / (2.0 * np.sqrt(hm))[:, None, None] - (
+        hess[mask] = hh[mask] / (2.0 * np.sqrt(hm))[:, None, None] - (
             ghm[:, :, None] * ghm[:, None, :]
         ) / (4.0 * hm**1.5)[:, None, None]
-        return out
+        return np.sqrt(np.maximum(h, 0.0)), self._gradient(h, gh), hess
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x)[2]
 
     def hess_log_density(self, x: np.ndarray) -> np.ndarray:
         h, gh, hh = self._average(x, "h", "grad", "hess")
@@ -344,9 +353,7 @@ def entropy_production_check(
 def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> float:
     """-2 int || Hess v - (grad v (x) grad v) / v ||_F^2 dgamma on the support."""
     x = grid.nodes
-    vals = v.value(x)
-    g = v.gradient(x)
-    hess = v.hessian(x)
+    vals, g, hess = v.jet(x)
     mask = vals > _MASK_FLOOR * max(float(vals.max()), 1e-300)
     defect = np.zeros_like(hess)
     defect[mask] = hess[mask] - (g[mask][:, :, None] * g[mask][:, None, :]) / vals[

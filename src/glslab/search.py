@@ -24,12 +24,13 @@ from scipy import optimize
 
 from .errors import ConstraintError, LabError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import Affine, TestFunction, build_function, normalize
+from .functions import MAX_HERMITE_DEGREE, Affine, TestFunction, build_function, normalize
 from .functionals import report
 from .stability import BOUND_NAMES, verify_bounds
 
 BIG_VALUE = 1e6
 OBJECTIVES = ("deficit", "ratio_q", "stab_margin")
+FAMILIES = ("hermite", "affine", "tilt", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,22 @@ class SearchProblem:
             raise ConstraintError("lower and upper must be nonempty and equally long")
         if any(lo > hi for lo, hi in zip(lower, upper)):
             raise ConstraintError(f"empty box: lower {lower} exceeds upper {upper}")
+        if self.family not in FAMILIES:
+            raise ConstraintError(
+                f"family {self.family!r} is not searchable; searchable: {FAMILIES}"
+            )
+        if self.family == "hermite" and self.d != 1:
+            raise ConstraintError(f"hermite searches run in d = 1, got d = {self.d}")
+        # one box entry per free parameter: the hermite coefficients of
+        # degree 1 and up, the affine amplitude, one or d tilt or variance entries
+        sizes, allowed = {
+            "hermite": (range(1, MAX_HERMITE_DEGREE + 1), f"1 to {MAX_HERMITE_DEGREE}"),
+            "affine": ((1,), "1"),
+        }.get(self.family, ((1, self.d), f"1 or d = {self.d}"))
+        if len(lower) not in sizes:
+            raise ConstraintError(
+                f"a {self.family} search takes {allowed} box entries, got {len(lower)}"
+            )
         if self.restarts < 1 or self.maxiter < 1 or self.seed < 0:
             raise ConstraintError(
                 "need restarts >= 1, maxiter >= 1 and seed >= 0, got "
@@ -128,11 +145,9 @@ def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
         return build_function(
             {"family": "tilt", "params": {"a": theta.tolist()}, "d": problem.d}
         )
-    if problem.family == "gaussian":
-        return build_function(
-            {"family": "gaussian", "params": {"sigma2": theta.tolist()}, "d": problem.d}
-        )
-    raise ConstraintError(f"family {problem.family!r} is not searchable")
+    return build_function(
+        {"family": "gaussian", "params": {"sigma2": theta.tolist()}, "d": problem.d}
+    )
 
 
 def raw_objective(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:

@@ -31,15 +31,18 @@ with psi(s) = s - (d/4) log(1 + 4s/d), C* = 1 + 1/1728, and the improved
 constants built by running the flow to an explicit waiting time and pulling
 the Fisher-to-entropy ratio Q = I/E back along its comparison ODE.
 
-All bounds of one instance read a single FunctionalReport: verify_bounds
-computes it once and passes it to every verifier as `rep`, and a verifier
-called alone computes its own.
+Each verify_<bound> is a function of one Figures record, which holds the
+report, the kappa weight, the log-concavity certificate and the tail weight
+of one instance, each computed on first use.  verify_bounds builds one
+Figures and hands it to every named verifier; to run one bound alone, call
+verify_bounds(u, grid, names=(...)) or verify_<bound>(Figures(u, grid)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -243,24 +246,8 @@ _PRECONDITIONS = {
     "kappa_weighted": (_CENTERED,),
     "log_concave": (("log_concave", "log-concavity certificate is {status!r}"), _CENTERED),
     "compact_support": (("compact_support", "family {family!r} has unbounded support"), _CENTERED),
-    "gaussian_tail": (("tail_integrable", "tail integral diverged for eps = {eps}"), _CENTERED),
+    "gaussian_tail": (("tail_integrable", "{error}"), _CENTERED),
 }
-
-
-def _skipped(name: str, rep: FunctionalReport, constraints: dict, message: str) -> StabilityBound:
-    return StabilityBound(
-        name=name,
-        lhs=float("nan"),
-        rhs=float("nan"),
-        margin=float("nan"),
-        constant=float("nan"),
-        exponent=float("nan"),
-        distance=float("nan"),
-        quadrature_error=rep.quadrature_error,
-        status="skipped",
-        constraints=constraints,
-        message=message,
-    )
 
 
 def _unmet(
@@ -270,8 +257,19 @@ def _unmet(
     for key, message in _PRECONDITIONS[name]:
         if not constraints[key]:
             barycenter = float(np.linalg.norm(rep.first_moment))
-            text = message.format(rep=rep, barycenter=barycenter, **context)
-            return _skipped(name, rep, constraints, text)
+            return StabilityBound(
+                name=name,
+                lhs=float("nan"),
+                rhs=float("nan"),
+                margin=float("nan"),
+                constant=float("nan"),
+                exponent=float("nan"),
+                distance=float("nan"),
+                quadrature_error=rep.quadrature_error,
+                status="skipped",
+                constraints=constraints,
+                message=message.format(rep=rep, barycenter=barycenter, **context),
+            )
     return None
 
 
@@ -308,78 +306,88 @@ def _nonnegative(value: float, error: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def verify_entropy_squared(
-    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
-) -> StabilityBound:
+@dataclass(frozen=True, eq=False)
+class Figures:
+    """Everything the six bounds read for one normalized instance u on grid.
+
+    Each figure is computed on first use and then shared, so a subset of
+    the bounds pays only for the figures it reads.
+    """
+
+    u: TestFunction
+    grid: QuadratureGrid
+    eps: float = 0.1
+
+    @cached_property
+    def rep(self) -> FunctionalReport:
+        return report(self.u, self.grid)
+
+    @cached_property
+    def kappa(self) -> float:
+        """kappa = ||u|| / max(sqrt d, ||(x - x0) u||) with x0 the density barycenter."""
+        x = self.grid.nodes - self.rep.first_moment[None, :]
+        moment = float(self.grid.weights @ (self.u.density(self.grid.nodes) * (x**2).sum(axis=1)))
+        return self.rep.l2_norm / max(math.sqrt(self.u.d), math.sqrt(moment))
+
+    @cached_property
+    def certificate(self) -> LogConcavityCertificate:
+        return certify(self.u, self.grid)
+
+    @cached_property
+    def tail(self) -> TailWeight:
+        """The tail weight at exponent eps; raises DomainError for eps outside (0, 1/4)."""
+        return tail_weight(self.u, self.grid, self.eps)
+
+
+def verify_entropy_squared(fig: Figures) -> StabilityBound:
     """delta >= E^2 / (2d) for densities with second moment at most d."""
-    rep = report(u, grid) if rep is None else rep
+    rep = fig.rep
     constraints = {"second_moment_at_most_d": _moment_at_most_d(rep)}
-    skipped = _unmet("entropy_squared", rep, constraints)
-    if skipped:
+    if skipped := _unmet("entropy_squared", rep, constraints):
         return skipped
     return _checked(
         "entropy_squared",
         rep.deficit,
-        rep.entropy**2 / (2.0 * u.d),
+        rep.entropy**2 / (2.0 * rep.d),
         rep.quadrature_error,
         constraints,
-        constant=1.0 / (2.0 * u.d),
+        constant=1.0 / (2.0 * rep.d),
         exponent=2.0,
         distance=rep.entropy,
         extras={"entropy": rep.entropy, "deficit": rep.deficit},
     )
 
 
-def verify_fisher_gap(
-    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
-) -> StabilityBound:
+def verify_fisher_gap(fig: Figures) -> StabilityBound:
     """delta >= psi(I), equivalently I >= phi(E), under the same moment condition."""
-    rep = report(u, grid) if rep is None else rep
+    rep = fig.rep
     constraints = {"second_moment_at_most_d": _moment_at_most_d(rep)}
-    skipped = _unmet("fisher_gap", rep, constraints)
-    if skipped:
+    if skipped := _unmet("fisher_gap", rep, constraints):
         return skipped
     fisher = _nonnegative(rep.fisher, rep.fisher_error, "Fisher information")
     entropy = _nonnegative(rep.entropy, rep.entropy_error, "entropy")
     # psi(phi(E)) >= E^2/(2d): the bound dominates entropy_squared on its domain
-    cross = psi(phi(entropy, u.d), u.d) - entropy**2 / (2.0 * u.d)
+    cross = psi(phi(entropy, rep.d), rep.d) - entropy**2 / (2.0 * rep.d)
     return _checked(
         "fisher_gap",
         rep.deficit,
-        psi(fisher, u.d),
+        psi(fisher, rep.d),
         rep.quadrature_error,
         constraints,
         constant=float("nan"),
         exponent=float("nan"),
         distance=rep.fisher,
-        extras={
-            "fisher": rep.fisher,
-            "entropy": rep.entropy,
-            "psi_at_phi_margin": cross,
-        },
+        extras={"fisher": rep.fisher, "entropy": rep.entropy, "psi_at_phi_margin": cross},
     )
 
 
-def kappa_weight(
-    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
-) -> float:
-    """kappa = ||u|| / max(sqrt d, ||(x - x0) u||) with x0 the density barycenter."""
-    rep = report(u, grid) if rep is None else rep
-    x = grid.nodes - rep.first_moment[None, :]
-    moment = float(grid.weights @ (u.density(grid.nodes) * (x**2).sum(axis=1)))
-    return rep.l2_norm / max(math.sqrt(u.d), math.sqrt(moment))
-
-
-def verify_kappa_weighted(
-    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
-) -> StabilityBound:
+def verify_kappa_weighted(fig: Figures) -> StabilityBound:
     """delta >= kappa^2 E^2 / 2 for centered u; no second moment restriction."""
-    rep = report(u, grid) if rep is None else rep
+    rep = fig.rep
     constraints = {"centered": _centered(rep)}
-    skipped = _unmet("kappa_weighted", rep, constraints)
-    if skipped:
+    if skipped := _unmet("kappa_weighted", rep, constraints):
         return skipped
-    kappa = kappa_weight(u, grid, rep=rep)
+    kappa = fig.kappa
     return _checked(
         "kappa_weighted",
         rep.deficit,
@@ -393,18 +401,11 @@ def verify_kappa_weighted(
     )
 
 
-def verify_log_concave(
-    u: TestFunction,
-    grid: QuadratureGrid,
-    certificate: LogConcavityCertificate,
-    *,
-    rep: FunctionalReport | None = None,
-) -> StabilityBound:
+def verify_log_concave(fig: Figures) -> StabilityBound:
     """I >= (C*/2) E for centered log-concave densities, C* = 1 + 1/1728."""
-    rep = report(u, grid) if rep is None else rep
+    rep, certificate = fig.rep, fig.certificate
     constraints = {"centered": _centered(rep), "log_concave": certificate.certified}
-    skipped = _unmet("log_concave", rep, constraints, status=certificate.status)
-    if skipped:
+    if skipped := _unmet("log_concave", rep, constraints, status=certificate.status):
         return skipped
     return _checked(
         "log_concave",
@@ -419,18 +420,13 @@ def verify_log_concave(
     )
 
 
-def verify_compact_support(
-    u: TestFunction, grid: QuadratureGrid, *, rep: FunctionalReport | None = None
-) -> StabilityBound:
+def verify_compact_support(fig: Figures) -> StabilityBound:
     """I >= (C(R)/2) E for centered u supported in a ball of radius R."""
+    rep, u = fig.rep, fig.u
     if u.support_radius is None:
-        raise ConstraintError(
-            f"compact_support needs a compactly supported family, got {u.family!r}"
-        )
-    rep = report(u, grid) if rep is None else rep
+        return _unmet("compact_support", rep, {"compact_support": False}, family=u.family)
     constraints = {"centered": _centered(rep), "compact_support": True}
-    skipped = _unmet("compact_support", rep, constraints)
-    if skipped:
+    if skipped := _unmet("compact_support", rep, constraints):
         return skipped
     radius = float(u.support_radius)
     c_r = improved_constant_compact(radius)
@@ -460,13 +456,11 @@ class TailWeight:
     quadrature_error: float
 
 
-def tail_weight(
-    u: TestFunction, grid: QuadratureGrid, eps: float, t0: float | None = None
-) -> TailWeight:
+def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight:
     """Constant C_tail from the Gaussian tail integral int e^{eps|x|^2} dnu.
 
     The integral converges against the quadrature only for eps < 1/4; the
-    default waiting time t0 = 2 t*(eps) = log(1 + 1/eps) keeps eps tau(t0) > 1.
+    waiting time t0 = 2 t*(eps) = log(1 + 1/eps) keeps eps tau(t0) > 1.
     The Poincare constant of the evolved measure is assumed to obey the tail
     estimate, which holds whenever the tail integral is finite.
     """
@@ -476,15 +470,14 @@ def tail_weight(
         grid,
         lambda pts: u.density(pts) * np.exp(eps * (pts**2).sum(axis=1)),
     )
-    if t0 is None:
-        t0 = 2.0 * t_star_tail(eps)
+    t0 = 2.0 * t_star_tail(eps)
     lam = lambda1_tail_lower(eps, max(float(a_tail), 1.0), t0)
     c0 = 1.0 + 0.25 * lam
     constant = 1.0 + (c0 - 1.0) / (1.0 + c0 * math.expm1(2.0 * t0))
     return TailWeight(
         eps=eps,
         a_tail=float(a_tail),
-        t0=float(t0),
+        t0=t0,
         lambda1_lower=lam,
         c0=c0,
         constant=constant,
@@ -492,20 +485,15 @@ def tail_weight(
     )
 
 
-def verify_gaussian_tail(
-    u: TestFunction,
-    grid: QuadratureGrid,
-    eps: float = 0.1,
-    t0: float | None = None,
-    *,
-    rep: FunctionalReport | None = None,
-) -> StabilityBound:
+def verify_gaussian_tail(fig: Figures) -> StabilityBound:
     """I >= (C_tail/2) E for centered u with finite Gaussian tail integral."""
-    rep = report(u, grid) if rep is None else rep
-    tail = tail_weight(u, grid, eps, t0=t0)
-    constraints = {"centered": _centered(rep), "tail_integrable": math.isfinite(tail.a_tail)}
-    skipped = _unmet("gaussian_tail", rep, constraints, eps=eps)
-    if skipped:
+    rep = fig.rep
+    try:
+        tail = fig.tail
+    except DomainError as exc:
+        return _unmet("gaussian_tail", rep, {"tail_integrable": False}, error=exc)
+    constraints = {"centered": _centered(rep), "tail_integrable": True}
+    if skipped := _unmet("gaussian_tail", rep, constraints):
         return skipped
     return _checked(
         "gaussian_tail",
@@ -516,12 +504,7 @@ def verify_gaussian_tail(
         constant=0.5 * tail.constant,
         exponent=1.0,
         distance=rep.entropy,
-        extras={
-            "eps": tail.eps,
-            "a_tail": tail.a_tail,
-            "t0": tail.t0,
-            "lambda1_lower": tail.lambda1_lower,
-        },
+        extras={key: getattr(tail, key) for key in ("eps", "a_tail", "t0", "lambda1_lower")},
     )
 
 
@@ -531,39 +514,21 @@ def verify_bounds(
     names: tuple[str, ...] | None = None,
     eps: float = 0.1,
 ) -> list[StabilityBound]:
-    """Run the named bounds (default: all) on one instance, all from one report.
+    """Run the named bounds (default: all) on one instance from one Figures.
 
-    Statement preconditions that fail structurally (no compact support, no
-    certificate, a tail exponent out of range) come back as skipped records
-    rather than raising.
+    Each verify_<bound> is looked up in the module at call time, so a
+    wrapped or replaced verifier is the one that runs.  Statement
+    preconditions that fail structurally (no compact support, no
+    certificate, a tail exponent out of range) come back as skipped
+    records rather than raising.
     """
     if names is None:
         names = BOUND_NAMES
     unknown = set(names) - set(BOUND_NAMES)
     if unknown:
         raise ConstraintError(f"unknown bound names {sorted(unknown)}; known: {BOUND_NAMES}")
-    out: list[StabilityBound] = []
-    rep = report(u, grid)
-    for name in names:
-        if name == "entropy_squared":
-            out.append(verify_entropy_squared(u, grid, rep=rep))
-        elif name == "fisher_gap":
-            out.append(verify_fisher_gap(u, grid, rep=rep))
-        elif name == "kappa_weighted":
-            out.append(verify_kappa_weighted(u, grid, rep=rep))
-        elif name == "log_concave":
-            out.append(verify_log_concave(u, grid, certify(u, grid), rep=rep))
-        elif name == "compact_support":
-            if u.support_radius is None:
-                out.append(_unmet(name, rep, {"compact_support": False}, family=u.family))
-            else:
-                out.append(verify_compact_support(u, grid, rep=rep))
-        elif name == "gaussian_tail":
-            try:
-                out.append(verify_gaussian_tail(u, grid, eps=eps, rep=rep))
-            except DomainError as exc:
-                out.append(_skipped(name, rep, {"tail_integrable": False}, str(exc)))
-    return out
+    fig = Figures(u, grid, eps)
+    return [globals()[f"verify_{name}"](fig) for name in names]
 
 
 @dataclass(frozen=True, eq=False)

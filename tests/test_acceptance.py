@@ -20,12 +20,12 @@ from glslab import (
     Affine,
     Bump,
     C_STAR,
+    Figures,
     GaussianProfile,
     Tilt,
     bochner_identity,
     certify,
     certify_along_flow,
-    certificate_at_tstar,
     cheeger_sandwich,
     compact_improvement_pipeline,
     corpus,
@@ -162,8 +162,9 @@ def test_criterion_06_moment_constrained_deficit_bounds(grid1, grid2, grid3):
         for entry in corpus.entries():
             grid = grids[entry.d]
             u = entry.normalized(grid)
-            es = verify_entropy_squared(u, grid)
-            fg = verify_fisher_gap(u, grid)
+            fig = Figures(u, grid)
+            es = verify_entropy_squared(fig)
+            fg = verify_fisher_gap(fig)
             assert es.status in ("verified", "skipped"), entry.name
             assert fg.status in ("verified", "skipped"), entry.name
             assert (es.status == "skipped") == (fg.status == "skipped")
@@ -190,9 +191,9 @@ def test_criterion_07_log_concave_improvement(grid1, grid2, grid3):
         for entry in entries:
             grid = grids[entry.d]
             u = entry.normalized(grid)
-            cert = certify(u, grid)
-            assert cert.certified, entry.name
-            rec = verify_log_concave(u, grid, cert)
+            fig = Figures(u, grid)
+            assert fig.certificate.certified, entry.name
+            rec = verify_log_concave(fig)
             assert rec.status == "verified", entry.name
             assert rec.margin >= -2.0 * rec.quadrature_error, entry.name
 
@@ -204,7 +205,7 @@ def test_criterion_08_compact_support_pipeline(grid1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 result = compact_improvement_pipeline(u, grid1)
-                rec = verify_compact_support(u, grid1)
+                rec = verify_compact_support(Figures(u, grid1))
             assert result.status == "verified", name
             assert result.q0 >= result.q0_bound - 1e-8, name
             assert rec.status == "verified", name
@@ -256,7 +257,7 @@ def test_criterion_11_certifier_verdicts(grid1):
             u = normalize(Bump(radius=radius), grid1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                _, cert = certificate_at_tstar(u, radius, grid1)
+                cert = compact_improvement_pipeline(u, grid1).certificate
             assert cert.certified, radius
 
 

@@ -6,12 +6,14 @@ out to the installed console script to make sure the entry point resolves.
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import glslab
 from glslab.cli import main
 from glslab.ou_flow import FLOW_CSV_COLUMNS
 
@@ -281,10 +283,47 @@ class TestSearch:
         assert captured.out == ""
         assert "restarts" in captured.err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"family": "bump"}, "not searchable"),
+            ({"family": "hermite", "d": 2, "lower": [-0.05], "upper": [0.05]}, "d = 1"),
+            ({"family": "tilt", "lower": [0.1, 0.1], "upper": [0.3, 0.3]}, "box entries"),
+            ({"family": "hermite", "lower": [-0.05] * 13, "upper": [0.05] * 13}, "box entries"),
+        ],
+        ids=["bump", "hermite_d2", "tilt_d1_two_entries", "hermite_degree_13"],
+    )
+    def test_infeasible_problem_fails_cleanly(self, capsys, tmp_path, override, message):
+        problem = {
+            "name": "never_feasible",
+            "objective": "deficit",
+            "family": "affine",
+            "d": 1,
+            "lower": [0.5],
+            "upper": [1.0],
+            "grid_order": 16,
+            "restarts": 1,
+            "maxiter": 5,
+            **override,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code = main(["search", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert message in captured.err
+
 
 def test_module_entry_point():
+    # the child imports the same glslab as this process, installed or not
+    root = os.path.dirname(os.path.dirname(glslab.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "glslab", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "glslab", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for name in ("report", "verify", "flow", "constants", "logcc", "search"):

@@ -15,9 +15,9 @@ import pytest
 from glslab import (
     DomainError,
     GaussianProfile,
-    certificate_at_tstar,
     certify,
     certify_along_flow,
+    compact_improvement_pipeline,
     corpus,
     normalize,
 )
@@ -101,10 +101,6 @@ class TestAlongTheFlow:
         u = normalize(Bump(radius=radius), grid1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            t_star, cert = certificate_at_tstar(u, radius, grid1)
-        assert t_star == pytest.approx(0.5 * math.log1p(radius**2), rel=1e-15)
-        assert cert.certified
-
-    def test_rejects_nonpositive_radius(self, grid1):
-        with pytest.raises(DomainError):
-            certificate_at_tstar(corpus.get("bump_r1").normalized(grid1), 0.0, grid1)
+            result = compact_improvement_pipeline(u, grid1)
+        assert result.t_star == pytest.approx(0.5 * math.log1p(radius**2), rel=1e-15)
+        assert result.certificate.certified

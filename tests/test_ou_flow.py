@@ -34,7 +34,7 @@ from glslab import (
     fisher_dissipation_check,
     q_ode_check,
 )
-from glslab import ou_flow
+from glslab import functionals, ou_flow
 from glslab.functions import Bump
 from glslab.ou_flow import FLOW_CSV_COLUMNS
 from glslab.stability import t_star_compact
@@ -191,6 +191,37 @@ class TestOnePass:
         state = evolve(corpus.get("bump_r2").normalized(grid1), 0.5, grid1)
         assert state.inner_order > 0
         assert calls and max(calls.values()) == 1, calls
+
+    @pytest.mark.parametrize(
+        "reader",
+        ["bochner_identity", "fisher_flux_identity", "pressure_integrals", "hessian_defect"],
+    )
+    def test_identity_readers_average_once_per_node_set(self, grid1, reader, monkeypatch):
+        # value, gradient and Hessian of an evolved state come from one joint
+        # average per node set; pressure_integrals also reads h on the fine
+        # nodes for its unit-norm check and moment gap
+        v = evolve(corpus.get("hermite_mixed").normalized(grid1), 0.3, grid1).v
+        assert isinstance(v, ou_flow.EvolvedDensity)
+        calls = Counter()
+        original = ou_flow.EvolvedDensity._average
+
+        def counted(self, x, *kinds):
+            calls[(kinds, len(x))] += 1
+            return original(self, x, *kinds)
+
+        monkeypatch.setattr(ou_flow.EvolvedDensity, "_average", counted)
+        if reader == "hessian_defect":
+            ou_flow._hessian_defect_integral(v, grid1)
+        else:
+            getattr(functionals, reader)(v, grid1)
+        joint = ("h", "grad", "hess")
+        fine, coarse = grid1.n_points, grid1.coarse.n_points
+        want = Counter({(joint, fine): 1})
+        if reader != "hessian_defect":
+            want[(joint, coarse)] = 1
+        if reader == "pressure_integrals":
+            want[(("h",), fine)] = 1
+        assert calls == want
 
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):

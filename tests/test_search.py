@@ -74,6 +74,27 @@ class TestProblemConfig:
         with pytest.raises(ConstraintError):
             self._problem(lower=(1.0,), upper=(-1.0,))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"family": "bump", "lower": (0.5,), "upper": (1.0,)},
+            {"family": "hermite", "d": 2},
+            {"family": "tilt", "lower": (0.1, 0.1), "upper": (0.3, 0.3)},
+            {"lower": (-0.05,) * 13, "upper": (0.05,) * 13},
+        ],
+        ids=["bump", "hermite_d2", "tilt_d1_two_entries", "hermite_degree_13"],
+    )
+    def test_rejects_problems_that_can_never_be_feasible(self, overrides):
+        with pytest.raises(ConstraintError):
+            self._problem(**overrides)
+
+    def test_accepts_every_admissible_box_size(self):
+        assert self._problem(lower=(-0.05,) * 12, upper=(0.05,) * 12).n_params == 12
+        for family in ("tilt", "gaussian"):
+            for n in (1, 2):
+                p = self._problem(family=family, d=2, lower=(0.3,) * n, upper=(0.5,) * n)
+                assert p.n_params == n
+
     @pytest.mark.parametrize("field, value", [("restarts", 0), ("maxiter", 0), ("seed", -1)])
     def test_rejects_no_restarts_no_iterations_or_negative_seed(self, field, value):
         with pytest.raises(ConstraintError):

@@ -18,6 +18,7 @@ from glslab import (
     C_STAR,
     ConstraintError,
     DomainError,
+    Figures,
     GAUSSIAN_CHEEGER,
     GaussianMeasureSpec,
     GaussianProfile,
@@ -25,14 +26,12 @@ from glslab import (
     POINCARE_LOGCONCAVE,
     StabilityBound,
     build_grid,
-    certify,
     cheeger_sandwich,
     compact_improvement_pipeline,
     constants_table,
     corpus,
     excess_moment_decay_check,
     improved_constant_compact,
-    kappa_weight,
     lambda1_tail_lower,
     phi,
     phi_inv,
@@ -49,7 +48,6 @@ from glslab import (
     verify_fisher_gap,
     verify_gaussian_tail,
     verify_kappa_weighted,
-    verify_log_concave,
 )
 from glslab import stability
 from glslab.stability import BOUND_NAMES
@@ -195,8 +193,9 @@ class TestVerifiers:
 
     def test_moment_constraint_skips_spread_densities(self, grid1):
         u = corpus.get("tilt_one").normalized(grid1)
-        es = verify_entropy_squared(u, grid1)
-        fg = verify_fisher_gap(u, grid1)
+        fig = Figures(u, grid1)
+        es = verify_entropy_squared(fig)
+        fg = verify_fisher_gap(fig)
         assert es.status == "skipped" and fg.status == "skipped"
         assert not es.constraints["second_moment_at_most_d"]
         assert math.isnan(es.margin)
@@ -204,7 +203,7 @@ class TestVerifiers:
 
     def test_centering_constraint(self, grid1):
         u = corpus.get("gaussian_shifted").function()
-        kb = verify_kappa_weighted(u, grid1)
+        kb = verify_kappa_weighted(Figures(u, grid1))
         assert kb.status == "skipped"
         assert not kb.constraints["centered"]
 
@@ -212,24 +211,26 @@ class TestVerifiers:
         # centered, second moment below d: kappa = 1 and both right-hand
         # sides coincide in d = 1
         u = corpus.get("gaussian_s05").function()
-        assert kappa_weight(u, grid1) == pytest.approx(1.0, rel=1e-12)
-        kb = verify_kappa_weighted(u, grid1)
-        es = verify_entropy_squared(u, grid1)
+        fig = Figures(u, grid1)
+        assert fig.kappa == pytest.approx(1.0, rel=1e-12)
+        kb = verify_kappa_weighted(fig)
+        es = verify_entropy_squared(fig)
         assert kb.rhs == pytest.approx(es.rhs, rel=1e-12)
 
     def test_kappa_covers_the_spread_case(self, grid1):
         # second moment gap is positive here, so the moment-constrained
         # bounds skip but the weighted one still verifies
         u = corpus.get("hermite_even").normalized(grid1)
-        assert verify_entropy_squared(u, grid1).status == "skipped"
-        kb = verify_kappa_weighted(u, grid1)
+        fig = Figures(u, grid1)
+        assert verify_entropy_squared(fig).status == "skipped"
+        kb = verify_kappa_weighted(fig)
         assert kb.status == "verified"
         assert 0.0 < kb.extras["kappa"] < 1.0
         assert kb.margin > 0.01
 
     def test_fisher_gap_dominates_entropy_squared(self, grid1):
         u = corpus.get("gaussian_s05").function()
-        fg = verify_fisher_gap(u, grid1)
+        fg = verify_fisher_gap(Figures(u, grid1))
         assert fg.status == "verified"
         assert fg.extras["psi_at_phi_margin"] >= -1e-12
 
@@ -242,14 +243,19 @@ class TestVerifiers:
 
     def test_compact_support_bound(self, grid1):
         u = corpus.get("bump_r2").normalized(grid1)
-        cb = verify_compact_support(u, grid1)
+        cb = verify_compact_support(Figures(u, grid1))
         assert cb.status == "verified"
         assert cb.extras["support_radius"] == 2.0
         assert cb.constant == pytest.approx(0.5 * improved_constant_compact(2.0), rel=1e-15)
 
     def test_compact_support_requires_bounded_family(self, grid1):
-        with pytest.raises(ConstraintError):
-            verify_compact_support(corpus.get("gaussian_s05").function(), grid1)
+        # called alone, the verifier gives verify_bounds' skipped record
+        u = corpus.get("gaussian_s05").function()
+        alone = verify_compact_support(Figures(u, grid1))
+        shared = verify_bounds(u, grid1, names=("compact_support",))[0]
+        assert alone.status == "skipped"
+        assert alone.constraints == {"compact_support": False}
+        assert json.dumps(alone.to_json()) == json.dumps(shared.to_json())
 
     def test_aggregate_skips_unbounded_support(self, grid1):
         u = corpus.get("gaussian_s05").function()
@@ -259,7 +265,7 @@ class TestVerifiers:
 
     def test_tail_bound_on_gaussian(self, grid1):
         u = corpus.get("gaussian_s05").function()
-        tb = verify_gaussian_tail(u, grid1, eps=0.1)
+        tb = verify_gaussian_tail(Figures(u, grid1, eps=0.1))
         assert tb.status == "verified"
         assert tb.extras["a_tail"] == pytest.approx(1.0 / math.sqrt(0.9), rel=1e-9)
 
@@ -268,7 +274,7 @@ class TestVerifiers:
             verify_bounds(corpus.get("gaussian_s05").function(), grid1, names=("spectral",))
 
     def test_bound_json_round_trip(self, grid1):
-        rec = verify_entropy_squared(corpus.get("gaussian_s05").function(), grid1)
+        rec = verify_entropy_squared(Figures(corpus.get("gaussian_s05").function(), grid1))
         payload = rec.to_json()
         assert payload["name"] == "entropy_squared"
         assert payload["status"] == "verified"
@@ -278,8 +284,8 @@ class TestVerifiers:
 
 
 class TestSharedReport:
-    """verify_bounds computes one report and hands it to every verifier; a
-    verifier called alone computes the same report itself."""
+    """verify_bounds builds one Figures and hands it to every verifier; each
+    figure is computed on first use, so a bound pays only for what it reads."""
 
     def test_verify_bounds_computes_one_report(self, grid1, monkeypatch):
         calls = []
@@ -294,23 +300,48 @@ class TestSharedReport:
         assert len(results) == len(BOUND_NAMES)
         assert len(calls) == 1
 
+    def test_report_only_bounds_skip_certificate_and_tail(self, grid1, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("figure not read by these bounds was computed")
+
+        monkeypatch.setattr(stability, "certify", unexpected)
+        monkeypatch.setattr(stability, "tail_weight", unexpected)
+        names = ("entropy_squared", "fisher_gap", "kappa_weighted")
+        results = verify_bounds(corpus.get("gaussian_s05").function(), grid1, names=names)
+        assert [r.status for r in results] == ["verified"] * 3
+
+    def test_verify_bounds_calls_the_module_verifier(self, grid1, monkeypatch):
+        # wrapping a verifier at the module attribute must reach verify_bounds
+        seen = []
+        real = stability.verify_kappa_weighted
+
+        def wrapped(fig):
+            seen.append(fig)
+            return real(fig)
+
+        monkeypatch.setattr(stability, "verify_kappa_weighted", wrapped)
+        results = verify_bounds(corpus.get("gaussian_s05").function(), grid1)
+        assert len(seen) == 1 and isinstance(seen[0], Figures)
+        assert results[BOUND_NAMES.index("kappa_weighted")].status == "verified"
+
+    def test_tail_exponent_out_of_range_is_skipped(self, grid1):
+        u = corpus.get("gaussian_s05").function()
+        rec = verify_bounds(u, grid1, names=("gaussian_tail",), eps=0.3)[0]
+        assert rec.status == "skipped"
+        assert rec.constraints == {"tail_integrable": False}
+        assert rec.message == "tail exponent must lie in (0, 1/4), got 0.3"
+
     @pytest.mark.parametrize("name", [entry.name for entry in corpus.entries()])
     def test_standalone_verifiers_match_verify_bounds(self, name):
+        # each verifier on a Figures of its own reads only the figures it
+        # needs; the records must not depend on what another bound computed
         entry = corpus.get(name)
         grid = build_grid(GaussianMeasureSpec(d=entry.d), 16)
         u = entry.normalized(grid)
-        shared = {b.name: b for b in verify_bounds(u, grid)}
-        standalone = {
-            "entropy_squared": verify_entropy_squared(u, grid),
-            "fisher_gap": verify_fisher_gap(u, grid),
-            "kappa_weighted": verify_kappa_weighted(u, grid),
-            "log_concave": verify_log_concave(u, grid, certify(u, grid)),
-            "gaussian_tail": verify_gaussian_tail(u, grid),
-        }
-        if u.support_radius is not None:
-            standalone["compact_support"] = verify_compact_support(u, grid)
-        for bound, record in standalone.items():
-            assert json.dumps(record.to_json()) == json.dumps(shared[bound].to_json()), bound
+        shared = verify_bounds(u, grid)
+        for bound, record in zip(BOUND_NAMES, shared):
+            alone = getattr(stability, f"verify_{bound}")(Figures(u, grid))
+            assert json.dumps(alone.to_json()) == json.dumps(record.to_json()), bound
 
 
 E_BASED = ("entropy_squared", "fisher_gap", "kappa_weighted", "log_concave")
