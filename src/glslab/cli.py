@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--inner-order",
         type=int,
         default=None,
-        help="starting inner rule order of the quadrature path (default: --grid-order); "
-        "ignored for tilts and Gaussians, which evolve in closed form",
+        help="starting inner rule order of the quadrature path, 1..256 (default: "
+        "--grid-order); tilts and Gaussians evolve in closed form and do not use it",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)

@@ -5,7 +5,8 @@ Log-concavity of h dgamma with h = u^2 is equivalent to
     M(x) = I - Hess log h(x)  >=  0   wherever h > 0,
 
 so the certifier samples M on the quadrature nodes plus a deterministic
-low-discrepancy cloud in the box |x|_inf <= 6, masks points with
+low-discrepancy cloud in the box |x|_inf <= 6 (the unscrambled Halton
+sequence, computed by radical inverse), masks points with
 h <= 1e-10 max h, and inspects the smallest eigenvalue.  Verdicts:
 
     certified     min eig >= -tol        with tol = 1e-8 max(1, scale)
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .measure import QuadratureGrid
@@ -31,6 +31,7 @@ from .ou_flow import FlowState, evolve
 PROBE_RADIUS = 6.0
 SUPPORT_THRESHOLD = 1e-10
 BASE_TOLERANCE = 1e-8
+HALTON_BASES = (2, 3, 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +61,20 @@ class LogConcavityCertificate:
 
 
 def _probe_cloud(d: int, n: int) -> np.ndarray:
-    sampler = qmc.Halton(d=d, scramble=False)
-    return (2.0 * PROBE_RADIUS) * sampler.random(n) - PROBE_RADIUS
+    """The first n points of the Halton sequence in bases 2, 3, 5, mapped to the box.
+
+    Point i has coordinate sum_k digit_k(i) base^{-k-1} in each base, the
+    radical inverse of i, summed digit by digit from the lowest.
+    """
+    index = np.arange(n)
+    cloud = np.zeros((n, d))
+    for axis, base in enumerate(HALTON_BASES[:d]):
+        q, scale = index.copy(), 1.0 / base
+        while q.any():
+            cloud[:, axis] += (q % base) * scale
+            q //= base
+            scale /= base
+    return (2.0 * PROBE_RADIUS) * cloud - PROBE_RADIUS
 
 
 def certify(
@@ -116,11 +129,10 @@ def certify_along_flow(
     times: np.ndarray,
     grid: QuadratureGrid,
     n_probes: int | None = None,
-    inner_order: int | None = None,
 ) -> list[tuple[FlowState, LogConcavityCertificate]]:
     """Certificates for the evolved density at each time; t = 0 is allowed."""
     out = []
     for t in np.asarray(times, dtype=float):
-        state = evolve(u0, float(t), grid, inner_order=inner_order)
+        state = evolve(u0, float(t), grid)
         out.append((state, certify(state.v, grid, n_probes=n_probes)))
     return out

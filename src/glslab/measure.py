@@ -4,12 +4,13 @@ All integrals in this package are taken against
 
     dgamma(x) = (2 pi)^{-d/2} exp(-|x|^2 / 2) dx,   x in R^d,  d <= 3.
 
-The one-dimensional rule is the Golub-Welsch construction for the
-probabilists' Hermite polynomials He_n: the Jacobi matrix of the recurrence
-He_{n+1}(x) = x He_n(x) - n He_{n-1}(x) is symmetric tridiagonal with zero
-diagonal and off-diagonal sqrt(k); its eigenvalues are the nodes and the
-squared first eigenvector components are the weights.  Multi-dimensional
-grids are full tensor products.
+The one-dimensional rule is numpy's hermegauss for the probabilists'
+Hermite polynomials He_n, rescaled to probability weights.  Its nodes are
+eigenvalues of the companion matrix polished by one Newton step, and its
+weights come from 1 / He_{n-1}(x_i)^2, so they are accurate relative to
+their own size down to the far tail (3e-211 at order 256), where squared
+Golub-Welsch eigenvector components are only accurate to about eps and
+underflow to 0.  Multi-dimensional grids are full tensor products.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -19,7 +20,11 @@ the estimate above 0 when the fine and the coarse rule see the same rounding
 against an error of exactly 0.  It is a fixed multiple of eps, not
 n_points x eps, which would widen every gate at d = 3 by orders of
 magnitude.  At the sigma^2 = 1 Gaussian (u = 1 after normalizing) the
-largest entropy residual measured over d = 1..3 and orders 2..256 was 4 ulps.
+largest entropy residual measured was 2 ulps at d = 1 and 4 ulps at d = 2
+(orders 2..256 each), and 12 ulps at d = 3 (orders 2..96 and 128).  That
+last is the rounding of summing up to 10^6 tensor weights; it exceeds the
+floor at orders 85 and 94, where every bound still reads verified (the
+compact-support one skipped) as at the other orders.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, IntegrationError
 
@@ -53,18 +57,12 @@ class GaussianMeasureSpec:
 def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the order-n rule for dgamma on R.
 
-    Weights are normalized to sum to one (probability weights).  Nodes and
-    weights are symmetrized so odd monomials integrate to exactly zero up
-    to rounding.
+    numpy's hermegauss rule, with weights rescaled to sum to one
+    (probability weights).  Its nodes and weights are symmetric, so odd
+    monomials integrate to zero up to rounding.
     """
-    if order == 1:
-        return np.zeros(1), np.ones(1)
-    nodes, vectors = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1.0, order)))
-    weights = vectors[0] ** 2
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    weights = weights / weights.sum()
-    return nodes, weights
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    return nodes, weights / weights.sum()
 
 
 @dataclass(frozen=True)

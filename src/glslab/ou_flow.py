@@ -20,9 +20,10 @@ CapacityError before any work.
 
 On the quadrature path the inner (y) rule starts at inner_order (default:
 the outer order) and is doubled until its embedded error estimate
-inner_error drops below 1e-9, capped at order 256; a residual above 1e-6 at
-the cap triggers a warning.  mehler_density is the quadrature path at a
-fixed inner order and the reference the closed forms are tested against.
+inner_error drops below 1e-9, capped at MAX_ORDER (256); a residual above
+1e-6 at the cap triggers a warning.  mehler_density is the quadrature path
+at a fixed inner order and the reference the closed forms are tested
+against.
 Exact facts checked downstream: mass is conserved, the density first
 moment decays like e^{-t}, the second moment gap like e^{-2t}, dE/dt = -4 I,
 and E, I are non-increasing.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, FlowError
-from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
+from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
 from .functions import TestFunction, _points
 from .functionals import FunctionalReport, IdentityResult, report
 
@@ -49,6 +50,8 @@ _POINT_BUDGET = 1 << 22
 # (1.1e9) does not, nor at order 64 (6.9e10, hours)
 MAX_AVERAGE_POINTS = 1 << 29
 _MASK_FLOOR = 1e-12
+# time step of the centered differences in the derivative checks
+STENCIL_DT = 1e-3
 # the averaged kinds in pass order; each carries e^{-order t} and `order` trailing axes
 _ORDER = {"h": 0, "grad": 1, "hess": 2}
 
@@ -112,12 +115,6 @@ class EvolvedDensity(TestFunction):
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._average(x, "h")[0]
-
-    def density_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._average(x, "grad")[0]
-
-    def density_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._average(x, "hess")[0]
 
     def _mask(self, h: np.ndarray) -> np.ndarray:
         return h > _MASK_FLOOR * max(float(h.max()), 1e-300)
@@ -231,23 +228,25 @@ def evolve(
     A family with a closed form (u0.evolved) evolves exactly, with
     inner_order = 0 and inner_error = 0.0 in the state, and inner_order is
     ignored.  Any other family is averaged by quadrature: the inner rule
-    starts at inner_order (default: the grid order) and doubles up to 256
-    until the inner_error between it and its embedded coarse rule is at most
-    INNER_TOL; the state records the order used and that error.
+    starts at inner_order (default: the grid order) and doubles up to
+    MAX_ORDER until the inner_error between it and its embedded coarse rule
+    is at most INNER_TOL; the state records the order used and that error.
+    An inner_order outside 1..MAX_ORDER raises CapacityError on either path.
     """
     _check_time(t)
+    if inner_order is not None and not (1 <= inner_order <= MAX_ORDER):
+        raise CapacityError(f"inner order {inner_order} outside supported range 1..{MAX_ORDER}")
     inner_err = 0.0
     order = 0
     v_raw = u0 if t == 0 else u0.evolved(t)
     if v_raw is None:
         order = inner_order if inner_order is not None else grid.order
-        order = min(max(order, 1), 256)
         while True:
             v_raw = mehler_density(u0, t, order)
             inner_err, h = _inner_mismatch(v_raw, grid)
-            if inner_err <= INNER_TOL or order >= 256:
+            if inner_err <= INNER_TOL or order >= MAX_ORDER:
                 break
-            order = min(2 * order, 256)
+            order = min(2 * order, MAX_ORDER)
         if inner_err > INNER_WARN:
             warnings.warn(
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
@@ -325,22 +324,23 @@ def flow_csv_rows(states: list[FlowState]) -> list[str]:
     return rows
 
 
-def entropy_production_check(
-    u0: TestFunction,
-    t: float,
-    grid: QuadratureGrid,
-    dt: float = 1e-3,
-    inner_order: int | None = None,
-) -> IdentityResult:
+def stencil_states(
+    u0: TestFunction, t: float, grid: QuadratureGrid
+) -> tuple[FlowState, FlowState, FlowState]:
+    """States at t - STENCIL_DT, t and t + STENCIL_DT for a centered difference."""
+    if t <= STENCIL_DT:
+        raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
+    lo, mid, hi = (evolve(u0, s, grid) for s in (t - STENCIL_DT, t, t + STENCIL_DT))
+    return lo, mid, hi
+
+
+def entropy_production_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:
     """Centered difference of E against the exact production rate -4 I."""
-    if t <= dt:
-        raise FlowError(f"need t > dt for the centered difference, got t = {t}, dt = {dt}")
-    lo = evolve(u0, t - dt, grid, inner_order=inner_order)
-    hi = evolve(u0, t + dt, grid, inner_order=inner_order)
-    mid = evolve(u0, t, grid, inner_order=inner_order)
-    lhs = (hi.entropy - lo.entropy) / (2.0 * dt)
+    lo, mid, hi = stencil_states(u0, t, grid)
+    lhs = (hi.entropy - lo.entropy) / (2.0 * STENCIL_DT)
     rhs = -4.0 * mid.fisher
-    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * dt) + 4.0 * mid.quadrature_error
+    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * STENCIL_DT)
+    err += 4.0 * mid.quadrature_error
     return IdentityResult(
         name="entropy_production",
         lhs=float(lhs),
@@ -363,22 +363,13 @@ def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> float:
     return -2.0 * float(grid.weights @ integrand)
 
 
-def fisher_dissipation_check(
-    u0: TestFunction,
-    t: float,
-    grid: QuadratureGrid,
-    dt: float = 1e-3,
-    inner_order: int | None = None,
-) -> IdentityResult:
+def fisher_dissipation_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:
     """dI/dt + 2 I equals -2 int ||Hess v - grad v (x) grad v / v||^2 dgamma."""
-    if t <= dt:
-        raise FlowError(f"need t > dt for the centered difference, got t = {t}, dt = {dt}")
-    lo = evolve(u0, t - dt, grid, inner_order=inner_order)
-    hi = evolve(u0, t + dt, grid, inner_order=inner_order)
-    mid = evolve(u0, t, grid, inner_order=inner_order)
-    lhs = (hi.fisher - lo.fisher) / (2.0 * dt) + 2.0 * mid.fisher
+    lo, mid, hi = stencil_states(u0, t, grid)
+    lhs = (hi.fisher - lo.fisher) / (2.0 * STENCIL_DT) + 2.0 * mid.fisher
     rhs = _hessian_defect_integral(mid.v, grid)
-    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * dt) + 2.0 * mid.quadrature_error
+    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * STENCIL_DT)
+    err += 2.0 * mid.quadrature_error
     return IdentityResult(
         name="fisher_dissipation",
         lhs=float(lhs),
@@ -397,29 +388,17 @@ class QOdeSample:
     margin: float
 
 
-def q_ode_check(
-    u0: TestFunction,
-    times: np.ndarray,
-    grid: QuadratureGrid,
-    dt: float = 1e-3,
-    inner_order: int | None = None,
-) -> list[QOdeSample]:
+def q_ode_check(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[QOdeSample]:
     """Samples of dQ/dt against the comparison rate 2 Q (2 Q - 1).
 
     Q = I / E; sampling stops once the entropy underflows below 1e-10.
     """
     samples: list[QOdeSample] = []
     for t in np.asarray(times, dtype=float):
-        if t <= dt:
-            raise FlowError(f"sample times must exceed dt = {dt}")
-        mid = evolve(u0, t, grid, inner_order=inner_order)
-        if mid.entropy < 1e-10 or mid.ratio_q is None:
+        lo, mid, hi = stencil_states(u0, t, grid)
+        if mid.entropy < 1e-10 or any(s.ratio_q is None for s in (lo, mid, hi)):
             break
-        lo = evolve(u0, t - dt, grid, inner_order=inner_order)
-        hi = evolve(u0, t + dt, grid, inner_order=inner_order)
-        if lo.ratio_q is None or hi.ratio_q is None:
-            break
-        dq = (hi.ratio_q - lo.ratio_q) / (2.0 * dt)
+        dq = (hi.ratio_q - lo.ratio_q) / (2.0 * STENCIL_DT)
         bound = 2.0 * mid.ratio_q * (2.0 * mid.ratio_q - 1.0)
         samples.append(
             QOdeSample(

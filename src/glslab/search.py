@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConstraintError, LabError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
@@ -217,6 +216,9 @@ def minimize_callable(
     maxiter: int = 200,
 ) -> tuple[np.ndarray, float, int]:
     """Nelder-Mead wrapper returning the point, value and evaluation count."""
+    # imported here so that importing glslab does not load scipy
+    from scipy import optimize
+
     res = optimize.minimize(
         f,
         np.asarray(x0, dtype=float),

@@ -51,7 +51,7 @@ from .measure import QuadratureGrid, integrate_with_error
 from .functions import TestFunction, second_moment_gap
 from .functionals import FunctionalReport, report, second_moment_floor
 from .logconcavity import LogConcavityCertificate, certify
-from .ou_flow import evolve
+from .ou_flow import STENCIL_DT, evolve, stencil_states
 
 C_STAR = 1.0 + 1.0 / 1728.0
 POINCARE_LOGCONCAVE = 1.0 / 432.0
@@ -610,11 +610,7 @@ class ZOdeSample:
 
 
 def excess_moment_decay_check(
-    u: TestFunction,
-    grid: QuadratureGrid,
-    times: np.ndarray,
-    dt: float = 1e-3,
-    inner_order: int | None = None,
+    u: TestFunction, grid: QuadratureGrid, times: np.ndarray
 ) -> list[ZOdeSample]:
     """Comparison ODE for z(t) = e^{2t} I(t) when the excess moment is positive.
 
@@ -631,15 +627,11 @@ def excess_moment_decay_check(
         )
     samples: list[ZOdeSample] = []
     for t in np.asarray(times, dtype=float):
-        if t <= dt:
-            raise DomainError(f"sample times must exceed dt = {dt}")
-        lo = evolve(u, t - dt, grid, inner_order=inner_order)
-        hi = evolve(u, t + dt, grid, inner_order=inner_order)
-        mid = evolve(u, t, grid, inner_order=inner_order)
-        z_lo = math.exp(2.0 * (t - dt)) * lo.fisher
-        z_hi = math.exp(2.0 * (t + dt)) * hi.fisher
-        z_mid = math.exp(2.0 * t) * mid.fisher
-        dz = (z_hi - z_lo) / (2.0 * dt)
+        if t <= STENCIL_DT:
+            raise DomainError(f"sample times must exceed dt = {STENCIL_DT}")
+        lo, mid, hi = stencil_states(u, t, grid)
+        z_lo, z_mid, z_hi = (math.exp(2.0 * s.t) * s.fisher for s in (lo, mid, hi))
+        dz = (z_hi - z_lo) / (2.0 * STENCIL_DT)
         bound = -(math.exp(-2.0 * t) / (2.0 * u.d)) * (4.0 * z_mid - a0) ** 2
         samples.append(
             ZOdeSample(

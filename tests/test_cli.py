@@ -170,6 +170,15 @@ class TestFlow:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("inner_order", ["0", "-5", "100000"])
+    def test_inner_order_outside_the_envelope_fails_cleanly(self, capsys, inner_order):
+        argv = ["flow", "--builtin", "bump_r2", "--times", "0.5", "--inner-order", inner_order]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "inner order" in captured.err
+
     def test_infeasible_quadrature_flow_is_a_capacity_error(self, capsys, tmp_path):
         build = {"family": "bump", "params": {"radius": 2.0}, "d": 3}
         path = tmp_path / "bump_d3.json"

@@ -22,6 +22,7 @@ from glslab import (
     normalize,
 )
 from glslab.functions import Bump
+from glslab.logconcavity import PROBE_RADIUS, _probe_cloud
 
 
 class TestClosedFormCurvature:
@@ -41,6 +42,16 @@ class TestClosedFormCurvature:
         assert cert.certified
         # smallest eigenvalue of diag(1/s) comes from the widest coordinate
         assert cert.min_eigenvalue == pytest.approx(1.0 / 0.9, rel=1e-12)
+
+
+class TestProbeCloud:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_unscrambled_halton_sequence(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for n in (0, 1, 7, 512 * d, 5120):
+            reference = qmc.Halton(d=d, scramble=False).random(n)
+            want = (2.0 * PROBE_RADIUS) * reference - PROBE_RADIUS
+            np.testing.assert_array_equal(_probe_cloud(d, n), want)
 
 
 class TestVerdicts:

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glslab import CapacityError, GaussianMeasureSpec, IntegrationError, build_grid, integrate
+from glslab import (
+    CapacityError,
+    GaussianMeasureSpec,
+    IntegrationError,
+    Tilt,
+    build_grid,
+    integrate,
+    normalize,
+    report,
+)
 from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error
 
 
@@ -42,6 +51,36 @@ class TestOneDimensionalRule:
         np.testing.assert_allclose(weights, weights[::-1], atol=0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert (weights > 0).all()
+
+    def test_every_weight_is_positive(self):
+        # the tail weights reach 3e-211 at order 256; none may round to 0
+        for order in range(1, 257):
+            _, weights = gauss_hermite_1d(order)
+            assert (weights > 0).all(), order
+
+    def test_even_moments_exact_to_degree_2n_minus_1(self):
+        for order in range(1, 41):
+            nodes, weights = gauss_hermite_1d(order)
+            for k in range(order):
+                moment = float(weights @ nodes ** (2 * k))
+                assert moment == pytest.approx(double_factorial(2 * k - 1), rel=1e-13), (order, k)
+
+    @pytest.mark.parametrize("order", [64, 96, 128, 192, 256])
+    def test_tail_weights_are_relatively_accurate(self, order):
+        # e^{0.24 x^2} gets its integral from the far tail nodes, where only
+        # relatively accurate weights keep a higher order from being worse
+        nodes, weights = gauss_hermite_1d(order)
+        value = float(weights @ np.exp(0.24 * nodes**2))
+        assert value == pytest.approx((1.0 - 0.48) ** -0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_tilt_entropy_does_not_worsen_with_order(self, a):
+        # the tilt e^{a x - a^2/2} has E = 2 a^2; h = u^2 peaks at x = 2a,
+        # out among the small weights
+        for order in (64, 96, 128, 192, 256):
+            grid = build_grid(GaussianMeasureSpec(d=1), order)
+            entropy = report(normalize(Tilt(a=np.array([a])), grid), grid).entropy
+            assert entropy == pytest.approx(2.0 * a * a, rel=1e-12), order
 
     def test_order_one(self):
         nodes, weights = gauss_hermite_1d(1)

@@ -175,8 +175,8 @@ class TestOnePass:
     def test_joint_pass_matches_one_kind_at_a_time(self, name):
         u, x = _order16(name)
         joint = mehler_density(u, 0.5, 16)._average(x, "h", "grad", "hess")
-        for method, want in zip(("density", "density_gradient", "density_hessian"), joint):
-            np.testing.assert_array_equal(getattr(mehler_density(u, 0.5, 16), method)(x), want)
+        for kind, want in zip(("h", "grad", "hess"), joint):
+            np.testing.assert_array_equal(mehler_density(u, 0.5, 16)._average(x, kind)[0], want)
 
     def test_quadrature_evolve_repeats_no_average(self, grid1, monkeypatch):
         # no call averages the same kinds on the same inner rule and node set twice
@@ -226,8 +226,9 @@ class TestOnePass:
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):
         u, x = _order16(name)
-        raw = ("density", "density_gradient", "density_hessian")
-        whole = {m: getattr(mehler_density(u, 0.5, 16), m)(x) for m in _METHODS + raw}
+        kinds = ("h", "grad", "hess")
+        whole = {m: getattr(mehler_density(u, 0.5, 16), m)(x) for m in _METHODS}
+        whole.update({k: mehler_density(u, 0.5, 16)._average(x, k)[0] for k in kinds})
         # eight outer points per chunk, whole blocks of the rows BLAS sums
         # together: the same bits as one chunk
         monkeypatch.setattr(ou_flow, "_POINT_BUDGET", 8 * 16**u.d)
@@ -238,10 +239,10 @@ class TestOnePass:
         # here) and the remainder rows in another order, so ragged chunks of
         # three points change the averages by rounding only
         monkeypatch.setattr(ou_flow, "_POINT_BUDGET", 3 * 16**u.d)
-        for method in raw:
-            chunked = getattr(mehler_density(u, 0.5, 16), method)(x)
-            atol = 8 * np.finfo(float).eps * np.abs(whole[method]).max()
-            np.testing.assert_allclose(chunked, whole[method], rtol=0.0, atol=atol)
+        for kind in kinds:
+            chunked = mehler_density(u, 0.5, 16)._average(x, kind)[0]
+            atol = 8 * np.finfo(float).eps * np.abs(whole[kind]).max()
+            np.testing.assert_allclose(chunked, whole[kind], rtol=0.0, atol=atol)
 
 
 _CLOSED_FORMS = ["gaussian_shifted", "gaussian_d2_aniso", "tilt_half", "tilt_d2"]
@@ -404,6 +405,21 @@ class TestInnerRuleAdaptation:
         u = corpus.get("bump_r1").normalized(grid1)
         with pytest.warns(UserWarning, match="inner rule error"):
             evolve(u, t_star_compact(1.0), grid1)
+
+    @pytest.mark.parametrize("inner_order", [0, -5, 257, 100000])
+    @pytest.mark.parametrize("name", ["bump_r2", "tilt_half"])
+    def test_inner_order_outside_the_envelope_is_rejected(self, grid1, name, inner_order):
+        # on the quadrature path (bump_r2) and the closed-form path (tilt_half),
+        # at t = 0 too, before any work
+        u = corpus.get(name).normalized(grid1)
+        for t in (0.0, 0.5):
+            with pytest.raises(CapacityError, match="inner order"):
+                evolve(u, t, grid1, inner_order=inner_order)
+
+    def test_inner_order_envelope_is_inclusive(self, grid1):
+        u = corpus.get("tilt_half").normalized(grid1)
+        for inner_order in (1, 256):
+            assert evolve(u, 0.5, grid1, inner_order=inner_order).inner_order == 0
 
     def test_mass_is_conserved_after_adaptation(self, grid1):
         u = corpus.get("bump_r4").normalized(grid1)

@@ -9,10 +9,14 @@ coefficient of the log-log regression.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import glslab
 from glslab import (
     ConstraintError,
     SearchProblem,
@@ -279,3 +283,28 @@ class TestManifoldDistance:
         u = instantiate(problem, np.array([0.5, 0.75]))
         assert u.family == "gaussian"
         assert u.d == 2
+
+
+def test_import_loads_no_scipy_and_search_still_runs():
+    # scipy is imported by minimize_callable alone, on the first search; the
+    # child imports the same glslab as this process, installed or not
+    root = os.path.dirname(os.path.dirname(glslab.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = """
+import sys, glslab
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert not loaded, loaded
+problem = glslab.SearchProblem(
+    name="affine", objective="deficit", family="affine", d=1,
+    lower=(0.01,), upper=(0.2,), grid_order=16, restarts=1, maxiter=20,
+)
+result = glslab.run_search(problem)
+assert result.n_evaluations > 0 and result.best_value < 1e-3, result
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

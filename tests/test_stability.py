@@ -33,6 +33,7 @@ from glslab import (
     excess_moment_decay_check,
     improved_constant_compact,
     lambda1_tail_lower,
+    normalize,
     phi,
     phi_inv,
     poincare_chain,
@@ -356,17 +357,19 @@ class TestRoundingFloor:
         expected = dict.fromkeys(E_BASED + ("gaussian_tail",), "verified")
         expected["compact_support"] = "skipped"
         entropies = []
-        for order in range(2, 257):
-            grid = build_grid(GaussianMeasureSpec(d=1), order)
-            u = corpus.get("constant_one").normalized(grid)
-            results = verify_bounds(u, grid)
-            assert {r.name: r.status for r in results} == expected, order
-            for r in results:
-                if r.name in E_BASED:
-                    # a violation of 1e-12 stays far outside 2 x the error
-                    assert r.quadrature_error <= 64 * eps, (order, r.name)
-            entropies.append(results[0].extras["entropy"])
-        # E < 0 by rounding occurs, so fisher_gap's clamp is exercised
+        # u = 1 in d = 1 and d = 2; d = 2 stops at order 64 to keep the sweep cheap
+        for d, orders in ((1, range(2, 257)), (2, range(2, 65))):
+            one = GaussianProfile(sigma2=np.ones(d))
+            for order in orders:
+                grid = build_grid(GaussianMeasureSpec(d=d), order)
+                results = verify_bounds(normalize(one, grid), grid)
+                assert {r.name: r.status for r in results} == expected, (d, order)
+                for r in results:
+                    if r.name in E_BASED:
+                        # a violation of 1e-12 stays far outside 2 x the error
+                        assert r.quadrature_error <= 64 * eps, (d, order, r.name)
+                entropies.append(results[0].extras["entropy"])
+        # E < 0 by rounding occurs (at d = 2), so fisher_gap's clamp is exercised
         assert min(entropies) < 0.0
 
     @pytest.mark.parametrize(
