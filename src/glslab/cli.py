@@ -3,8 +3,10 @@
 Subcommands: report, verify, flow, constants, logcc, search.  Outputs are
 deterministic strict JSON (sorted keys, no timestamps, null for undefined
 values such as a skipped bound's margin) or the fixed-column flow CSV,
-written atomically when --out is given.  Every payload embeds the sha256
-of its own configuration so runs can be tied to their inputs.
+written atomically when --out is given.  Every payload is the envelope
+{"config", "config_sha256", ...} built by _emit_json, so runs can be tied
+to their inputs; the result records in it are their to_json(), which is
+each record's dataclass fields (functions.Record).
 
 Exit codes: 0 success, 1 a bound was violated or a certificate refuted,
 2 usage error (NaN or infinite float options too), 3 any lab error
@@ -42,12 +44,6 @@ from .stability import (
 from .search import load_problem, run_search
 
 
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def _emit(payload: str, out: str | None) -> None:
     if not payload.endswith("\n"):
         payload += "\n"
@@ -75,8 +71,11 @@ def _strict(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False), out)
+def _emit_json(config: dict, body: dict, out: str | None) -> None:
+    """Write {"config", "config_sha256", **body} as strict JSON."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    payload = {"config": config, "config_sha256": digest, **body}
+    _emit(json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False), out)
 
 
 def finite_float(text: str) -> float:
@@ -122,10 +121,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     grid = _grid_for(u, args.grid_order)
     rep = functional_report(normalize(u, grid), grid)
     config = {"command": "report", "grid_order": args.grid_order, **source}
-    _emit_json(
-        {"config": config, "config_sha256": _config_hash(config), "report": rep.to_json()},
-        args.out,
-    )
+    _emit_json(config, {"report": rep.to_json()}, args.out)
     return 0
 
 
@@ -156,13 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "all_builtin": args.all_builtin,
     }
     n_violated = sum(b["status"] == "violated" for rec in records for b in rec["bounds"])
-    payload = {
-        "config": config,
-        "config_sha256": _config_hash(config),
-        "results": records,
-        "n_violated": n_violated,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(config, {"results": records, "n_violated": n_violated}, args.out)
     return 1 if n_violated else 0
 
 
@@ -185,10 +175,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.eps:
         table["tail"] = {repr(e): {"t_star": t_star_tail(e)} for e in args.eps}
     config = {"command": "constants", "radius": args.radius, "eps": args.eps}
-    _emit_json(
-        {"config": config, "config_sha256": _config_hash(config), "constants": table},
-        args.out,
-    )
+    _emit_json(config, {"constants": table}, args.out)
     return 0
 
 
@@ -207,14 +194,7 @@ def cmd_logcc(args: argparse.Namespace) -> int:
         "probes": args.probes,
         **source,
     }
-    _emit_json(
-        {
-            "config": config,
-            "config_sha256": _config_hash(config),
-            "certificate": cert.to_json(),
-        },
-        args.out,
-    )
+    _emit_json(config, {"certificate": cert.to_json()}, args.out)
     return 1 if cert.status == "refuted" else 0
 
 
@@ -224,21 +204,15 @@ def cmd_search(args: argparse.Namespace) -> int:
         problem = replace(problem, seed=args.seed)
     result = run_search(problem)
     config = {"command": "search", "problem": problem.to_json(), "seed": problem.seed}
-    _emit_json(
-        {
-            "config": config,
-            "config_sha256": _config_hash(config),
-            "result": result.to_json(),
-        },
-        args.out,
-    )
+    _emit_json(config, {"result": result.to_json()}, args.out)
     return 0
 
 
-def _add_function_source(p: argparse.ArgumentParser, required: bool = True) -> None:
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_function_source(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="path to a JSON family description")
     group.add_argument("--builtin", help="name of a built-in corpus entry")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="check the stability bounds")
-    _add_function_source(p, required=False)
-    p.add_argument("--all-builtin", action="store_true", help="run the whole corpus")
+    group = _add_function_source(p)
+    group.add_argument("--all-builtin", action="store_true", help="run the whole corpus")
     p.add_argument("--bounds", help="comma separated bound names (default: all)")
     p.add_argument("--grid-order", type=int, default=64)
     p.add_argument(
@@ -309,11 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.all_builtin:
-        if not (args.family or args.builtin):
-            parser.error("verify needs --family, --builtin or --all-builtin")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LabError as exc:

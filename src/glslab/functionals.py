@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PositivityError
 from .measure import QuadratureGrid, embedded, rounding_floor
-from .functions import TestFunction, _require_unit_norm
+from .functions import Record, TestFunction, _require_unit_norm
 
 SUPPORT_FLOOR = 1e-12
 
@@ -56,7 +56,7 @@ def _xlogx(h: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(Record):
     """Core functionals of one normalized test function on one grid."""
 
     d: int
@@ -70,21 +70,6 @@ class FunctionalReport:
     entropy_error: float
     fisher_error: float
     quadrature_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "entropy": self.entropy,
-            "fisher": self.fisher,
-            "deficit": self.deficit,
-            "ratio_q": self.ratio_q,
-            "l2_norm": self.l2_norm,
-            "first_moment": np.asarray(self.first_moment).tolist(),
-            "second_moment_gap": self.second_moment_gap,
-            "entropy_error": self.entropy_error,
-            "fisher_error": self.fisher_error,
-            "quadrature_error": self.quadrature_error,
-        }
 
 
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:

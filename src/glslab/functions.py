@@ -16,7 +16,7 @@ compactly supported by design and reports its support radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,28 @@ def _points(x: np.ndarray, d: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != d:
         raise LabError(f"points must have shape (n, {d}), got {x.shape}")
     return x
+
+
+def _plain(value):
+    """value as plain JSON data: a dataclass becomes {field name: value}, a
+    dict a dict, a list, tuple or array a list, a numpy scalar its Python
+    value; NaN stays NaN."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+class Record:
+    """Mixin for result dataclasses: to_json() is the record's fields."""
+
+    def to_json(self) -> dict:
+        return _plain(self)
 
 
 def _hull_probes(d: int, radius: float = POSITIVITY_HULL) -> np.ndarray:
@@ -92,7 +114,8 @@ class TestFunction:
         return 2.0 * (h / u[:, None, None] - gu[:, :, None] * gu[:, None, :])
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The constructor fields other than d."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name != "d"}
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params(), "d": self.d}
@@ -118,8 +141,12 @@ class Tilt(TestFunction):
         x = _points(x, self.d)
         return self.c * np.exp(-x @ self.a)
 
+    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = self.value(x)
+        return u**2, -u[:, None] * self.a[None, :]
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -self.value(x)[:, None] * self.a[None, :]
+        return self.density_and_gradient(x)[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.value(x)[:, None, None] * np.outer(self.a, self.a)[None, :, :]
@@ -131,9 +158,6 @@ class Tilt(TestFunction):
         # P_t c^2 e^{-2a.x} = c^2 e^{2(1 - e^{-2t})|a|^2} e^{-2 e^{-t} a.x}
         growth = math.exp(-math.expm1(-2.0 * t) * float(self.a @ self.a))
         return replace(self, a=math.exp(-t) * self.a, c=self.c * growth)
-
-    def params(self) -> dict:
-        return {"a": self.a.tolist(), "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -158,11 +182,11 @@ class Affine(TestFunction):
         object.__setattr__(self, "nu", nu / norm)
         object.__setattr__(self, "d", nu.shape[0])
         worst = 1.0 - abs(self.eps) * POSITIVITY_HULL * np.abs(self.nu).sum()
-        if worst <= 0:
+        if not worst > 0:
             raise PositivityError(
                 f"affine function vanishes on |x|_inf <= {POSITIVITY_HULL}: eps = {self.eps}"
             )
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -180,9 +204,6 @@ class Affine(TestFunction):
 
     def with_scale(self, c: float) -> "Affine":
         return replace(self, amplitude=self.amplitude * c)
-
-    def params(self) -> dict:
-        return {"eps": self.eps, "nu": self.nu.tolist(), "amplitude": self.amplitude}
 
 
 @dataclass(frozen=True)
@@ -210,9 +231,9 @@ class GaussianProfile(TestFunction):
         if mean.shape != (self.d,):
             raise LabError(f"mean must have shape ({self.d},)")
         object.__setattr__(self, "mean", mean)
-        if np.any(s2 <= 0) or np.any(s2 > 1.0):
+        if not np.all((s2 > 0) & (s2 <= 1.0)):
             raise LabError(f"variances must lie in (0, 1], got {s2}")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
     def _log_u(self, x: np.ndarray) -> np.ndarray:
@@ -228,9 +249,13 @@ class GaussianProfile(TestFunction):
     def _grad_log(self, x: np.ndarray) -> np.ndarray:
         return -0.5 * (x - self.mean) / self.sigma2 + 0.5 * x
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = _points(x, self.d)
-        return self.value(x)[:, None] * self._grad_log(x)
+        u = self.value(x)
+        return u**2, u[:, None] * self._grad_log(x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.density_and_gradient(x)[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = _points(x, self.d)
@@ -254,13 +279,6 @@ class GaussianProfile(TestFunction):
         s2 = np.minimum(decay**2 * self.sigma2 - math.expm1(-2.0 * t), 1.0)
         return replace(self, sigma2=s2, mean=decay * self.mean)
 
-    def params(self) -> dict:
-        return {
-            "sigma2": self.sigma2.tolist(),
-            "mean": self.mean.tolist(),
-            "amplitude": self.amplitude,
-        }
-
 
 @dataclass(frozen=True)
 class Bump(TestFunction):
@@ -273,15 +291,15 @@ class Bump(TestFunction):
     family = "bump"
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise LabError("support radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise LabError(f"support radius must be positive and finite, got {self.radius}")
         center = self.center
         if center is None:
             center = np.zeros(self.d)
         center = np.atleast_1d(np.asarray(center, dtype=float))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "d", center.shape[0])
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
         object.__setattr__(self, "support_radius", self.radius + float(np.linalg.norm(center)))
 
@@ -311,13 +329,6 @@ class Bump(TestFunction):
 
     def with_scale(self, c: float) -> "Bump":
         return replace(self, amplitude=self.amplitude * c)
-
-    def params(self) -> dict:
-        return {
-            "radius": self.radius,
-            "center": self.center.tolist(),
-            "amplitude": self.amplitude,
-        }
 
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
@@ -354,7 +365,7 @@ class HermiteExpansion(TestFunction):
             terms.append((alpha, float(coeff)))
         object.__setattr__(self, "terms", tuple(terms))
         probes = _hull_probes(self.d)
-        if self.value(probes).min() <= 0:
+        if not self.value(probes).min() > 0:
             raise PositivityError(
                 f"expansion vanishes on |x|_inf <= {POSITIVITY_HULL}; adjust coefficients"
             )
@@ -440,9 +451,9 @@ class TwoBumps(TestFunction):
     family = "two_bumps"
 
     def __post_init__(self) -> None:
-        if self.height <= 0 or self.radius <= 0 or self.separation <= 0:
-            raise LabError("height, radius, separation must be positive")
-        if self.amplitude <= 0:
+        if not all(0 < v < math.inf for v in (self.height, self.radius, self.separation)):
+            raise LabError("height, radius, separation must be positive and finite")
+        if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
     def _lobes(self) -> tuple[Bump, Bump]:
@@ -470,14 +481,6 @@ class TwoBumps(TestFunction):
 
     def with_scale(self, c: float) -> "TwoBumps":
         return replace(self, amplitude=self.amplitude * c)
-
-    def params(self) -> dict:
-        return {
-            "height": self.height,
-            "radius": self.radius,
-            "separation": self.separation,
-            "amplitude": self.amplitude,
-        }
 
 
 def build_function(obj: dict) -> TestFunction:
@@ -548,8 +551,8 @@ def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
 def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:
     """Rescale within the family so that ||u||_{L2(dgamma)} = 1."""
     norm = l2_norm(u, grid)
-    if norm < 1e-150:
-        raise NormalizationError("cannot normalize a function with vanishing L2 norm")
+    if not 1e-150 <= norm < math.inf:
+        raise NormalizationError(f"cannot normalize a function with L2 norm {norm!r}")
     return u.with_scale(1.0 / norm)
 
 
@@ -561,7 +564,7 @@ def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:
 def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray) -> float:
     """||u|| from h = u^2 on grid.nodes; NormalizationError unless 1 within 1e-8."""
     norm = math.sqrt(float(grid.weights @ h))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise NormalizationError(f"expected unit L2 norm, got {norm!r}; normalize first")
     return norm
 

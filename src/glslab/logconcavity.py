@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import QuadratureGrid
-from .functions import TestFunction
+from .functions import Record, TestFunction
 from .ou_flow import FlowState, evolve
 
 PROBE_RADIUS = 6.0
@@ -35,7 +35,7 @@ HALTON_BASES = (2, 3, 5)
 
 
 @dataclass(frozen=True, eq=False)
-class LogConcavityCertificate:
+class LogConcavityCertificate(Record):
     status: str
     min_eigenvalue: float
     worst_point: np.ndarray
@@ -47,17 +47,6 @@ class LogConcavityCertificate:
     @property
     def certified(self) -> bool:
         return self.status == "certified"
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "min_eigenvalue": self.min_eigenvalue,
-            "worst_point": np.asarray(self.worst_point).tolist(),
-            "n_probes": self.n_probes,
-            "n_active": self.n_active,
-            "threshold": self.threshold,
-            "tolerance": self.tolerance,
-        }
 
 
 def _probe_cloud(d: int, n: int) -> np.ndarray:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConstraintError, LabError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import MAX_HERMITE_DEGREE, Affine, TestFunction, build_function, normalize
+from .functions import MAX_HERMITE_DEGREE, Affine, Record, TestFunction, build_function, normalize
 from .functionals import report
 from .stability import BOUND_NAMES, verify_bounds
 
@@ -33,7 +33,7 @@ FAMILIES = ("hermite", "affine", "tilt", "gaussian")
 
 
 @dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Record):
     """One box-constrained search over a parametric family."""
 
     name: str
@@ -92,40 +92,12 @@ class SearchProblem:
     def n_params(self) -> int:
         return len(self.lower)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "family": self.family,
-            "d": self.d,
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "bound": self.bound,
-            "grid_order": self.grid_order,
-            "restarts": self.restarts,
-            "maxiter": self.maxiter,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "SearchProblem":
-        known = {
-            "name",
-            "objective",
-            "family",
-            "d",
-            "lower",
-            "upper",
-            "bound",
-            "grid_order",
-            "restarts",
-            "maxiter",
-            "seed",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConstraintError(f"unknown search problem fields {sorted(unknown)}")
-        return cls(**{k: (tuple(v) if k in ("lower", "upper") else v) for k, v in obj.items()})
+        return cls(**obj)
 
 
 def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
@@ -183,31 +155,13 @@ class TracePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(Record):
     problem: SearchProblem
     best_params: tuple[float, ...]
     best_value: float
     best_function: dict | None
     n_evaluations: int
     trace: tuple[TracePoint, ...] = field(repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "problem": self.problem.to_json(),
-            "best_params": list(self.best_params),
-            "best_value": self.best_value,
-            "best_function": self.best_function,
-            "n_evaluations": self.n_evaluations,
-            "trace": [
-                {
-                    "evaluation": p.evaluation,
-                    "params": list(p.params),
-                    "objective": p.objective,
-                    "penalty": p.penalty,
-                }
-                for p in self.trace
-            ],
-        }
 
 
 def minimize_callable(

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConstraintError, DomainError
 from .measure import QuadratureGrid, integrate_with_error
-from .functions import TestFunction, second_moment_gap
+from .functions import Record, TestFunction, second_moment_gap
 from .functionals import FunctionalReport, report, second_moment_floor
 from .logconcavity import LogConcavityCertificate, certify
 from .ou_flow import STENCIL_DT, evolve, stencil_states
@@ -159,7 +159,7 @@ def constants_table() -> dict:
 
 
 @dataclass(frozen=True)
-class PoincareEstimate:
+class PoincareEstimate(Record):
     """Spectral gap chain for an isotropic log-concave measure with second
     moment s: Cheeger constant h >= 1/(6 sqrt(3 s)), then h^2/4 <= lambda1
     <= 36 h^2, and the direct bound lambda1 >= (d/s)/432."""
@@ -169,15 +169,6 @@ class PoincareEstimate:
     cheeger_lower: float
     lambda1_lower: float
     lambda1_logconcave: float
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "second_moment": self.second_moment,
-            "cheeger_lower": self.cheeger_lower,
-            "lambda1_lower": self.lambda1_lower,
-            "lambda1_logconcave": self.lambda1_logconcave,
-        }
 
 
 def poincare_chain(second_moment: float, d: int) -> PoincareEstimate:
@@ -201,7 +192,7 @@ def cheeger_sandwich(h: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class StabilityBound:
+class StabilityBound(Record):
     """One verified instance of one deficit bound."""
 
     name: str
@@ -216,22 +207,6 @@ class StabilityBound:
     constraints: dict = field(default_factory=dict)
     message: str = ""
     extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "constant": self.constant,
-            "exponent": self.exponent,
-            "distance": self.distance,
-            "quadrature_error": self.quadrature_error,
-            "status": self.status,
-            "constraints": dict(self.constraints),
-            "message": self.message,
-            "extras": {k: float(v) for k, v in self.extras.items()},
-        }
 
 
 _CENTERED = ("centered", "barycenter norm {barycenter:.3e} is not zero")
@@ -532,7 +507,7 @@ def verify_bounds(
 
 
 @dataclass(frozen=True, eq=False)
-class PipelineResult:
+class PipelineResult(Record):
     """Trace of the waiting-time argument for one compactly supported instance."""
 
     support_radius: float
@@ -544,19 +519,6 @@ class PipelineResult:
     certificate: LogConcavityCertificate
     status: str
     message: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "support_radius": self.support_radius,
-            "t_star": self.t_star,
-            "q0": self.q0,
-            "q_tstar": self.q_tstar,
-            "q0_bound": self.q0_bound,
-            "constant": self.constant,
-            "certificate": self.certificate.to_json(),
-            "status": self.status,
-            "message": self.message,
-        }
 
 
 def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> PipelineResult:

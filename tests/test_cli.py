@@ -4,6 +4,7 @@ Everything goes through main(argv) with captured stdout; one test shells
 out to the installed console script to make sure the entry point resolves.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,8 @@ import pytest
 import glslab
 from glslab.cli import main
 from glslab.ou_flow import FLOW_CSV_COLUMNS
+
+NAN = float("nan")
 
 
 def _run(capsys, argv):
@@ -58,6 +61,26 @@ class TestReport:
         assert payload["config"]["builtin"] == "tilt_half"
         # nothing half-written next to it
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            ({"family": "gaussian", "params": {"sigma2": [NAN]}, "d": 1}, "variances"),
+            ({"family": "affine", "params": {"eps": NAN}, "d": 1}, "vanishes"),
+            ({"family": "bump", "params": {"radius": math.inf}, "d": 1}, "radius"),
+            ({"family": "tilt", "params": {"a": [NAN]}, "d": 1}, "L2 norm nan"),
+            ({"family": "tilt", "params": {"a": [40.0]}, "d": 1}, "L2 norm inf"),
+        ],
+        ids=["gaussian", "affine", "bump", "tilt", "tilt_overflow"],
+    )
+    def test_non_finite_parameters_fail_cleanly(self, capsys, tmp_path, build, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(build))
+        code = main(["report", "--family", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_unknown_builtin_is_a_lab_error(self, capsys):
         code, _ = _run(capsys, ["report", "--builtin", "missing_entry"])
@@ -109,6 +132,16 @@ class TestVerify:
             capsys, ["verify", "--builtin", "gaussian_s05", "--bounds", "spectral"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "sources",
+        [[], ["--all-builtin", "--builtin", "bump_r2"], ["--all-builtin", "--family", "f.json"]],
+        ids=["none", "all_and_builtin", "all_and_family"],
+    )
+    def test_exactly_one_source_is_required(self, sources):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", *sources])
+        assert excinfo.value.code == 2
 
     def test_all_builtin_output_is_strict_json(self, capsys):
         def reject(token):
@@ -322,6 +355,47 @@ class TestSearch:
         assert code == 3
         assert captured.out == ""
         assert message in captured.err
+
+
+def _problem_file(tmp_path) -> str:
+    problem = {
+        "name": "envelope",
+        "objective": "deficit",
+        "family": "affine",
+        "d": 1,
+        "lower": [0.01],
+        "upper": [0.2],
+        "grid_order": 16,
+        "restarts": 1,
+        "maxiter": 5,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["report", "--builtin", "tilt_half", "--grid-order", "16"], "report"),
+        (["verify", "--builtin", "bump_r2", "--grid-order", "16"], "results"),
+        (["verify", "--all-builtin", "--bounds", "fisher_gap", "--grid-order", "8"], "results"),
+        (["constants", "--radius", "2", "--eps", "0.1"], "constants"),
+        (["logcc", "--builtin", "two_bumps_wide", "--grid-order", "16"], "certificate"),
+        (["search", "--problem"], "result"),
+    ],
+    ids=["report", "verify", "verify_all", "constants", "logcc", "search"],
+)
+def test_config_sha256_is_the_hash_of_the_config(capsys, tmp_path, argv, body):
+    if argv[-1] == "--problem":
+        argv = argv + [_problem_file(tmp_path)]
+    code, out = _run(capsys, argv)
+    assert code in (0, 1)
+    payload = json.loads(out)
+    assert set(payload) >= {"config", "config_sha256", body}
+    canonical = json.dumps(payload["config"], sort_keys=True).encode("utf-8")
+    assert payload["config_sha256"] == hashlib.sha256(canonical).hexdigest()
+    assert payload["config"]["command"] == argv[0]
 
 
 def test_module_entry_point():

@@ -112,6 +112,35 @@ class TestReport:
         fine, coarse = grid1.n_points, grid1.coarse.n_points
         assert calls == {(m, n): 1 for m in ("value", "gradient") for n in (fine, coarse)}
 
+    @pytest.mark.parametrize(
+        "u, grad_over_u",
+        [
+            (Tilt(a=np.array([0.4, -0.3])), lambda u, x: -u.a[None, :]),
+            (
+                GaussianProfile(sigma2=np.array([0.5, 0.8]), mean=np.array([0.2, 0.0])),
+                lambda u, x: -0.5 * (x - u.mean) / u.sigma2 + 0.5 * x,
+            ),
+        ],
+        ids=["tilt", "gaussian"],
+    )
+    def test_closed_forms_evaluate_once_per_node_set(self, grid2, monkeypatch, u, grad_over_u):
+        u = normalize(u, grid2)
+        x = grid2.nodes
+        value = type(u).value
+        h, grad = u.density_and_gradient(x)
+        # the same arithmetic as u^2 and u grad log u, bit for bit
+        assert np.array_equal(h, value(u, x) ** 2)
+        assert np.array_equal(grad, value(u, x)[:, None] * grad_over_u(u, x))
+        calls = Counter()
+
+        def counted(self, x):
+            calls[len(x)] += 1
+            return value(self, x)
+
+        monkeypatch.setattr(type(u), "value", counted)
+        report(u, grid2)
+        assert calls == {grid2.n_points: 1, grid2.coarse.n_points: 1}
+
 
 class TestPinsker:
     def test_margin_positive_for_gaussian(self, grid1):

@@ -204,6 +204,53 @@ def test_second_moment_gap_requires_normalization(grid1):
         second_moment_gap(Tilt(a=np.array([0.5])), grid1)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianProfile(sigma2=np.array([NAN])),
+        lambda: GaussianProfile(sigma2=np.array([0.5]), amplitude=NAN),
+        lambda: Affine(eps=NAN, nu=np.array([1.0])),
+        lambda: Affine(eps=0.1, nu=np.array([1.0]), amplitude=NAN),
+        lambda: Bump(radius=NAN),
+        lambda: Bump(radius=math.inf),
+        lambda: Bump(radius=1.0, amplitude=NAN),
+        lambda: TwoBumps(height=NAN, radius=1.0, separation=2.0),
+        lambda: TwoBumps(height=1.0, radius=math.inf, separation=2.0),
+        lambda: TwoBumps(height=1.0, radius=1.0, separation=2.0, amplitude=NAN),
+        lambda: HermiteExpansion(terms=(((0,), 1.0), ((2,), NAN)), d=1),
+        lambda: build_function({"family": "affine", "params": {"eps": NAN}, "d": 1}),
+    ],
+    ids=[
+        "gaussian_sigma2",
+        "gaussian_amplitude",
+        "affine_eps",
+        "affine_amplitude",
+        "bump_radius_nan",
+        "bump_radius_inf",
+        "bump_amplitude",
+        "two_bumps_height",
+        "two_bumps_radius_inf",
+        "two_bumps_amplitude",
+        "hermite_coefficient",
+        "built_affine_eps",
+    ],
+)
+def test_construction_rejects_non_finite_parameters(make):
+    with pytest.raises(LabError):
+        make()
+
+
+def test_nan_values_fail_normalization(grid1):
+    u = Tilt(a=np.array([NAN]))
+    with pytest.raises(NormalizationError):
+        normalize(u, grid1)
+    with pytest.raises(NormalizationError):
+        second_moment_gap(u, grid1)
+
+
 FAMILY_INDEX = st.integers(min_value=0, max_value=7)
 
 
