@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="starting inner rule order of the quadrature path, 1..256 (default: "
-        "--grid-order); tilts and Gaussians evolve in closed form and do not use it",
+        "--grid-order); tilts and Gaussians evolve in closed form and d = 1 bumps "
+        "average exactly, without it",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)

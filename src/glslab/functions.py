@@ -11,6 +11,13 @@ Families that can vanish (affine, hermite) are admitted only when strictly
 positive on the reference hull |x|_inf <= 3; operations that divide by u
 check positivity again at their own evaluation points.  The bump is
 compactly supported by design and reports its support radius.
+
+Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
+(evolved: Gaussian profiles and tilts) or supply the exact Gaussian
+averages of u^2 and its derivatives (ou_average: d = 1 bumps and two_bumps
+with disjoint lobes, where u^2 is a polynomial on intervals; the windows
+module computes them and is imported on first use, so that `import glslab`
+does not compile it).
 """
 
 from __future__ import annotations
@@ -94,6 +101,15 @@ class TestFunction:
         a closed form; t is finite and positive."""
         return None
 
+    def ou_average(
+        self, x: np.ndarray, t: float, kinds: Sequence[str]
+    ) -> "tuple[np.ndarray, ...] | None":
+        """Exact Gaussian averages int f(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y)
+        of f = h0, grad h0 and Hess h0 (h0 = u^2), one array per kind in kinds
+        ("h", "grad", "hess"), shapes (n,), (n, d) and (n, d, d); None for a
+        family without them.  t is finite and positive."""
+        return None
+
     def density(self, x: np.ndarray) -> np.ndarray:
         return self.value(x) ** 2
 
@@ -150,6 +166,11 @@ class Tilt(TestFunction):
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.value(x)[:, None, None] * np.outer(self.a, self.a)[None, :, :]
+
+    def hess_log_density(self, x: np.ndarray) -> np.ndarray:
+        # log u^2 = 2 log c - 2 a . x is affine
+        x = _points(x, self.d)
+        return np.zeros((x.shape[0], self.d, self.d))
 
     def with_scale(self, c: float) -> "Tilt":
         return replace(self, a=self.a, c=self.c * c)
@@ -330,6 +351,15 @@ class Bump(TestFunction):
     def with_scale(self, c: float) -> "Bump":
         return replace(self, amplitude=self.amplitude * c)
 
+    def ou_average(self, x, t, kinds):
+        if self.d != 1:
+            return None
+        from .windows import JETS, window_average
+
+        x = _points(x, 1)[:, 0]
+        jets = self.amplitude**2 * JETS[4]
+        return window_average(x, t, float(self.center[0]), self.radius, jets, kinds)
+
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
     """He_k(x) for k = 0..kmax, probabilists' normalization; shape (kmax+1, n)."""
@@ -482,6 +512,23 @@ class TwoBumps(TestFunction):
     def with_scale(self, c: float) -> "TwoBumps":
         return replace(self, amplitude=self.amplitude * c)
 
+    def ou_average(self, x, t, kinds):
+        # disjoint lobes (separation >= radius) make h0 = A^2 (1 + sum_i 2 b_i + b_i^2)
+        # with no cross term; overlapping lobes have no exact average here
+        if self.d != 1 or self.separation < self.radius:
+            return None
+        from .windows import JETS, window_average
+
+        x = _points(x, 1)[:, 0]
+        square = self.amplitude**2
+        jets = square * (2.0 * self.height * JETS[2] + self.height**2 * JETS[4])
+        right, left = (
+            window_average(x, t, center, self.radius, jets, kinds)
+            for center in (self.separation, -self.separation)
+        )
+        out = [r + l for r, l in zip(right, left)]
+        return tuple(avg + square if kind == "h" else avg for kind, avg in zip(kinds, out))
+
 
 def build_function(obj: dict) -> TestFunction:
     """Construct a family member from {"family": tag, "params": {...}, "d": n}."""
@@ -544,8 +591,10 @@ def build_function(obj: dict) -> TestFunction:
 
 
 def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
-    values = u.value(grid.nodes)
-    return math.sqrt(float(grid.weights @ values**2))
+    # an overflow gives inf, which normalize turns into a NormalizationError
+    with np.errstate(over="ignore"):
+        values = u.value(grid.nodes)
+        return math.sqrt(float(grid.weights @ values**2))
 
 
 def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:

@@ -4,25 +4,33 @@ The density h = u^2 evolves as
 
     h(t, x) = int h0(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y).
 
-evolve, the one entry point, takes one of two paths.  A family with a
-closed form (TestFunction.evolved: Gaussian profiles and tilts, which the
-flow maps to themselves) evolves exactly; its FlowState carries
-inner_order = 0 and inner_error = 0.0, as at t = 0, and an inner_order
-argument is ignored.  Every other family goes through the quadrature path:
-one quadrature in y gives h(t, .) pointwise, and differentiating under the
-integral gives grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int
-Hess h0(...).  EvolvedDensity wraps this average as a TestFunction for
-v = sqrt(h), which plugs into every functional and certifier unchanged.
-One pass over the inner points serves every average a call needs, and
-nothing is kept between calls; the functionals read each node set once.
-An average over more than MAX_AVERAGE_POINTS outer x inner points raises
-CapacityError before any work.
+evolve, the one entry point, takes one of three paths.
 
-On the quadrature path the inner (y) rule starts at inner_order (default:
-the outer order) and is doubled until its embedded error estimate
-inner_error drops below 1e-9, capped at MAX_ORDER (256); a residual above
-1e-6 at the cap triggers a warning.  mehler_density is the quadrature path
-at a fixed inner order and the reference the closed forms are tested
+1. Closed form.  A family the flow maps to itself (TestFunction.evolved:
+   Gaussian profiles and tilts) evolves to another member of the family.
+2. Exact average.  A family whose averages of h0, grad h0 and Hess h0 have
+   a finite formula (TestFunction.ou_average: d = 1 bumps, and d = 1
+   two_bumps with disjoint lobes, where h0 is a polynomial on intervals)
+   evolves into an EvolvedDensity without an inner rule, which evaluates
+   that formula.
+3. Reference quadrature.  Every other family is averaged over an inner
+   Gauss-Hermite rule in y; differentiating under the integral gives
+   grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int Hess h0(...).
+
+On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
+0.0, as at t = 0, and an inner_order argument is range-checked, then
+ignored.  EvolvedDensity wraps the average of paths 2 and 3 as a
+TestFunction for v = sqrt(h), which plugs into every functional and
+certifier unchanged.  One pass over the inner points serves every average
+a call needs, and nothing is kept between calls; the functionals read each
+node set once.  An average over more than MAX_AVERAGE_POINTS outer x inner
+points raises CapacityError before any work.
+
+On path 3 the inner (y) rule starts at inner_order (default: the outer
+order) and is doubled until its embedded error estimate inner_error drops
+below 1e-9, capped at MAX_ORDER (256); a residual above 1e-6 at the cap
+triggers a warning.  mehler_density is the quadrature path at a fixed
+inner order for every family, and the reference paths 1 and 2 are tested
 against.
 Exact facts checked downstream: mass is conserved, the density first
 moment decays like e^{-t}, the second moment gap like e^{-2t}, dE/dt = -4 I,
@@ -58,18 +66,21 @@ _ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 @dataclass(frozen=True, eq=False)
 class EvolvedDensity(TestFunction):
-    """v = sqrt(h(t, .)) for h evolved from u0^2; evaluates by inner quadrature.
+    """v = sqrt(h(t, .)) for h evolved from u0^2.
 
-    One pass averages every kind a call needs (h, grad h, Hess h), with at
-    most one evaluation of u0's value, gradient and Hessian each.  Nothing
-    is kept between calls: a reader that needs h and grad v on the same
-    points asks density_and_gradient for both, one that needs v, grad v and
-    Hess v asks jet.
+    Without an inner rule (inner = None) h, grad h and Hess h are u0's exact
+    averages (u0.ou_average); with one they come from inner quadrature, the
+    reference every family has.  One pass averages every kind a call needs
+    (h, grad h, Hess h), with at most one evaluation of u0's value, gradient
+    and Hessian each on the quadrature path.  Nothing is kept between
+    calls: a reader that needs h and grad v on the same points asks
+    density_and_gradient for both, one that needs v, grad v and Hess v asks
+    jet.
     """
 
     u0: TestFunction
     t: float
-    inner: QuadratureGrid
+    inner: QuadratureGrid | None = None
     amplitude: float = 1.0
     family = "evolved"
 
@@ -92,6 +103,18 @@ class EvolvedDensity(TestFunction):
 
     def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
         """h, grad h and Hess h of the evolved density at x, one array per kind."""
+        if self.inner is None:
+            exact = self.u0.ou_average(x, self.t, kinds)
+            if exact is None:
+                raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
+            avg = dict(zip(kinds, exact))
+        else:
+            avg = self._quadrature(x, kinds)
+        scale = self.amplitude**2
+        return tuple(scale * math.exp(-_ORDER[kind] * self.t) * avg[kind] for kind in kinds)
+
+    def _quadrature(self, x: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """Inner-rule averages of h0, grad h0 and Hess h0 at x, by kind."""
         pts = _points(x, self.d)
         yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
         if pts.shape[0] * m > MAX_AVERAGE_POINTS:
@@ -110,8 +133,7 @@ class EvolvedDensity(TestFunction):
             for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
                 vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
                 avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
-        scale = self.amplitude**2
-        return tuple(scale * math.exp(-_ORDER[kind] * self.t) * avg[kind] for kind in kinds)
+        return avg
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._average(x, "h")[0]
@@ -165,7 +187,7 @@ class EvolvedDensity(TestFunction):
     def params(self) -> dict:
         return {
             "t": self.t,
-            "inner_order": self.inner.order,
+            "inner_order": 0 if self.inner is None else self.inner.order,
             "initial": self.u0.to_json(),
         }
 
@@ -182,7 +204,8 @@ def mehler_density(
 ) -> TestFunction:
     """Raw evolved function at a fixed inner order; t = 0 returns u0 itself.
 
-    This is the quadrature path for every family, closed forms included.
+    This is the quadrature path for every family, closed forms and exact
+    averages included.
     """
     _check_time(t)
     if t == 0:
@@ -225,13 +248,14 @@ def evolve(
 ) -> FlowState:
     """Evolve u0 to time t and report functionals of the normalized state.
 
-    A family with a closed form (u0.evolved) evolves exactly, with
-    inner_order = 0 and inner_error = 0.0 in the state, and inner_order is
-    ignored.  Any other family is averaged by quadrature: the inner rule
-    starts at inner_order (default: the grid order) and doubles up to
-    MAX_ORDER until the inner_error between it and its embedded coarse rule
-    is at most INNER_TOL; the state records the order used and that error.
-    An inner_order outside 1..MAX_ORDER raises CapacityError on either path.
+    A family with a closed form (u0.evolved) or an exact average
+    (u0.ou_average) evolves exactly, with inner_order = 0 and inner_error =
+    0.0 in the state, and inner_order is ignored.  Any other family is
+    averaged by quadrature: the inner rule starts at inner_order (default:
+    the grid order) and doubles up to MAX_ORDER until the inner_error
+    between it and its embedded coarse rule is at most INNER_TOL; the state
+    records the order used and that error.  An inner_order outside
+    1..MAX_ORDER raises CapacityError on every path.
     """
     _check_time(t)
     if inner_order is not None and not (1 <= inner_order <= MAX_ORDER):
@@ -239,7 +263,11 @@ def evolve(
     inner_err = 0.0
     order = 0
     v_raw = u0 if t == 0 else u0.evolved(t)
-    if v_raw is None:
+    if v_raw is not None:
+        h = v_raw.density(grid.nodes)
+    elif (exact := u0.ou_average(grid.nodes, t, ("h",))) is not None:
+        v_raw, h = EvolvedDensity(u0=u0, t=t), exact[0]
+    else:
         order = inner_order if inner_order is not None else grid.order
         while True:
             v_raw = mehler_density(u0, t, order)
@@ -252,8 +280,6 @@ def evolve(
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
                 stacklevel=2,
             )
-    else:
-        h = v_raw.density(grid.nodes)
     # ||sqrt h||^2 as l2_norm sums it, so that v is normalize(v_raw, grid) bit for bit
     mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
     if mass <= 0:

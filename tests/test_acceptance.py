@@ -203,7 +203,7 @@ def test_criterion_08_compact_support_pipeline(grid1):
         for radius, name in ((1.0, "bump_r1"), (2.0, "bump_r2"), (4.0, "bump_r4")):
             u = corpus.get(name).normalized(grid1)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error")
                 result = compact_improvement_pipeline(u, grid1)
                 rec = verify_compact_support(Figures(u, grid1))
             assert result.status == "verified", name
@@ -256,7 +256,7 @@ def test_criterion_11_certifier_verdicts(grid1):
         for radius in (1.0, 3.0):
             u = normalize(Bump(radius=radius), grid1)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error")
                 cert = compact_improvement_pipeline(u, grid1).certificate
             assert cert.certified, radius
 

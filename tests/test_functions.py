@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ class TestTilt:
         x = np.array([[0.2, -0.3]])
         expect = u.value(x)[0] * np.outer(a, a)
         np.testing.assert_allclose(u.hessian(x)[0], expect, rtol=1e-14)
+
+    def test_log_density_hessian_is_zero(self):
+        # log u^2 is affine; the base formula leaves rounding behind
+        u = Tilt(a=np.array([0.3, -0.4]), c=2.0)
+        x = np.random.default_rng(0).normal(size=(7, 2))
+        np.testing.assert_array_equal(u.hess_log_density(x), np.zeros((7, 2, 2)))
 
 
 class TestAffine:
@@ -241,6 +248,16 @@ NAN = float("nan")
 def test_construction_rejects_non_finite_parameters(make):
     with pytest.raises(LabError):
         make()
+
+
+def test_overflowing_norm_fails_normalization_without_a_warning(grid1):
+    # e^{-40 x} is finite on the nodes, its square is not
+    u = Tilt(a=np.array([40.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert l2_norm(u, grid1) == math.inf
+        with pytest.raises(NormalizationError, match="L2 norm inf"):
+            normalize(u, grid1)
 
 
 def test_nan_values_fail_normalization(grid1):

@@ -111,7 +111,7 @@ class TestAlongTheFlow:
     def test_waiting_time_certifies_bumps(self, grid1, radius):
         u = normalize(Bump(radius=radius), grid1)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error")
             result = compact_improvement_pipeline(u, grid1)
         assert result.t_star == pytest.approx(0.5 * math.log1p(radius**2), rel=1e-15)
         assert result.certificate.certified

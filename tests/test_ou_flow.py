@@ -7,6 +7,7 @@ every initial density, giving family-independent decay laws to test against.
 """
 
 import math
+import random
 import time
 import warnings
 from collections import Counter
@@ -35,7 +36,8 @@ from glslab import (
     q_ode_check,
 )
 from glslab import functionals, ou_flow
-from glslab.functions import Bump
+from glslab.functions import Bump, TwoBumps
+from glslab.logconcavity import _probe_cloud
 from glslab.ou_flow import FLOW_CSV_COLUMNS
 from glslab.stability import t_star_compact
 
@@ -179,7 +181,8 @@ class TestOnePass:
             np.testing.assert_array_equal(mehler_density(u, 0.5, 16)._average(x, kind)[0], want)
 
     def test_quadrature_evolve_repeats_no_average(self, grid1, monkeypatch):
-        # no call averages the same kinds on the same inner rule and node set twice
+        # no call averages the same kinds on the same inner rule and node set
+        # twice; started at order 4, the inner rule doubles once
         calls = Counter()
         original = ou_flow.EvolvedDensity._average
 
@@ -188,8 +191,9 @@ class TestOnePass:
             return original(self, x, *kinds)
 
         monkeypatch.setattr(ou_flow.EvolvedDensity, "_average", counted)
-        state = evolve(corpus.get("bump_r2").normalized(grid1), 0.5, grid1)
-        assert state.inner_order > 0
+        u = corpus.get("hermite_mixed").normalized(grid1)
+        state = evolve(u, 0.5, grid1, inner_order=4)
+        assert state.inner_order == 8
         assert calls and max(calls.values()) == 1, calls
 
     @pytest.mark.parametrize(
@@ -308,6 +312,154 @@ class TestClosedForm:
             np.testing.assert_allclose(s2, 1.0, rtol=2 * np.finfo(float).eps)
 
 
+def _quad_reference(u, x, t):
+    """h, grad h and Hess h of P_t(u^2) at the 1-d points x, for a bump or
+    two_bumps u, each by scipy.integrate.quad in y with the support ends as
+    breakpoints; shape (3, n)."""
+    from scipy import integrate
+
+    if u.family == "bump":
+        lobes, base = [(float(u.center[0]), 1.0)], 0.0
+    else:
+        lobes, base = [(u.separation, u.height), (-u.separation, u.height)], 1.0
+    r, amp = u.radius, u.amplitude
+
+    def jet(z, k):
+        # u, u' and u'' from the lobes height (1 - w^2)_+^2, then h0 = u^2
+        v, g, c = base, 0.0, 0.0
+        for center, height in lobes:
+            w = (z - center) / r
+            if abs(w) < 1.0:
+                q = 1.0 - w * w
+                v += height * q * q
+                g -= 4.0 * height * w * q / r
+                c += height * (12.0 * w * w - 4.0) / r**2
+        v, g, c = amp * v, amp * g, amp * c
+        return (v * v, 2.0 * v * g, 2.0 * (g * g + v * c))[k]
+
+    decay, spread = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+    out = np.empty((3, len(x)))
+    for i, m in enumerate(decay * np.asarray(x)):
+        ends = sorted((c + side * r - m) / spread for c, _ in lobes for side in (-1, 1))
+        lo, hi, inner = (ends[0], ends[-1], ends[1:-1]) if base == 0.0 else (-40.0, 40.0, ends)
+        for k in range(3):
+            def f(y, k=k):
+                return jet(m + spread * y, k) * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+            # grad h and Hess h cross 0: their absolute floor is relative to h
+            floor = 0.0 if k == 0 else 1e-11 * out[0, i]
+            out[k, i] = integrate.quad(
+                f, lo, hi, points=inner or None, epsabs=floor, epsrel=1e-12, limit=200
+            )[0]
+    return out
+
+
+def _exact_cases():
+    """Corpus bumps and two_bumps plus a seeded sample of the workload ranges."""
+    rng = random.Random(11)
+    fns = [corpus.get(n).function() for n in ("bump_r1", "bump_r2", "bump_r4", "two_bumps_wide")]
+    fns += [
+        Bump(radius=rng.uniform(1.0, 4.0), center=np.array([rng.uniform(-0.5, 0.5)]))
+        for _ in range(2)
+    ]
+    fns += [
+        TwoBumps(
+            height=rng.uniform(0.7, 1.5),
+            radius=rng.uniform(1.5, 2.5),
+            separation=rng.uniform(3.5, 5.0),
+        )
+    ]
+    return fns
+
+
+class TestExactAverage:
+    """d = 1 bumps and disjoint two_bumps average exactly along the flow."""
+
+    @staticmethod
+    def _check_against_reference(u, x, t):
+        h, g, hh = u.ou_average(x, t, ("h", "grad", "hess"))
+        g, hh = g[:, 0], hh[:, 0, 0]
+        rh, rg, rhh = _quad_reference(u, x, t)
+        # the probes the certifier keeps
+        on = rh > 1e-10 * rh.max()
+        assert on.sum() > 40
+        assert np.all(np.abs(h - rh)[on] <= 1e-7 * rh[on]), t
+        # a floor of 1e-3 h where grad h crosses 0, above the reference's own
+        scale = np.maximum(np.abs(rg), 1e-3 * rh)
+        assert np.all(np.abs(g - rg)[on] <= 1e-7 * scale[on]), t
+        hess_log = hh[on] / h[on] - (g[on] / h[on]) ** 2
+        ref = rhh[on] / rh[on] - (rg[on] / rh[on]) ** 2
+        assert np.all(np.abs(hess_log - ref) <= 1e-5 * np.maximum(1.0, np.abs(ref))), t
+
+    @pytest.mark.parametrize("u", _exact_cases(), ids=lambda u: u.family)
+    def test_matches_an_independent_reference(self, u, grid1):
+        u = normalize(u, grid1)
+        reach = u.support_radius or u.separation + u.radius
+        x = np.concatenate([grid1.nodes[:, 0], _probe_cloud(1, 64)[:, 0]])
+        for t in (0.5 * t_star_compact(reach), t_star_compact(reach), 0.1):
+            self._check_against_reference(u, x, t)
+
+    @pytest.mark.parametrize(
+        "u",
+        [Bump(radius=0.25), TwoBumps(height=2.0, radius=0.3, separation=1.0)],
+        ids=lambda u: u.family,
+    )
+    def test_windows_narrower_than_the_gaussian_match_the_reference(self, u):
+        # s = sqrt(1 - e^{-2t}) above the radius: the Gauss-Legendre branch
+        x = _probe_cloud(1, 96)[:, 0]
+        for t in (0.3, 1.0, 3.0):
+            assert math.sqrt(-math.expm1(-2.0 * t)) > u.radius
+            self._check_against_reference(u, x, t)
+
+    @pytest.mark.parametrize("name", ["bump_r1", "bump_r2", "bump_r4", "two_bumps_wide"])
+    def test_matches_the_quadrature_within_its_inner_error(self, name, grid1):
+        u = corpus.get(name).normalized(grid1)
+        for t in (0.1, 0.5, 1.0):
+            err, quad = ou_flow._inner_mismatch(mehler_density(u, t, 256), grid1)
+            exact = u.ou_average(grid1.nodes, t, ("h",))[0]
+            assert grid1.weights @ np.abs(exact - quad) <= err, t
+
+    def test_one_call_matches_one_kind_at_a_time(self, grid1):
+        x = _probe_cloud(1, 64)
+        for name in ("bump_r2", "two_bumps_wide"):
+            u = corpus.get(name).normalized(grid1)
+            joint = u.ou_average(x, 0.5, ("h", "grad", "hess"))
+            for kind, want in zip(("h", "grad", "hess"), joint):
+                np.testing.assert_array_equal(u.ou_average(x, 0.5, (kind,))[0], want)
+
+    @pytest.mark.parametrize("name", ["bump_r2", "two_bumps_wide"])
+    def test_evolve_takes_the_exact_path(self, name, grid1):
+        u = corpus.get(name).normalized(grid1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default = evolve(u, 0.5, grid1)
+            explicit = evolve(u, 0.5, grid1, inner_order=4)
+        for st in (default, explicit):
+            assert st.inner_order == 0
+            assert st.inner_error == 0.0
+            assert st.v.inner is None
+            assert st.v.to_json()["params"]["inner_order"] == 0
+        assert explicit.entropy == default.entropy
+        assert explicit.fisher == default.fisher
+        assert abs(l2_norm(default.v, grid1) - 1.0) < 1e-12
+
+    def test_other_cases_keep_the_quadrature_path(self, grid1):
+        x = grid1.nodes
+        touching = TwoBumps(height=1.0, radius=2.0, separation=2.0)
+        assert touching.ou_average(x, 0.5, ("h",)) is not None
+        overlapping = TwoBumps(height=1.0, radius=2.0, separation=1.9)
+        assert overlapping.ou_average(x, 0.5, ("h",)) is None
+        bump_d2 = Bump(radius=2.0, center=np.zeros(2))
+        assert bump_d2.ou_average(np.zeros((1, 2)), 0.5, ("h",)) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            st = evolve(normalize(overlapping, grid1), 0.5, grid1)
+        assert st.inner_order >= 64
+        assert st.inner_error > 0.0
+        with pytest.raises(FlowError, match="no exact average"):
+            ou_flow.EvolvedDensity(u0=overlapping, t=0.5).density(x)
+
+
 class TestCapacity:
     """Averages beyond the point envelope fail before any work."""
 
@@ -388,29 +540,31 @@ class TestDerivativeChecks:
 
 
 class TestInnerRuleAdaptation:
-    """Compactly supported data needs a finer inner rule after evolution."""
+    """Compactly supported data needs a finer inner rule on the quadrature path."""
 
     def test_adaptation_rescues_the_certificate(self, grid1):
+        # a d = 1 bump is log-concave at every t; the quadrature reference at
+        # t* refutes it with the grid's order and certifies it with the doubled rule
         u = corpus.get("bump_r2").normalized(grid1)
         ts = t_star_compact(2.0)
-        st = evolve(u, ts, grid1)
-        assert st.inner_order > 64
-        assert certify(st.v, grid1).certified
+        assert certify(normalize(mehler_density(u, ts, 128), grid1), grid1).certified
         fixed = normalize(mehler_density(u, ts, 64), grid1)
         cert = certify(fixed, grid1)
         assert not cert.certified
         assert cert.min_eigenvalue < -1e-3
 
     def test_warns_when_cap_is_insufficient(self, grid1):
-        u = corpus.get("bump_r1").normalized(grid1)
+        # overlapping lobes have no exact average
+        u = normalize(TwoBumps(height=1.0, radius=1.0, separation=0.5), grid1)
         with pytest.warns(UserWarning, match="inner rule error"):
-            evolve(u, t_star_compact(1.0), grid1)
+            st = evolve(u, 0.3, grid1)
+        assert st.inner_order == 256
 
     @pytest.mark.parametrize("inner_order", [0, -5, 257, 100000])
-    @pytest.mark.parametrize("name", ["bump_r2", "tilt_half"])
+    @pytest.mark.parametrize("name", ["hermite_mixed", "bump_r2", "tilt_half"])
     def test_inner_order_outside_the_envelope_is_rejected(self, grid1, name, inner_order):
-        # on the quadrature path (bump_r2) and the closed-form path (tilt_half),
-        # at t = 0 too, before any work
+        # on the quadrature path (hermite_mixed), the exact-average path
+        # (bump_r2) and the closed-form path (tilt_half), at t = 0 too, before any work
         u = corpus.get(name).normalized(grid1)
         for t in (0.0, 0.5):
             with pytest.raises(CapacityError, match="inner order"):

@@ -286,13 +286,14 @@ class TestManifoldDistance:
 
 
 def test_import_loads_no_scipy_and_search_still_runs():
-    # scipy is imported by minimize_callable alone, on the first search; the
-    # child imports the same glslab as this process, installed or not
+    # scipy is imported by minimize_callable alone, on the first search, and
+    # numpy.polynomial and glslab.windows on first use too; the child imports
+    # the same glslab as this process, installed or not
     root = os.path.dirname(os.path.dirname(glslab.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = """
 import sys, glslab
-loaded = [m for m in sys.modules if m.startswith("scipy")]
+loaded = [m for m in sys.modules if m.startswith(("scipy", "numpy.polynomial", "glslab.windows"))]
 assert not loaded, loaded
 problem = glslab.SearchProblem(
     name="affine", objective="deficit", family="affine", d=1,

@@ -9,6 +9,7 @@ headroom.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -424,9 +425,11 @@ class TestPoincareChain:
 
 class TestCompactPipeline:
     @pytest.mark.parametrize("name,radius", [("bump_r1", 1.0), ("bump_r2", 2.0), ("bump_r4", 4.0)])
-    def test_verified_across_radii(self, grid1, name, radius, recwarn):
+    def test_verified_across_radii(self, grid1, name, radius):
         u = corpus.get(name).normalized(grid1)
-        result = compact_improvement_pipeline(u, grid1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = compact_improvement_pipeline(u, grid1)
         assert result.status == "verified"
         assert result.support_radius == radius
         assert result.t_star == pytest.approx(t_star_compact(radius), rel=1e-15)
