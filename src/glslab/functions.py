@@ -1,11 +1,18 @@
 """Parametric test functions u with closed-form derivatives.
 
-Each family evaluates u, grad u and Hess u on batches of points and knows
-how to rescale itself, so normalization never leaves the family.  The
-associated probability density is u^2 dgamma (after normalization); the
-log-density Hessian used by the log-concavity certifier is
+Each family implements one evaluation method, jet(x, order), which returns
+u, grad u and Hess u on a batch of points up to the given order and
+computes nothing beyond it; value, density and density_and_gradient read
+it.  Each family also knows how to rescale itself, so normalization never
+leaves the family.  The associated probability density is h = u^2 dgamma
+(after normalization); the log-density Hessian used by the log-concavity
+certifier is
 
-    Hess log(u^2) = 2 (Hess u / u - (grad u / u) (x) (grad u / u)).
+    Hess log(u^2) = 2 (Hess u / u - (grad u / u) (x) (grad u / u)),
+
+which density_and_hess_log forms from one jet on the support
+h > SUPPORT_THRESHOLD max h (tilts and Gaussian profiles know it in closed
+form).
 
 Families that can vanish (affine, hermite) are admitted only when strictly
 positive on the reference hull |x|_inf <= 3; operations that divide by u
@@ -33,6 +40,8 @@ from .measure import QuadratureGrid
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
+# density_and_hess_log's support: h > SUPPORT_THRESHOLD max h
+SUPPORT_THRESHOLD = 1e-10
 FAMILY_TAGS = ("tilt", "affine", "gaussian", "bump", "hermite", "two_bumps")
 
 
@@ -77,20 +86,26 @@ def _hull_probes(d: int, radius: float = POSITIVITY_HULL) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _support(values: np.ndarray, floor: float) -> np.ndarray:
+    """The mask values > floor max(values), a relative support cut."""
+    return values > floor * max(float(values.max()), 1e-300)
+
+
 class TestFunction:
-    """Base interface: value, gradient, hessian on (n, d) point batches."""
+    """Base interface: jet(x, order) on (n, d) point batches.
+
+    A family implements jet and with_scale, and optionally evolved or
+    ou_average; value, density, density_and_gradient and
+    density_and_hess_log read one jet.
+    """
 
     d: int
     family: str
     support_radius: float | None = None
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """The first order + 1 (order = 0, 1 or 2) of u, grad u and Hess u at x,
+        shapes (n,), (n, d) and (n, d, d); nothing beyond order is computed."""
         raise NotImplementedError
 
     def with_scale(self, c: float) -> "TestFunction":
@@ -110,24 +125,26 @@ class TestFunction:
         family without them.  t is finite and positive."""
         return None
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 0)[0]
+
     def density(self, x: np.ndarray) -> np.ndarray:
         return self.value(x) ** 2
 
     def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u^2 and grad u at x, for readers that need both on one node set."""
-        return self.value(x) ** 2, self.gradient(x)
+        u, grad = self.jet(x, 1)
+        return u**2, grad
 
-    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """u, grad u and Hess u at x, for readers that need all three on one node set."""
-        return self.value(x), self.gradient(x), self.hessian(x)
-
-    def hess_log_density(self, x: np.ndarray) -> np.ndarray:
-        """Hess log(u^2) where u > 0; caller is responsible for masking."""
-        u = self.value(x)
-        g = self.gradient(x)
-        h = self.hessian(x)
-        gu = g / u[:, None]
-        return 2.0 * (h / u[:, None, None] - gu[:, :, None] * gu[:, None, :])
+    def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h = u^2 at every point of x, the support mask h > SUPPORT_THRESHOLD
+        max h, and Hess log h on the masked points only, shape (mask.sum(), d, d)."""
+        u, g, hess = self.jet(x)
+        h = u**2
+        mask = _support(h, SUPPORT_THRESHOLD)
+        u = u[mask]
+        gu = g[mask] / u[:, None]
+        return h, mask, 2.0 * (hess[mask] / u[:, None, None] - gu[:, :, None] * gu[:, None, :])
 
     def params(self) -> dict:
         """The constructor fields other than d."""
@@ -153,24 +170,21 @@ class Tilt(TestFunction):
         if not self.c > 0:
             raise PositivityError(f"tilt amplitude must be positive, got {self.c}")
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
-        return self.c * np.exp(-x @ self.a)
+        u = self.c * np.exp(-x @ self.a)
+        if order == 0:
+            return (u,)
+        grad = -u[:, None] * self.a[None, :]
+        if order == 1:
+            return u, grad
+        return u, grad, u[:, None, None] * np.outer(self.a, self.a)[None, :, :]
 
-    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = self.value(x)
-        return u**2, -u[:, None] * self.a[None, :]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.density_and_gradient(x)[1]
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.value(x)[:, None, None] * np.outer(self.a, self.a)[None, :, :]
-
-    def hess_log_density(self, x: np.ndarray) -> np.ndarray:
+    def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log u^2 = 2 log c - 2 a . x is affine
-        x = _points(x, self.d)
-        return np.zeros((x.shape[0], self.d, self.d))
+        h = self.density(x)
+        mask = _support(h, SUPPORT_THRESHOLD)
+        return h, mask, np.zeros((int(mask.sum()), self.d, self.d))
 
     def with_scale(self, c: float) -> "Tilt":
         return replace(self, a=self.a, c=self.c * c)
@@ -210,18 +224,16 @@ class Affine(TestFunction):
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
-        return self.amplitude * (1.0 + self.eps * (x @ self.nu))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        g = np.broadcast_to(self.amplitude * self.eps * self.nu, (x.shape[0], self.d))
-        return np.array(g, dtype=float)
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        return np.zeros((x.shape[0], self.d, self.d))
+        u = self.amplitude * (1.0 + self.eps * (x @ self.nu))
+        if order == 0:
+            return (u,)
+        n = x.shape[0]
+        grad = np.array(np.broadcast_to(self.amplitude * self.eps * self.nu, (n, self.d)))
+        if order == 1:
+            return u, grad
+        return u, grad, np.zeros((n, self.d, self.d))
 
     def with_scale(self, c: float) -> "Affine":
         return replace(self, amplitude=self.amplitude * c)
@@ -257,38 +269,26 @@ class GaussianProfile(TestFunction):
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def _log_u(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        x = _points(x, self.d)
         s2, b = self.sigma2, self.mean
-        return (-0.25 * (x - b) ** 2 / s2 + 0.25 * x**2).sum(axis=1) - 0.25 * np.log(
-            s2
-        ).sum()
+        log_u = (-0.25 * (x - b) ** 2 / s2 + 0.25 * x**2).sum(axis=1) - 0.25 * np.log(s2).sum()
+        u = self.amplitude * np.exp(log_u)
+        if order == 0:
+            return (u,)
+        grad_log = -0.5 * (x - b) / s2 + 0.5 * x
+        grad = u[:, None] * grad_log
+        if order == 1:
+            return u, grad
+        curv = np.diag(0.5 - 0.5 / s2)
+        outer = grad_log[:, :, None] * grad_log[:, None, :]
+        return u, grad, u[:, None, None] * (outer + curv[None, :, :])
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        return self.amplitude * np.exp(self._log_u(x))
-
-    def _grad_log(self, x: np.ndarray) -> np.ndarray:
-        return -0.5 * (x - self.mean) / self.sigma2 + 0.5 * x
-
-    def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = _points(x, self.d)
-        u = self.value(x)
-        return u**2, u[:, None] * self._grad_log(x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.density_and_gradient(x)[1]
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        u = self.value(x)
-        g = self._grad_log(x)
-        curv = np.diag(0.5 - 0.5 / self.sigma2)
-        return u[:, None, None] * (g[:, :, None] * g[:, None, :] + curv[None, :, :])
-
-    def hess_log_density(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
+    def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h = self.density(x)
+        mask = _support(h, SUPPORT_THRESHOLD)
         curv = np.diag(1.0 - 1.0 / self.sigma2)
-        return np.broadcast_to(curv, (x.shape[0], self.d, self.d)).copy()
+        return h, mask, np.broadcast_to(curv, (int(mask.sum()), self.d, self.d)).copy()
 
     def with_scale(self, c: float) -> "GaussianProfile":
         return replace(self, amplitude=self.amplitude * c)
@@ -324,29 +324,20 @@ class Bump(TestFunction):
             raise PositivityError("amplitude must be positive")
         object.__setattr__(self, "support_radius", self.radius + float(np.linalg.norm(center)))
 
-    def _q(self, x: np.ndarray) -> np.ndarray:
-        return ((x - self.center) ** 2).sum(axis=1) / self.radius**2
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        q = self._q(x)
-        return self.amplitude * np.where(q < 1.0, (1.0 - q) ** 2, 0.0)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        q = self._q(x)
-        coeff = np.where(q < 1.0, -4.0 * (1.0 - q) / self.radius**2, 0.0)
-        return self.amplitude * coeff[:, None] * (x - self.center)
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        q = self._q(x)
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        z = _points(x, self.d) - self.center
+        q = (z**2).sum(axis=1) / self.radius**2
         inside = q < 1.0
-        z = x - self.center
-        eye = np.eye(self.d)
-        first = (-4.0 * (1.0 - q) / self.radius**2)[:, None, None] * eye[None, :, :]
+        u = self.amplitude * np.where(inside, (1.0 - q) ** 2, 0.0)
+        if order == 0:
+            return (u,)
+        slope = -4.0 * (1.0 - q) / self.radius**2
+        grad = self.amplitude * np.where(inside, slope, 0.0)[:, None] * z
+        if order == 1:
+            return u, grad
+        first = slope[:, None, None] * np.eye(self.d)[None, :, :]
         second = (8.0 / self.radius**4) * z[:, :, None] * z[:, None, :]
-        return self.amplitude * np.where(inside[:, None, None], first + second, 0.0)
+        return u, grad, self.amplitude * np.where(inside[:, None, None], first + second, 0.0)
 
     def with_scale(self, c: float) -> "Bump":
         return replace(self, amplitude=self.amplitude * c)
@@ -404,36 +395,31 @@ class HermiteExpansion(TestFunction):
     def _kmax(self) -> int:
         return max((max(alpha) for alpha, _ in self.terms), default=0)
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
+        n = x.shape[0]
         table = _hermite_table(x, self._kmax)  # (k, n, d)
-        out = np.zeros(x.shape[0])
+        u = np.zeros(n)
         for alpha, coeff in self.terms:
-            term = np.full(x.shape[0], coeff)
+            term = np.full(n, coeff)
             for axis, k in enumerate(alpha):
                 term = term * table[k, :, axis]
-            out += term
-        return out
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        table = _hermite_table(x, self._kmax)
-        out = np.zeros((x.shape[0], self.d))
+            u += term
+        if order == 0:
+            return (u,)
+        grad = np.zeros((n, self.d))
         for alpha, coeff in self.terms:
             for j, kj in enumerate(alpha):
                 if kj == 0:
                     continue
                 # He_k' = k He_{k-1}
-                term = np.full(x.shape[0], coeff * kj)
+                term = np.full(n, coeff * kj)
                 for axis, k in enumerate(alpha):
                     term = term * table[k - 1 if axis == j else k, :, axis]
-                out[:, j] += term
-        return out
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        table = _hermite_table(x, self._kmax)
-        out = np.zeros((x.shape[0], self.d, self.d))
+                grad[:, j] += term
+        if order == 1:
+            return u, grad
+        hess = np.zeros((n, self.d, self.d))
         for alpha, coeff in self.terms:
             for j in range(self.d):
                 for l in range(j, self.d):
@@ -448,13 +434,13 @@ class HermiteExpansion(TestFunction):
                             continue
                         factor = coeff * kj * kl
                         drop = {j: 1, l: 1}
-                    term = np.full(x.shape[0], factor)
+                    term = np.full(n, factor)
                     for axis, k in enumerate(alpha):
                         term = term * table[k - drop.get(axis, 0), :, axis]
-                    out[:, j, l] += term
+                    hess[:, j, l] += term
                     if j != l:
-                        out[:, l, j] += term
-        return out
+                        hess[:, l, j] += term
+        return u, grad, hess
 
     def with_scale(self, c: float) -> "HermiteExpansion":
         scaled = tuple((alpha, coeff * c) for alpha, coeff in self.terms)
@@ -494,20 +480,11 @@ class TwoBumps(TestFunction):
             Bump(radius=self.radius, center=-offset, amplitude=self.height),
         )
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
-        right, left = self._lobes()
-        return self.amplitude * (1.0 + right.value(x) + left.value(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        right, left = self._lobes()
-        return self.amplitude * (right.gradient(x) + left.gradient(x))
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = _points(x, self.d)
-        right, left = self._lobes()
-        return self.amplitude * (right.hessian(x) + left.hessian(x))
+        right, left = (lobe.jet(x, order) for lobe in self._lobes())
+        u = self.amplitude * (1.0 + right[0] + left[0])
+        return (u,) + tuple(self.amplitude * (r + l) for r, l in zip(right[1:], left[1:]))
 
     def with_scale(self, c: float) -> "TwoBumps":
         return replace(self, amplitude=self.amplitude * c)

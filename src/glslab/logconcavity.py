@@ -7,7 +7,10 @@ Log-concavity of h dgamma with h = u^2 is equivalent to
 so the certifier samples M on the quadrature nodes plus a deterministic
 low-discrepancy cloud in the box |x|_inf <= 6 (the unscrambled Halton
 sequence, computed by radical inverse), masks points with
-h <= 1e-10 max h, and inspects the smallest eigenvalue.  Verdicts:
+h <= 1e-10 max h, and inspects the smallest eigenvalue.  One
+density_and_hess_log call reads each probe once: it returns h on every
+probe and Hess log h on the active ones only, from which M is formed in
+place.  Verdicts:
 
     certified     min eig >= -tol        with tol = 1e-8 max(1, scale)
     refuted       min eig <  -10 tol
@@ -25,11 +28,10 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import QuadratureGrid
-from .functions import Record, TestFunction
+from .functions import SUPPORT_THRESHOLD, Record, TestFunction
 from .ou_flow import FlowState, evolve
 
 PROBE_RADIUS = 6.0
-SUPPORT_THRESHOLD = 1e-10
 BASE_TOLERANCE = 1e-8
 HALTON_BASES = (2, 3, 5)
 
@@ -75,9 +77,8 @@ def certify(
     elif n_probes < 0:
         raise DomainError(f"number of probes must be nonnegative, got {n_probes}")
     probes = np.vstack([grid.nodes, _probe_cloud(d, n_probes)])
-    h = u.density(probes)
+    h, active, hess_log = u.density_and_hess_log(probes)
     threshold = SUPPORT_THRESHOLD * max(float(h.max()), 1e-300)
-    active = h > threshold
     if not active.any():
         return LogConcavityCertificate(
             status="inconclusive",
@@ -89,7 +90,8 @@ def certify(
             tolerance=BASE_TOLERANCE,
         )
     pts = probes[active]
-    curv = np.eye(d)[None, :, :] - u.hess_log_density(pts)
+    # M = I - Hess log h, formed in place
+    curv = np.subtract(np.eye(d), hess_log, out=hess_log)
     eigs = np.linalg.eigvalsh(curv)
     mins = eigs[:, 0]
     scale = max(1.0, float(np.abs(eigs).max()))

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CapacityError, FlowError
 from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import TestFunction, _points
+from .functions import SUPPORT_THRESHOLD, TestFunction, _points, _support
 from .functionals import FunctionalReport, IdentityResult, report
 
 INNER_TOL = 1e-9
@@ -64,6 +64,31 @@ STENCIL_DT = 1e-3
 _ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
+def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """v = sqrt h, then grad v and Hess v for as many of grad h, Hess h as given:
+
+        grad v = grad h / (2 sqrt h),
+        Hess v = Hess h / (2 sqrt h) - grad h (x) grad h / (4 h^1.5)
+
+    on the support h > _MASK_FLOOR max h, and 0 off it."""
+    out = [np.sqrt(np.maximum(h, 0.0))]
+    if not derivs:
+        return tuple(out)
+    mask = _support(h, _MASK_FLOOR)
+    hm = h[mask]
+    ghm = derivs[0][mask]
+    grad = np.zeros_like(derivs[0])
+    grad[mask] = ghm / (2.0 * np.sqrt(hm))[:, None]
+    out.append(grad)
+    if len(derivs) == 2:
+        hess = np.zeros_like(derivs[1])
+        hess[mask] = derivs[1][mask] / (2.0 * np.sqrt(hm))[:, None, None] - (
+            ghm[:, :, None] * ghm[:, None, :]
+        ) / (4.0 * hm**1.5)[:, None, None]
+        out.append(hess)
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class EvolvedDensity(TestFunction):
     """v = sqrt(h(t, .)) for h evolved from u0^2.
@@ -71,11 +96,10 @@ class EvolvedDensity(TestFunction):
     Without an inner rule (inner = None) h, grad h and Hess h are u0's exact
     averages (u0.ou_average); with one they come from inner quadrature, the
     reference every family has.  One pass averages every kind a call needs
-    (h, grad h, Hess h), with at most one evaluation of u0's value, gradient
-    and Hessian each on the quadrature path.  Nothing is kept between
-    calls: a reader that needs h and grad v on the same points asks
-    density_and_gradient for both, one that needs v, grad v and Hess v asks
-    jet.
+    (h, grad h, Hess h), with one evaluation of u0's jet per chunk of inner
+    points on the quadrature path.  Nothing is kept between calls: jet(x,
+    order) reads one average of the kinds up to order, density reads h alone,
+    density_and_gradient h and grad h, and density_and_hess_log all three.
     """
 
     u0: TestFunction
@@ -90,16 +114,15 @@ class EvolvedDensity(TestFunction):
         object.__setattr__(self, "d", self.u0.d)
 
     def _integrands(self, z: np.ndarray, kinds: list[str]):
-        """h0, grad h0 and Hess h0 at z, for those of them in kinds."""
-        u = self.u0.value(z)
+        """h0, grad h0 and Hess h0 at z, for those of them in kinds (in pass order)."""
+        u, *derivs = self.u0.jet(z, _ORDER[kinds[-1]])
         if "h" in kinds:
             yield u**2
-        if kinds != ["h"]:
-            g = self.u0.gradient(z)
         if "grad" in kinds:
-            yield 2.0 * u[:, None] * g
+            yield 2.0 * u[:, None] * derivs[0]
         if "hess" in kinds:
-            yield 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * self.u0.hessian(z))
+            g, hess = derivs
+            yield 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
 
     def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
         """h, grad h and Hess h of the evolved density at x, one array per kind."""
@@ -135,51 +158,21 @@ class EvolvedDensity(TestFunction):
                 avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
         return avg
 
+    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        return _root_jet(*self._average(x, *list(_ORDER)[: order + 1]))
+
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._average(x, "h")[0]
 
-    def _mask(self, h: np.ndarray) -> np.ndarray:
-        return h > _MASK_FLOOR * max(float(h.max()), 1e-300)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self.density(x), 0.0))
-
-    def _gradient(self, h: np.ndarray, gh: np.ndarray) -> np.ndarray:
-        """grad v = grad h / (2 sqrt h) on the support, 0 off it."""
-        out = np.zeros_like(gh)
-        mask = self._mask(h)
-        out[mask] = gh[mask] / (2.0 * np.sqrt(h[mask]))[:, None]
-        return out
-
     def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h, gh = self._average(x, "h", "grad")
-        return h, self._gradient(h, gh)
+        return h, _root_jet(h, gh)[1]
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.density_and_gradient(x)[1]
-
-    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """v, grad v and Hess v from one average of h, grad h and Hess h."""
+    def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h, gh, hh = self._average(x, "h", "grad", "hess")
-        hess = np.zeros_like(hh)
-        mask = self._mask(h)
-        hm = h[mask]
-        ghm = gh[mask]
-        hess[mask] = hh[mask] / (2.0 * np.sqrt(hm))[:, None, None] - (
-            ghm[:, :, None] * ghm[:, None, :]
-        ) / (4.0 * hm**1.5)[:, None, None]
-        return np.sqrt(np.maximum(h, 0.0)), self._gradient(h, gh), hess
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.jet(x)[2]
-
-    def hess_log_density(self, x: np.ndarray) -> np.ndarray:
-        h, gh, hh = self._average(x, "h", "grad", "hess")
-        out = np.zeros_like(hh)
-        mask = self._mask(h)
+        mask = _support(h, SUPPORT_THRESHOLD)
         gl = gh[mask] / h[mask, None]
-        out[mask] = hh[mask] / h[mask, None, None] - gl[:, :, None] * gl[:, None, :]
-        return out
+        return h, mask, hh[mask] / h[mask, None, None] - gl[:, :, None] * gl[:, None, :]
 
     def with_scale(self, c: float) -> "EvolvedDensity":
         return replace(self, amplitude=self.amplitude * c)
@@ -380,7 +373,7 @@ def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> float:
     """-2 int || Hess v - (grad v (x) grad v) / v ||_F^2 dgamma on the support."""
     x = grid.nodes
     vals, g, hess = v.jet(x)
-    mask = vals > _MASK_FLOOR * max(float(vals.max()), 1e-300)
+    mask = _support(vals, _MASK_FLOOR)
     defect = np.zeros_like(hess)
     defect[mask] = hess[mask] - (g[mask][:, :, None] * g[mask][:, None, :]) / vals[
         mask, None, None

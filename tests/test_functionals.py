@@ -100,17 +100,16 @@ class TestReport:
     def test_reads_each_node_set_once(self, grid1, monkeypatch):
         u = corpus.get("bump_r2").normalized(grid1)
         calls = Counter()
-        for name in ("value", "gradient"):
-            original = getattr(Bump, name)
+        original = Bump.jet
 
-            def counted(self, x, _name=name, _original=original):
-                calls[(_name, len(x))] += 1
-                return _original(self, x)
+        def counted(self, x, order=2):
+            calls[(order, len(x))] += 1
+            return original(self, x, order)
 
-            monkeypatch.setattr(Bump, name, counted)
+        monkeypatch.setattr(Bump, "jet", counted)
         report(u, grid1)
         fine, coarse = grid1.n_points, grid1.coarse.n_points
-        assert calls == {(m, n): 1 for m in ("value", "gradient") for n in (fine, coarse)}
+        assert calls == {(1, fine): 1, (1, coarse): 1}
 
     @pytest.mark.parametrize(
         "u, grad_over_u",
@@ -132,12 +131,13 @@ class TestReport:
         assert np.array_equal(h, value(u, x) ** 2)
         assert np.array_equal(grad, value(u, x)[:, None] * grad_over_u(u, x))
         calls = Counter()
+        jet = type(u).jet
 
-        def counted(self, x):
+        def counted(self, x, order=2):
             calls[len(x)] += 1
-            return value(self, x)
+            return jet(self, x, order)
 
-        monkeypatch.setattr(type(u), "value", counted)
+        monkeypatch.setattr(type(u), "jet", counted)
         report(u, grid2)
         assert calls == {grid2.n_points: 1, grid2.coarse.n_points: 1}
 
@@ -204,6 +204,40 @@ class TestIdentities:
         assert r.lhs == pytest.approx(0.09 * 2 + 0.0, rel=1e-10) or r.lhs > 0
         assert abs(r.residual) <= 1e-10 * max(1.0, abs(r.lhs))
         del u
+
+
+class TestOneJetPerNodeSet:
+    @pytest.mark.parametrize(
+        "reader", [report, bochner_identity, pressure_integrals], ids=lambda f: f.__name__
+    )
+    def test_tilt_jet_and_its_exponential_run_once_per_node_set(self, grid2, reader, monkeypatch):
+        u = normalize(Tilt(a=np.array([0.4, -0.3])), grid2)
+        calls, exps = Counter(), Counter()
+        jet, exp = Tilt.jet, np.exp
+
+        def counted_jet(self, x, order=2):
+            calls[(order, len(x))] += 1
+            return jet(self, x, order)
+
+        def counted_exp(*args, **kwargs):
+            exps[len(args[0])] += 1
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(Tilt, "jet", counted_jet)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        reader(u, grid2)
+        fine, coarse = grid2.n_points, grid2.coarse.n_points
+        order = 1 if reader is report else 2
+        want = Counter({(order, fine): 1, (order, coarse): 1})
+        if reader is pressure_integrals:
+            # h on the fine nodes for the unit-norm check and the moment gap
+            want[(0, fine)] = 1
+        assert calls == want
+        # one exponential per jet, whatever its order
+        jets_per_set = Counter()
+        for (_, n), k in calls.items():
+            jets_per_set[n] += k
+        assert exps == jets_per_set
 
 
 class TestPressure:

@@ -8,17 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 from glslab import (
     Affine,
     Bump,
+    EvolvedDensity,
     GaussianProfile,
     HermiteExpansion,
     LabError,
     NormalizationError,
     PositivityError,
+    TestFunction,
     Tilt,
     TwoBumps,
     build_function,
     center_mass,
     first_moment,
     l2_norm,
+    mehler_density,
     normalize,
     second_moment_gap,
 )
@@ -57,13 +60,16 @@ class TestTilt:
         u = Tilt(a=a)
         x = np.array([[0.2, -0.3]])
         expect = u.value(x)[0] * np.outer(a, a)
-        np.testing.assert_allclose(u.hessian(x)[0], expect, rtol=1e-14)
+        np.testing.assert_allclose(u.jet(x)[2][0], expect, rtol=1e-14)
 
     def test_log_density_hessian_is_zero(self):
         # log u^2 is affine; the base formula leaves rounding behind
         u = Tilt(a=np.array([0.3, -0.4]), c=2.0)
         x = np.random.default_rng(0).normal(size=(7, 2))
-        np.testing.assert_array_equal(u.hess_log_density(x), np.zeros((7, 2, 2)))
+        h, mask, hess_log = u.density_and_hess_log(x)
+        np.testing.assert_array_equal(h, u.value(x) ** 2)
+        assert mask.all()
+        np.testing.assert_array_equal(hess_log, np.zeros((7, 2, 2)))
 
 
 class TestAffine:
@@ -128,7 +134,7 @@ class TestBump:
 
     def test_gradient_vanishes_at_edge(self):
         u = Bump(radius=1.5)
-        g = u.gradient(np.array([[1.5 - 1e-9], [1.5 + 1e-9]]))
+        g = u.jet(np.array([[1.5 - 1e-9], [1.5 + 1e-9]]), 1)[1]
         np.testing.assert_allclose(g, 0.0, atol=1e-8)
 
     def test_offcenter_support_radius(self):
@@ -169,8 +175,9 @@ class TestHermiteExpansion:
         x = np.array([[1.5, -0.5]])
         assert u.value(x)[0] == pytest.approx(1.0 + 0.05 * 1.5 * (-0.5), rel=1e-14)
         # d/dx1 of He1(x1) He1(x2) is He1(x2)
-        np.testing.assert_allclose(u.gradient(x)[0], [0.05 * (-0.5), 0.05 * 1.5], rtol=1e-14)
-        np.testing.assert_allclose(u.hessian(x)[0], [[0.0, 0.05], [0.05, 0.0]], atol=1e-14)
+        _, grad, hess = u.jet(x)
+        np.testing.assert_allclose(grad[0], [0.05 * (-0.5), 0.05 * 1.5], rtol=1e-14)
+        np.testing.assert_allclose(hess[0], [[0.0, 0.05], [0.05, 0.0]], atol=1e-14)
 
 
 class TestTwoBumps:
@@ -182,6 +189,58 @@ class TestTwoBumps:
     def test_strictly_positive_everywhere(self, grid1):
         u = TwoBumps(height=1.0, radius=2.0, separation=4.0)
         assert u.value(grid1.nodes).min() >= 1.0 * u.amplitude
+
+
+def _jet_cases():
+    bump, hermite = Bump(radius=2.0), _sample_functions()[6]
+    return _sample_functions() + [
+        HermiteExpansion(terms=(((0, 0), 1.0), ((1, 1), 0.05), ((2, 0), 0.1)), d=2),
+        Bump(radius=1.5, center=np.array([0.2, -0.1])),
+        TwoBumps(height=1.0, radius=1.0, separation=1.5, d=2),
+        EvolvedDensity(u0=bump, t=0.3),
+        EvolvedDensity(u0=TwoBumps(height=1.0, radius=2.0, separation=4.0), t=0.3),
+        mehler_density(bump, 0.3, 16),
+        mehler_density(hermite, 0.3, 16),
+        mehler_density(Tilt(a=np.array([0.3, -0.5])), 0.3, 8),
+    ]
+
+
+def _case_id(u):
+    if isinstance(u, EvolvedDensity):
+        path = "exact" if u.inner is None else "quadrature"
+        return f"evolved_{u.u0.family}_d{u.d}_{path}"
+    return f"{u.family}_d{u.d}"
+
+
+@pytest.mark.parametrize("u", _jet_cases(), ids=_case_id)
+def test_lower_order_jets_are_the_leading_arrays_of_the_full_jet(u):
+    # points inside and outside every support, edges included
+    x = np.linspace(-4.0, 4.0, 33)[:, None] + np.linspace(0.0, 0.3, u.d)[None, :]
+    full = u.jet(x)
+    assert [a.shape for a in full] == [(33,), (33, u.d), (33, u.d, u.d)]
+    assert all(a.dtype == float for a in full)
+    for order in (0, 1):
+        part = u.jet(x, order)
+        assert len(part) == order + 1
+        for got, want in zip(part, full):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(u.value(x), full[0])
+
+
+def test_families_evaluate_through_jet_alone():
+    evaluators = {
+        "value", "gradient", "hessian", "density", "density_and_gradient",
+        "hess_log_density", "density_and_hess_log", "jet",
+    }
+    assert {type(u) for u in _jet_cases()} == set(TestFunction.__subclasses__())
+    for cls in TestFunction.__subclasses__():
+        if cls is EvolvedDensity:
+            continue
+        closed_form = {"density_and_hess_log"} if cls in (Tilt, GaussianProfile) else set()
+        assert evaluators & vars(cls).keys() == {"jet"} | closed_form, cls
+    for name in ("gradient", "hessian", "hess_log_density"):
+        assert not hasattr(TestFunction, name)
+        assert not hasattr(EvolvedDensity, name)
 
 
 def test_json_round_trip_preserves_values(grid1, grid2):
@@ -293,7 +352,7 @@ def test_gradient_matches_finite_differences(idx, seed):
     x = rng.uniform(-2.0, 2.0, size=(1, u.d))
     assume(_clear_of_support_edges(u, x[0]))
     h = 1e-6
-    grad = u.gradient(x)[0]
+    grad = u.jet(x, 1)[1][0]
     for j in range(u.d):
         step = np.zeros((1, u.d))
         step[0, j] = h
@@ -309,11 +368,11 @@ def test_hessian_matches_gradient_differences(idx, seed):
     x = rng.uniform(-2.0, 2.0, size=(1, u.d))
     assume(_clear_of_support_edges(u, x[0]))
     h = 1e-6
-    hess = u.hessian(x)[0]
+    hess = u.jet(x)[2][0]
     for j in range(u.d):
         step = np.zeros((1, u.d))
         step[0, j] = h
-        fd = (u.gradient(x + step)[0] - u.gradient(x - step)[0]) / (2 * h)
+        fd = (u.jet(x + step, 1)[1][0] - u.jet(x - step, 1)[1][0]) / (2 * h)
         np.testing.assert_allclose(hess[:, j], fd, rtol=2e-4, atol=2e-6)
 
 

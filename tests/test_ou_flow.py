@@ -121,7 +121,7 @@ class TestSemigroup:
         x = np.linspace(-2, 2, 9)
         np.testing.assert_allclose(v.with_scale(2.0).value(x), 2.0 * v.value(x), rtol=1e-14)
         np.testing.assert_allclose(
-            v.with_scale(3.0).hessian(x), 3.0 * v.hessian(x), rtol=1e-12, atol=1e-300
+            v.with_scale(3.0).jet(x)[2], 3.0 * v.jet(x)[2], rtol=1e-12, atol=1e-300
         )
 
 
@@ -151,25 +151,51 @@ def _order16(name):
     return entry.normalized(grid), grid.nodes
 
 
-_METHODS = ("density", "gradient", "hessian", "hess_log_density")
+def _readings(v, x):
+    """Every array v's evaluation methods return at x: density, jet and
+    density_and_hess_log."""
+    return [v.density(x), *v.jet(x), *v.density_and_hess_log(x)]
 
 
 class TestOnePass:
     """One pass over the inner points serves every kind of average a call needs."""
 
     def test_each_derivative_of_u0_is_evaluated_once(self, grid1, monkeypatch):
+        # one jet of u0 per chunk, to the highest order the kinds need
         v = mehler_density(corpus.get("bump_r2").normalized(grid1), 0.5)
         calls = Counter()
-        for name in ("value", "gradient", "hessian"):
-            original = getattr(Bump, name)
+        original = Bump.jet
 
-            def counted(self, x, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, x)
+        def counted(self, x, order=2):
+            calls[order] += 1
+            return original(self, x, order)
 
-            monkeypatch.setattr(Bump, name, counted)
-        v.hess_log_density(np.linspace(-3.0, 3.0, 13)[:, None])
-        assert calls == {"value": 1, "gradient": 1, "hessian": 1}
+        monkeypatch.setattr(Bump, "jet", counted)
+        x = np.linspace(-3.0, 3.0, 13)[:, None]
+        v.density_and_hess_log(x)
+        assert calls == {2: 1}
+        for kinds, order in [(("h",), 0), (("grad",), 1), (("h", "grad"), 1), (("hess",), 2)]:
+            calls.clear()
+            v._average(x, *kinds)
+            assert calls == {order: 1}, kinds
+
+    def test_tilt_jet_runs_once_per_average(self, monkeypatch):
+        u, x = _order16("tilt_d2")
+        calls = Counter()
+        original = Tilt.jet
+
+        def counted(self, x, order=2):
+            calls[(order, len(x))] += 1
+            return original(self, x, order)
+
+        monkeypatch.setattr(Tilt, "jet", counted)
+        v = mehler_density(u, 0.5, 16)
+        m = v.inner.n_points
+        v._average(x, "h", "grad", "hess")
+        assert calls == {(2, len(x) * m): 1}
+        calls.clear()
+        v.density_and_gradient(x)
+        assert calls == {(1, len(x) * m): 1}
 
     @pytest.mark.parametrize(
         "name", [e.name for e in corpus.entries() if e.d == 1] + ["tilt_d2"]
@@ -231,14 +257,13 @@ class TestOnePass:
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):
         u, x = _order16(name)
         kinds = ("h", "grad", "hess")
-        whole = {m: getattr(mehler_density(u, 0.5, 16), m)(x) for m in _METHODS}
-        whole.update({k: mehler_density(u, 0.5, 16)._average(x, k)[0] for k in kinds})
+        readings = _readings(mehler_density(u, 0.5, 16), x)
+        whole = {k: mehler_density(u, 0.5, 16)._average(x, k)[0] for k in kinds}
         # eight outer points per chunk, whole blocks of the rows BLAS sums
         # together: the same bits as one chunk
         monkeypatch.setattr(ou_flow, "_POINT_BUDGET", 8 * 16**u.d)
-        for method in _METHODS:
-            chunked = getattr(mehler_density(u, 0.5, 16), method)(x)
-            np.testing.assert_array_equal(chunked, whole[method])
+        for chunked, want in zip(_readings(mehler_density(u, 0.5, 16), x), readings, strict=True):
+            np.testing.assert_array_equal(chunked, want)
         # BLAS sums the rows of a matrix-vector product in blocks (of four
         # here) and the remainder rows in another order, so ragged chunks of
         # three points change the averages by rounding only
@@ -260,15 +285,14 @@ class TestClosedForm:
     def test_matches_the_quadrature_reference(self, name, t):
         u, x = _order16(name)
         exact, reference = u.evolved(t), mehler_density(u, t, 64)
-        for method in ("density", "gradient", "hessian"):
-            want = getattr(reference, method)(x)
-            np.testing.assert_allclose(
-                getattr(exact, method)(x), want, rtol=0, atol=1e-13 * np.abs(want).max()
-            )
+        readings = [exact.density(x), *exact.jet(x)]
+        for got, want in zip(readings, [reference.density(x), *reference.jet(x)], strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        _, mask, hess_log = exact.density_and_hess_log(x)
+        _, ref_mask, ref_hess_log = reference.density_and_hess_log(x)
+        np.testing.assert_array_equal(mask, ref_mask)
         # exactly 0 for a tilt: a relative error means nothing there
-        np.testing.assert_allclose(
-            exact.hess_log_density(x), reference.hess_log_density(x), rtol=0, atol=1e-13
-        )
+        np.testing.assert_allclose(hess_log, ref_hess_log, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("name", _CLOSED_FORMS)
     def test_semigroup_law(self, name):
