@@ -223,11 +223,10 @@ class PressureData:
 
 
 def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
-    h = u.density(grid.nodes)
-    _require_unit_norm(grid, h)
-    gap = float(grid.weights @ (h * ((grid.nodes**2).sum(axis=1) - u.d)))
+    """PressureData of normalized u; h, its unit-norm check and the moment gap
+    come from the fine-node values the integrands read."""
 
-    def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def terms(x: np.ndarray) -> tuple[np.ndarray, ...]:
         vals, grad, hess = u.jet(x)
         mask = _positive_mask(x, vals)
         gp = np.zeros_like(grad)
@@ -237,9 +236,14 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
         hp[mask] = 2.0 * gu[:, :, None] * gu[:, None, :] - 2.0 * hess[mask] / vals[mask, None, None]
         h = vals**2
         hp2 = (hp**2).sum(axis=(1, 2))
-        return h * (gp**2).sum(axis=1), h * np.trace(hp, axis1=1, axis2=2), h * hp2
+        return h, h * (gp**2).sum(axis=1), h * np.trace(hp, axis1=1, axis2=2), h * hp2
 
-    (f4, f4_err), (lap, lap_err), (frob, frob_err) = _integrals(grid, terms)
+    (h, *fine), (_, *coarse) = terms(grid.nodes), terms(grid.coarse.nodes)
+    _require_unit_norm(grid, h)
+    gap = float(grid.weights @ (h * ((grid.nodes**2).sum(axis=1) - u.d)))
+    (f4, f4_err), (lap, lap_err), (frob, frob_err) = [
+        embedded(grid, f, c) for f, c in zip(fine, coarse)
+    ]
     return PressureData(
         d=u.d,
         fisher4=float(f4),

@@ -6,9 +6,9 @@ Log-concavity of h dgamma with h = u^2 is equivalent to
 
 so the certifier samples M on the quadrature nodes plus a deterministic
 low-discrepancy cloud in the box |x|_inf <= 6 (the unscrambled Halton
-sequence, computed by radical inverse), masks points with
-h <= 1e-10 max h, and inspects the smallest eigenvalue.  One
-density_and_hess_log call reads each probe once: it returns h on every
+sequence, computed by radical inverse and kept read-only for reuse),
+masks points with h <= 1e-10 max h, and inspects the smallest eigenvalue.
+One density_and_hess_log call reads each probe once: it returns h on every
 probe and Hess log h on the active ones only, from which M is formed in
 place.  Verdicts:
 
@@ -18,11 +18,19 @@ place.  Verdicts:
 
 where scale is the largest eigenvalue magnitude seen.  The inconclusive
 band keeps borderline curvature from flipping with the probe set.
+
+Only the smallest eigenvalue and the largest magnitude of each M are read.
+Where M is exactly diagonal (every off-diagonal entry 0, as eigvalsh reads
+the lower triangle) both are read off its diagonal, which is bit-identical
+to eigvalsh; that covers every row at d = 1 (taken as the entry itself)
+and every row of a tilt or a Gaussian profile, whose Hess log h is
+constant and diagonal.  The other rows still go to numpy's eigvalsh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,11 +59,14 @@ class LogConcavityCertificate(Record):
         return self.status == "certified"
 
 
+@lru_cache(maxsize=3)
 def _probe_cloud(d: int, n: int) -> np.ndarray:
     """The first n points of the Halton sequence in bases 2, 3, 5, mapped to the box.
 
     Point i has coordinate sum_k digit_k(i) base^{-k-1} in each base, the
-    radical inverse of i, summed digit by digit from the lowest.
+    radical inverse of i, summed digit by digit from the lowest.  The clouds
+    of the last three (d, n) asked for are kept, enough for the default
+    n = 512 d at d = 1, 2, 3; each is shared and read-only.
     """
     index = np.arange(n)
     cloud = np.zeros((n, d))
@@ -65,7 +76,25 @@ def _probe_cloud(d: int, n: int) -> np.ndarray:
             cloud[:, axis] += (q % base) * scale
             q //= base
             scale /= base
-    return (2.0 * PROBE_RADIUS) * cloud - PROBE_RADIUS
+    cloud = (2.0 * PROBE_RADIUS) * cloud - PROBE_RADIUS
+    cloud.flags.writeable = False
+    return cloud
+
+
+def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest eigenvalue and the largest |eigenvalue| of each symmetric
+    row of m, shape (n, d, d): the entry itself at d = 1, read off the
+    diagonal where a row is diagonal, from eigvalsh elsewhere."""
+    if m.shape[1] == 1:
+        return m[:, 0, 0], np.abs(m[:, 0, 0])
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    low, top = diag.min(axis=1), np.abs(diag).max(axis=1)
+    below = np.tril_indices(m.shape[1], -1)
+    full = (m[:, below[0], below[1]] != 0.0).any(axis=1)
+    if full.any():
+        eigs = np.linalg.eigvalsh(m[full])
+        low[full], top[full] = eigs[:, 0], np.abs(eigs).max(axis=1)
+    return low, top
 
 
 def certify(
@@ -92,9 +121,8 @@ def certify(
     pts = probes[active]
     # M = I - Hess log h, formed in place
     curv = np.subtract(np.eye(d), hess_log, out=hess_log)
-    eigs = np.linalg.eigvalsh(curv)
-    mins = eigs[:, 0]
-    scale = max(1.0, float(np.abs(eigs).max()))
+    mins, magnitudes = _extreme_eigenvalues(curv)
+    scale = max(1.0, float(magnitudes.max()))
     tol = BASE_TOLERANCE * scale
     worst = int(mins.argmin())
     min_eig = float(mins[worst])

@@ -286,7 +286,9 @@ class Figures:
     """Everything the six bounds read for one normalized instance u on grid.
 
     Each figure is computed on first use and then shared, so a subset of
-    the bounds pays only for the figures it reads.
+    the bounds pays only for the figures it reads.  kappa comes from the
+    report's moments without a pass of its own, and the tail weight is read
+    only for a gaussian_tail bound that runs.
     """
 
     u: TestFunction
@@ -299,10 +301,16 @@ class Figures:
 
     @cached_property
     def kappa(self) -> float:
-        """kappa = ||u|| / max(sqrt d, ||(x - x0) u||) with x0 the density barycenter."""
-        x = self.grid.nodes - self.rep.first_moment[None, :]
-        moment = float(self.grid.weights @ (self.u.density(self.grid.nodes) * (x**2).sum(axis=1)))
-        return self.rep.l2_norm / max(math.sqrt(self.u.d), math.sqrt(moment))
+        """kappa = ||u|| / max(sqrt d, ||(x - x0) u||) with x0 the density barycenter.
+
+        The centered moment comes from the report: with m1 the first moment,
+        int |x - m1|^2 u^2 = A + d ||u||^2 - |m1|^2 (2 - ||u||^2).
+        """
+        rep = self.rep
+        mass = rep.l2_norm**2
+        m1 = float(rep.first_moment @ rep.first_moment)
+        moment = rep.second_moment_gap + rep.d * mass - m1 * (2.0 - mass)
+        return rep.l2_norm / math.sqrt(max(rep.d, moment))
 
     @cached_property
     def certificate(self) -> LogConcavityCertificate:
@@ -310,7 +318,11 @@ class Figures:
 
     @cached_property
     def tail(self) -> TailWeight:
-        """The tail weight at exponent eps; raises DomainError for eps outside (0, 1/4)."""
+        """The tail weight at exponent eps; raises DomainError for eps outside (0, 1/4).
+
+        verify_gaussian_tail reads it only when its bound runs, that is for a
+        centered u and an eps in range.
+        """
         return tail_weight(self.u, self.grid, self.eps)
 
 
@@ -431,6 +443,13 @@ class TailWeight:
     quadrature_error: float
 
 
+def _check_tail_exponent(eps: float) -> None:
+    """DomainError unless 0 < eps < 1/4, the one way tail_weight can fail: its
+    p = eps tau(t0) = 1 + 1/(2 eps) always exceeds 1."""
+    if not 0.0 < eps < 0.25:
+        raise DomainError(f"tail exponent must lie in (0, 1/4), got {eps}")
+
+
 def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight:
     """Constant C_tail from the Gaussian tail integral int e^{eps|x|^2} dnu.
 
@@ -439,8 +458,7 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
     The Poincare constant of the evolved measure is assumed to obey the tail
     estimate, which holds whenever the tail integral is finite.
     """
-    if not 0.0 < eps < 0.25:
-        raise DomainError(f"tail exponent must lie in (0, 1/4), got {eps}")
+    _check_tail_exponent(eps)
     a_tail, a_err = integrate_with_error(
         grid,
         lambda pts: u.density(pts) * np.exp(eps * (pts**2).sum(axis=1)),
@@ -461,15 +479,21 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
 
 
 def verify_gaussian_tail(fig: Figures) -> StabilityBound:
-    """I >= (C_tail/2) E for centered u with finite Gaussian tail integral."""
+    """I >= (C_tail/2) E for centered u with finite Gaussian tail integral.
+
+    Whether the tail integral is finite is decided from eps alone, and the
+    tail weight is integrated only when the bound runs: an eps out of range
+    or a u that is not centered skips it without fig.tail.
+    """
     rep = fig.rep
     try:
-        tail = fig.tail
+        _check_tail_exponent(fig.eps)
     except DomainError as exc:
         return _unmet("gaussian_tail", rep, {"tail_integrable": False}, error=exc)
     constraints = {"centered": _centered(rep), "tail_integrable": True}
     if skipped := _unmet("gaussian_tail", rep, constraints):
         return skipped
+    tail = fig.tail
     return _checked(
         "gaussian_tail",
         rep.fisher,

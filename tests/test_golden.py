@@ -1,7 +1,10 @@
 """Golden outputs of the command line front end.
 
 Each file in tests/golden holds one command's argv, exit code and stdout.
-The test reruns the command in-process through cli.main and compares exit
+Family files named by --family lie in tests/golden/families, and every
+command runs from the repository root, so their paths (which enter the
+config and its digest) are the same wherever pytest starts.  The test
+reruns the command in-process through cli.main and compares exit
 codes, strings, booleans, ints and nulls exactly, and floats within
 1e-12 max(1, |ref|), so that a different BLAS cannot make it flaky.  JSON
 output is compared field by field, the flow CSV cell by cell.  A change
@@ -14,6 +17,7 @@ import contextlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -30,12 +34,23 @@ COMMANDS = {
     "flow_hermite_mixed": ["flow", "--builtin", "hermite_mixed", "--times", "0,0.1,0.5,1"],
     "flow_bump_r2": ["flow", "--builtin", "bump_r2", "--times", "0.1,0.805"],
 }
+# Certificates whose Hess log h is not diagonal, so that their rows go to
+# eigvalsh: a d = 2 bump, and at d = 3 an affine and a Hermite expansion
+for _fixture in ("bump_d2", "affine_d3", "hermite_d3"):
+    COMMANDS[f"logcc_{_fixture}"] = [
+        "logcc", "--family", f"tests/golden/families/{_fixture}.json", "--grid-order", "16"
+    ]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(GOLDEN.parent.parent)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 

@@ -22,7 +22,7 @@ from glslab import (
     normalize,
 )
 from glslab.functions import Bump
-from glslab.logconcavity import PROBE_RADIUS, _probe_cloud
+from glslab.logconcavity import PROBE_RADIUS, _extreme_eigenvalues, _probe_cloud
 
 
 class TestClosedFormCurvature:
@@ -52,6 +52,56 @@ class TestProbeCloud:
             reference = qmc.Halton(d=d, scramble=False).random(n)
             want = (2.0 * PROBE_RADIUS) * reference - PROBE_RADIUS
             np.testing.assert_array_equal(_probe_cloud(d, n), want)
+
+    def test_built_once_and_read_only(self):
+        cloud = _probe_cloud(2, 1024)
+        assert _probe_cloud(2, 1024) is cloud
+        assert not cloud.flags.writeable
+        with pytest.raises(ValueError):
+            cloud[0, 0] = 0.0
+
+
+def _symmetric(rng, n, d):
+    a = rng.normal(size=(n, d, d))
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _clustered(rng, n, d, equal):
+    """Q diag(lam) Q^T whose first `equal` eigenvalues lie within 1e-16 .. 1e-2."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, d, d)))
+    lam = 3.0 * rng.normal(size=(n, d))
+    gap = 10.0 ** rng.integers(-16, -1, size=(n, 1))
+    lam[:, 1:equal] = lam[:, :1] + gap * rng.uniform(-1.0, 1.0, size=(n, equal - 1))
+    m = np.einsum("nij,nj,nkj->nik", q, lam, q)
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _diagonal(rng, n, d):
+    m = np.zeros((n, d, d))
+    idx = np.arange(d)
+    m[:, idx, idx] = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, d))
+    return m
+
+
+class TestExtremeEigenvalues:
+    """Read off the diagonal or taken from eigvalsh, every row is bit-equal
+    to eigvalsh's smallest eigenvalue and largest |eigenvalue|."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_equal_to_eigvalsh_on_mixed_rows(self, d):
+        rng = np.random.default_rng(11 + d)
+        m = np.concatenate(
+            [
+                _symmetric(rng, 2000, d),
+                _diagonal(rng, 2000, d),
+                _clustered(rng, 2000, d, d),
+                np.broadcast_to(np.eye(d), (3, d, d)),
+            ]
+        )[rng.permutation(6003)]
+        eigs = np.linalg.eigvalsh(m)
+        low, top = _extreme_eigenvalues(m)
+        np.testing.assert_array_equal(low, eigs[:, 0])
+        np.testing.assert_array_equal(top, np.abs(eigs).max(axis=1))
 
 
 class TestVerdicts:

@@ -228,8 +228,8 @@ class TestOnePass:
     )
     def test_identity_readers_average_once_per_node_set(self, grid1, reader, monkeypatch):
         # value, gradient and Hessian of an evolved state come from one joint
-        # average per node set; pressure_integrals also reads h on the fine
-        # nodes for its unit-norm check and moment gap
+        # average per node set; pressure_integrals takes h for its unit-norm
+        # check and moment gap from the fine-node jet
         v = evolve(corpus.get("hermite_mixed").normalized(grid1), 0.3, grid1).v
         assert isinstance(v, ou_flow.EvolvedDensity)
         calls = Counter()
@@ -249,8 +249,6 @@ class TestOnePass:
         want = Counter({(joint, fine): 1})
         if reader != "hessian_defect":
             want[(joint, coarse)] = 1
-        if reader == "pressure_integrals":
-            want[(("h",), fine)] = 1
         assert calls == want
 
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])

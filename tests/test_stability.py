@@ -312,6 +312,40 @@ class TestSharedReport:
         results = verify_bounds(corpus.get("gaussian_s05").function(), grid1, names=names)
         assert [r.status for r in results] == ["verified"] * 3
 
+    @pytest.mark.parametrize("name, tails", [("gaussian_shifted", 0), ("gaussian_s05", 1)])
+    def test_tail_integral_runs_only_for_a_bound_that_runs(self, grid1, name, tails, monkeypatch):
+        u = corpus.get(name).normalized(grid1)
+        # the record of a Figures whose tail was read first, as it once always was
+        read_first = Figures(u, grid1)
+        read_first.tail
+        want = json.dumps(verify_gaussian_tail(read_first).to_json(), sort_keys=True)
+        calls = []
+        real = stability.tail_weight
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "tail_weight", counted)
+        results = verify_bounds(u, grid1)
+        assert len(calls) == tails
+        got = results[BOUND_NAMES.index("gaussian_tail")]
+        assert json.dumps(got.to_json(), sort_keys=True) == want
+        if not tails:
+            assert got.status == "skipped"
+            assert got.constraints == {"centered": False, "tail_integrable": True}
+
+    @pytest.mark.parametrize("name", [entry.name for entry in corpus.entries()])
+    def test_kappa_matches_a_direct_centered_moment(self, name):
+        entry = corpus.get(name)
+        grid = build_grid(GaussianMeasureSpec(d=entry.d), 16)
+        u = entry.normalized(grid)
+        fig = Figures(u, grid)
+        x = grid.nodes - fig.rep.first_moment
+        moment = float(grid.weights @ (u.density(grid.nodes) * (x**2).sum(axis=1)))
+        want = fig.rep.l2_norm / max(math.sqrt(u.d), math.sqrt(moment))
+        assert fig.kappa == pytest.approx(want, rel=1e-13)
+
     def test_verify_bounds_calls_the_module_verifier(self, grid1, monkeypatch):
         # wrapping a verifier at the module attribute must reach verify_bounds
         seen = []
