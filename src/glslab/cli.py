@@ -160,7 +160,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     u, _ = _load_function(args)
     grid = _grid_for(u, args.grid_order)
     times = _parse_times(args.times)
-    states = flow_curve(u, np.asarray(times), grid, inner_order=args.inner_order)
+    states = flow_curve(u, np.asarray(times), grid)
     _emit("\n".join(flow_csv_rows(states)), args.out)
     return 0
 
@@ -249,14 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_source(p)
     p.add_argument("--times", required=True, help="comma separated, strictly increasing")
     p.add_argument("--grid-order", type=int, default=64)
-    p.add_argument(
-        "--inner-order",
-        type=int,
-        default=None,
-        help="starting inner rule order of the quadrature path, 1..256 (default: "
-        "--grid-order); tilts and Gaussians evolve in closed form and d = 1 bumps "
-        "average exactly, without it",
-    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)
 

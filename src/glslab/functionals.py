@@ -11,9 +11,10 @@ evaluated once per node set, the grid and its embedded coarse rule, and
 every integral and moment reads those arrays.  Every integral carries an
 error estimate from the coarse rule with a rounding floor (see
 measure.embedded), and the deficit error combines the two parts as
-err_I + err_E / 2.  The entropy error is at least rounding_floor(||u||^2):
-h = u^2 is itself only known to a few ulps, and d(h log h)/dh = 1 + log h,
-so at the Gaussian equality case (h = 1, E = 0) the entropy is pure rounding.
+err_I + err_E / 2.  The entropy error is at least rounding_floor(||u||^2, n)
+for the n grid points: h = u^2 is itself only known to a few ulps, and
+d(h log h)/dh = 1 + log h, so at the Gaussian equality case (h = 1, E = 0)
+the entropy is pure rounding.
 
 The module also checks two exact integral identities satisfied by smooth v
 under the generator L = Laplacian - x . grad:
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import PositivityError
 from .measure import QuadratureGrid, embedded, rounding_floor
-from .functions import Record, TestFunction, _require_unit_norm
+from .functions import Record, TestFunction, _moments, _require_unit_norm
 
 SUPPORT_FLOOR = 1e-12
 
@@ -74,18 +75,15 @@ class FunctionalReport(Record):
 
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized."""
-    x = grid.nodes
-    h, grad = u.density_and_gradient(x)
+    h, grad = u.density_and_gradient(grid.nodes)
     norm = _require_unit_norm(grid, h)
     h_c, grad_c = u.density_and_gradient(grid.coarse.nodes)
     entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
     fisher, fis_err = embedded(grid, (grad**2).sum(axis=1), (grad_c**2).sum(axis=1))
-    ent_err = max(ent_err, rounding_floor(norm**2))
+    ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     deficit = fisher - 0.5 * entropy
     ratio_q = fisher / entropy if entropy > 0 else None
-    m1 = (grid.weights[:, None] * x * h[:, None]).sum(axis=0)
-    r2 = (x**2).sum(axis=1)
-    gap = float(grid.weights @ (h * (r2 - u.d)))
+    m1, gap = _moments(grid, h)
     return FunctionalReport(
         d=u.d,
         entropy=float(entropy),
@@ -138,14 +136,14 @@ def _identity(name: str, grid: QuadratureGrid, terms: _Terms) -> IdentityResult:
 def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     """Margin of E(u) >= ||u^2 - 1||_{L1}^2 / 4 for normalized u.
 
-    The entropy error has report's floor rounding_floor(||u||^2).
+    The entropy error has report's floor rounding_floor(||u||^2, n_points).
     """
     h = u.density(grid.nodes)
     norm = _require_unit_norm(grid, h)
     h_c = u.density(grid.coarse.nodes)
     entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
     tv, tv_err = embedded(grid, np.abs(h - 1.0), np.abs(h_c - 1.0))
-    ent_err = max(ent_err, rounding_floor(norm**2))
+    ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     rhs = 0.25 * tv**2
     return IdentityResult(
         name="pinsker_gap",
@@ -240,7 +238,7 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
 
     (h, *fine), (_, *coarse) = terms(grid.nodes), terms(grid.coarse.nodes)
     _require_unit_norm(grid, h)
-    gap = float(grid.weights @ (h * ((grid.nodes**2).sum(axis=1) - u.d)))
+    gap = _moments(grid, h)[1]
     (f4, f4_err), (lap, lap_err), (frob, frob_err) = [
         embedded(grid, f, c) for f, c in zip(fine, coarse)
     ]

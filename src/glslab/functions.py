@@ -21,10 +21,12 @@ compactly supported by design and reports its support radius.
 
 Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 (evolved: Gaussian profiles and tilts) or supply the exact Gaussian
-averages of u^2 and its derivatives (ou_average: d = 1 bumps and two_bumps
-with disjoint lobes, where u^2 is a polynomial on intervals; the windows
-module computes them and is imported on first use, so that `import glslab`
-does not compile it).
+averages of u^2 and its derivatives (ou_average).  Affine and Hermite u of
+per-axis degree k take them from inner_average on the order-(k + 1)
+Gauss-Hermite rule, exact for u^2; d = 1 bumps and disjoint two_bumps
+from the windows module, imported on first use so that `import glslab`
+does not compile it.  inner_average is also every family's reference
+quadrature (ou_flow.EvolvedDensity).
 """
 
 from __future__ import annotations
@@ -35,14 +37,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LabError, NormalizationError, PositivityError
-from .measure import QuadratureGrid
+from .errors import CapacityError, LabError, NormalizationError, PositivityError
+from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
 # density_and_hess_log's support: h > SUPPORT_THRESHOLD max h
 SUPPORT_THRESHOLD = 1e-10
 FAMILY_TAGS = ("tilt", "affine", "gaussian", "bump", "hermite", "two_bumps")
+# outer x inner points x d^2 (a Hessian's entries) of one chunk of inner_average
+_POINT_BUDGET = 1 << 22
+# outer x inner points of one average, minutes of work: d = 2 at order 64 with
+# an order-256 inner rule fits, certifier probes included; d = 3 at order 32
+# (1.1e9) does not, nor at order 64 (6.9e10, hours)
+MAX_AVERAGE_POINTS = 1 << 29
+# the averaged kinds in pass order; each has `order` trailing axes of length d
+_ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
 def _points(x: np.ndarray, d: int) -> np.ndarray:
@@ -154,6 +164,45 @@ class TestFunction:
         return {"family": self.family, "params": self.params(), "d": self.d}
 
 
+def inner_average(
+    u0: TestFunction, x: np.ndarray, t: float, kinds: Sequence[str], inner: QuadratureGrid
+) -> tuple[np.ndarray, ...]:
+    """u0.ou_average's averages over the inner rule in y, one array per kind.
+
+    One jet of u0 per chunk of outer x inner points serves every kind; an
+    average over more than MAX_AVERAGE_POINTS points raises CapacityError
+    before any work.
+    """
+    pts = _points(x, u0.d)
+    yn, yw, m = inner.nodes, inner.weights, inner.n_points
+    if pts.shape[0] * m > MAX_AVERAGE_POINTS:
+        raise CapacityError(
+            f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
+            f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
+        )
+    decay = math.exp(-t)
+    spread = math.sqrt(-math.expm1(-2.0 * t))
+    todo = [kind for kind in _ORDER if kind in kinds]
+    avg = {kind: np.empty((pts.shape[0],) + (u0.d,) * _ORDER[kind]) for kind in todo}
+    chunk = max(1, _POINT_BUDGET // (m * u0.d**2))
+    for start in range(0, pts.shape[0], chunk):
+        xb = pts[start : start + chunk]
+        z = decay * xb[:, None, :] + spread * yn[None, :, :]
+        u, *derivs = u0.jet(z.reshape(-1, u0.d), _ORDER[todo[-1]])
+        for kind in todo:
+            # h0 = u^2, grad h0 = 2 u grad u, Hess h0 = 2 (grad u (x) grad u + u Hess u)
+            if kind == "h":
+                vals = u**2
+            elif kind == "grad":
+                vals = 2.0 * u[:, None] * derivs[0]
+            else:
+                g, hess = derivs
+                vals = 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
+            vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
+            avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
+    return tuple(avg[kind] for kind in kinds)
+
+
 @dataclass(frozen=True)
 class Tilt(TestFunction):
     """Exponential tilt w_{a,c}(x) = c exp(-a . x), the optimizer manifold."""
@@ -237,6 +286,10 @@ class Affine(TestFunction):
 
     def with_scale(self, c: float) -> "Affine":
         return replace(self, amplitude=self.amplitude * c)
+
+    def ou_average(self, x, t, kinds):
+        # u^2 is quadratic per axis: the order-2 rule averages it exactly
+        return inner_average(self, x, t, kinds, build_grid(GaussianMeasureSpec(self.d), 2))
 
 
 @dataclass(frozen=True)
@@ -449,6 +502,11 @@ class HermiteExpansion(TestFunction):
     def params(self) -> dict:
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
 
+    def ou_average(self, x, t, kinds):
+        # u^2 has degree <= 2 kmax per axis: the order-(kmax + 1) rule averages it exactly
+        inner = build_grid(GaussianMeasureSpec(self.d), self._kmax + 1)
+        return inner_average(self, x, t, kinds, inner)
+
 
 @dataclass(frozen=True)
 class TwoBumps(TestFunction):
@@ -582,9 +640,16 @@ def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:
     return u.with_scale(1.0 / norm)
 
 
+def _moments(grid: QuadratureGrid, h: np.ndarray) -> tuple[np.ndarray, float]:
+    """The first moment sum_i w_i h_i x_i and the second moment gap
+    sum_i w_i h_i (|x_i|^2 - d) of h, given on grid.nodes."""
+    x = grid.nodes
+    m1 = (grid.weights[:, None] * x * h[:, None]).sum(axis=0)
+    return m1, float(grid.weights @ (h * ((x**2).sum(axis=1) - grid.d)))
+
+
 def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:
-    h = u.density(grid.nodes)
-    return (grid.weights[:, None] * grid.nodes * h[:, None]).sum(axis=0)
+    return _moments(grid, u.density(grid.nodes))[0]
 
 
 def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray) -> float:
@@ -599,8 +664,7 @@ def second_moment_gap(u: TestFunction, grid: QuadratureGrid) -> float:
     """A = integral of u^2 (|x|^2 - d) dgamma for normalized u."""
     h = u.density(grid.nodes)
     _require_unit_norm(grid, h)
-    r2 = (grid.nodes**2).sum(axis=1)
-    return float(grid.weights @ (h * (r2 - u.d)))
+    return _moments(grid, h)[1]
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,22 @@ underflow to 0.  Multi-dimensional grids are full tensor products.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
-rounding floor of ROUNDING_ULPS ulps of sum_i w_i |f(x_i)|.  The floor keeps
-the estimate above 0 when the fine and the coarse rule see the same rounding
-(a constant integrand, say), so a margin of a few ulps is never judged
-against an error of exactly 0.  It is a fixed multiple of eps, not
-n_points x eps, which would widen every gate at d = 3 by orders of
+rounding floor of max(ROUNDING_ULPS, ceil(log2 n_points)) ulps of
+sum_i w_i |f(x_i)|, the pairwise-summation bound for n_points terms.  The
+floor keeps the estimate above 0 when the fine and the coarse rule see the
+same rounding (a constant integrand, say), so a margin of a few ulps is
+never judged against an error of exactly 0.  It grows like log2 n_points,
+not n_points x eps, which would widen every gate at d = 3 by orders of
 magnitude.  At the sigma^2 = 1 Gaussian (u = 1 after normalizing) the
 largest entropy residual measured was 2 ulps at d = 1 and 4 ulps at d = 2
-(orders 2..256 each), and 12 ulps at d = 3 (orders 2..96 and 128).  That
-last is the rounding of summing up to 10^6 tensor weights; it exceeds the
-floor at orders 85 and 94, where every bound still reads verified (the
-compact-support one skipped) as at the other orders.
+(orders 2..256 each), and 12 ulps at d = 3 (orders 2..96 and 128), the
+rounding of summing up to 10^6 tensor weights: above 8 ulps, below the
+20 ulps of log2 n_points there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -130,9 +131,10 @@ def _checked(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def rounding_floor(scale: float) -> float:
-    """ROUNDING_ULPS ulps of ``scale``: the least error claimed for a sum of that size."""
-    return ROUNDING_ULPS * EPS * scale
+def rounding_floor(scale: float, n_points: int = 1) -> float:
+    """max(ROUNDING_ULPS, ceil(log2 n_points)) ulps of ``scale``: the least
+    error claimed for a sum of n_points terms whose absolute values sum to scale."""
+    return max(ROUNDING_ULPS, math.ceil(math.log2(n_points))) * EPS * scale
 
 
 def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -146,14 +148,14 @@ def embedded(
     """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
 
     fine_values and coarse_values are the integrand at grid.nodes and at
-    grid.coarse.nodes.  The floor is rounding_floor(sum_i w_i |f(x_i)|) over
-    the fine values; it is never 0 unless f vanishes on the grid.
+    grid.coarse.nodes.  The floor is rounding_floor(sum_i w_i |f(x_i)|, n_points)
+    over the fine values; it is never 0 unless f vanishes on the grid.
     """
     coarse_grid = grid.coarse
     values = _checked(grid, fine_values)
     fine = float(grid.weights @ values)
     coarse = float(coarse_grid.weights @ _checked(coarse_grid, coarse_values))
-    floor = rounding_floor(float(grid.weights @ np.abs(values)))
+    floor = rounding_floor(float(grid.weights @ np.abs(values)), grid.n_points)
     return fine, max(abs(fine - coarse), floor)
 
 

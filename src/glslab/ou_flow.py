@@ -8,30 +8,28 @@ evolve, the one entry point, takes one of three paths.
 
 1. Closed form.  A family the flow maps to itself (TestFunction.evolved:
    Gaussian profiles and tilts) evolves to another member of the family.
-2. Exact average.  A family whose averages of h0, grad h0 and Hess h0 have
-   a finite formula (TestFunction.ou_average: d = 1 bumps, and d = 1
-   two_bumps with disjoint lobes, where h0 is a polynomial on intervals)
-   evolves into an EvolvedDensity without an inner rule, which evaluates
-   that formula.
-3. Reference quadrature.  Every other family is averaged over an inner
+2. Exact average.  A family with exact averages of h0, grad h0 and Hess h0
+   (TestFunction.ou_average) evolves into an EvolvedDensity without an
+   inner rule.  Affine and Hermite u of per-axis degree k average over the
+   order-(k + 1) Gauss-Hermite rule, exact for h0 (any d); d = 1 bumps and
+   disjoint d = 1 two_bumps average in closed form (the windows module).
+3. Reference quadrature.  Every other family (bumps at d >= 2, two_bumps
+   with overlapping lobes or d >= 2) is averaged over an inner
    Gauss-Hermite rule in y; differentiating under the integral gives
    grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int Hess h0(...).
 
 On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
-0.0, as at t = 0, and an inner_order argument is range-checked, then
-ignored.  EvolvedDensity wraps the average of paths 2 and 3 as a
+0.0, as at t = 0.  EvolvedDensity wraps the average of paths 2 and 3 as a
 TestFunction for v = sqrt(h), which plugs into every functional and
-certifier unchanged.  One pass over the inner points serves every average
-a call needs, and nothing is kept between calls; the functionals read each
-node set once.  An average over more than MAX_AVERAGE_POINTS outer x inner
-points raises CapacityError before any work.
+certifier unchanged.  The inner rules of paths 2 and 3 go through one
+function, functions.inner_average, whose one pass over the inner points
+serves every average a call needs; nothing is kept between calls.
 
-On path 3 the inner (y) rule starts at inner_order (default: the outer
-order) and is doubled until its embedded error estimate inner_error drops
-below 1e-9, capped at MAX_ORDER (256); a residual above 1e-6 at the cap
-triggers a warning.  mehler_density is the quadrature path at a fixed
-inner order for every family, and the reference paths 1 and 2 are tested
-against.
+On path 3 the inner (y) rule starts at the outer order and is doubled
+until its embedded error estimate inner_error drops below 1e-9, capped at
+MAX_ORDER (256); a residual above 1e-6 at the cap triggers a warning.
+mehler_density is the quadrature path at a fixed inner order for every
+family, and the reference paths 1 and 2 are tested against.
 Exact facts checked downstream: mass is conserved, the density first
 moment decays like e^{-t}, the second moment gap like e^{-2t}, dE/dt = -4 I,
 and E, I are non-increasing.
@@ -45,23 +43,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, FlowError
+from .errors import FlowError
 from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import SUPPORT_THRESHOLD, TestFunction, _points, _support
+from .functions import _ORDER, SUPPORT_THRESHOLD, TestFunction, _support, inner_average
 from .functionals import FunctionalReport, IdentityResult, report
 
 INNER_TOL = 1e-9
 INNER_WARN = 1e-6
-_POINT_BUDGET = 1 << 22
-# outer x inner points of one average, minutes of work: d = 2 at order 64 with
-# an order-256 inner rule fits, certifier probes included; d = 3 at order 32
-# (1.1e9) does not, nor at order 64 (6.9e10, hours)
-MAX_AVERAGE_POINTS = 1 << 29
 _MASK_FLOOR = 1e-12
 # time step of the centered differences in the derivative checks
 STENCIL_DT = 1e-3
-# the averaged kinds in pass order; each carries e^{-order t} and `order` trailing axes
-_ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
 def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -94,12 +85,12 @@ class EvolvedDensity(TestFunction):
     """v = sqrt(h(t, .)) for h evolved from u0^2.
 
     Without an inner rule (inner = None) h, grad h and Hess h are u0's exact
-    averages (u0.ou_average); with one they come from inner quadrature, the
-    reference every family has.  One pass averages every kind a call needs
-    (h, grad h, Hess h), with one evaluation of u0's jet per chunk of inner
-    points on the quadrature path.  Nothing is kept between calls: jet(x,
-    order) reads one average of the kinds up to order, density reads h alone,
-    density_and_gradient h and grad h, and density_and_hess_log all three.
+    averages (u0.ou_average); with one they come from inner_average over that
+    rule, the reference every family has.  The kind of order k carries
+    e^{-k t}.  One pass averages every kind a call needs (h, grad h, Hess h).
+    Nothing is kept between calls: jet(x, order) reads one average of the
+    kinds up to order, density reads h alone, density_and_gradient h and
+    grad h, and density_and_hess_log all three.
     """
 
     u0: TestFunction
@@ -113,50 +104,16 @@ class EvolvedDensity(TestFunction):
             raise FlowError(f"evolved density needs a finite t > 0, got {self.t}")
         object.__setattr__(self, "d", self.u0.d)
 
-    def _integrands(self, z: np.ndarray, kinds: list[str]):
-        """h0, grad h0 and Hess h0 at z, for those of them in kinds (in pass order)."""
-        u, *derivs = self.u0.jet(z, _ORDER[kinds[-1]])
-        if "h" in kinds:
-            yield u**2
-        if "grad" in kinds:
-            yield 2.0 * u[:, None] * derivs[0]
-        if "hess" in kinds:
-            g, hess = derivs
-            yield 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
-
     def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
         """h, grad h and Hess h of the evolved density at x, one array per kind."""
         if self.inner is None:
-            exact = self.u0.ou_average(x, self.t, kinds)
-            if exact is None:
+            avg = self.u0.ou_average(x, self.t, kinds)
+            if avg is None:
                 raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
-            avg = dict(zip(kinds, exact))
         else:
-            avg = self._quadrature(x, kinds)
+            avg = inner_average(self.u0, x, self.t, kinds, self.inner)
         scale = self.amplitude**2
-        return tuple(scale * math.exp(-_ORDER[kind] * self.t) * avg[kind] for kind in kinds)
-
-    def _quadrature(self, x: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Inner-rule averages of h0, grad h0 and Hess h0 at x, by kind."""
-        pts = _points(x, self.d)
-        yn, yw, m = self.inner.nodes, self.inner.weights, self.inner.n_points
-        if pts.shape[0] * m > MAX_AVERAGE_POINTS:
-            raise CapacityError(
-                f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
-                f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
-            )
-        decay = math.exp(-self.t)
-        spread = math.sqrt(-math.expm1(-2.0 * self.t))
-        todo = [kind for kind in _ORDER if kind in kinds]
-        avg = {kind: np.empty((pts.shape[0],) + (self.d,) * _ORDER[kind]) for kind in todo}
-        chunk = max(1, _POINT_BUDGET // m)
-        for start in range(0, pts.shape[0], chunk):
-            xb = pts[start : start + chunk]
-            z = decay * xb[:, None, :] + spread * yn[None, :, :]
-            for kind, vals in zip(todo, self._integrands(z.reshape(-1, self.d), todo)):
-                vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
-                avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
-        return avg
+        return tuple(scale * math.exp(-_ORDER[k] * self.t) * a for k, a in zip(kinds, avg))
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         return _root_jet(*self._average(x, *list(_ORDER)[: order + 1]))
@@ -192,9 +149,7 @@ def _check_time(t: float) -> None:
         raise FlowError(f"evolved density needs a finite t > 0, got {t}")
 
 
-def mehler_density(
-    u0: TestFunction, t: float, inner_order: int = 64
-) -> TestFunction:
+def mehler_density(u0: TestFunction, t: float, inner_order: int = 64) -> TestFunction:
     """Raw evolved function at a fixed inner order; t = 0 returns u0 itself.
 
     This is the quadrature path for every family, closed forms and exact
@@ -233,26 +188,18 @@ class FlowState:
     inner_order: int
 
 
-def evolve(
-    u0: TestFunction,
-    t: float,
-    grid: QuadratureGrid,
-    inner_order: int | None = None,
-) -> FlowState:
+def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     """Evolve u0 to time t and report functionals of the normalized state.
 
     A family with a closed form (u0.evolved) or an exact average
-    (u0.ou_average) evolves exactly, with inner_order = 0 and inner_error =
-    0.0 in the state, and inner_order is ignored.  Any other family is
-    averaged by quadrature: the inner rule starts at inner_order (default:
-    the grid order) and doubles up to MAX_ORDER until the inner_error
-    between it and its embedded coarse rule is at most INNER_TOL; the state
-    records the order used and that error.  An inner_order outside
-    1..MAX_ORDER raises CapacityError on every path.
+    (u0.ou_average: affine, Hermite, d = 1 bumps and disjoint two_bumps)
+    evolves exactly, with inner_order = 0 and inner_error = 0.0 in the
+    state.  Any other family is averaged by quadrature: the inner rule
+    starts at the grid order and doubles up to MAX_ORDER until the
+    inner_error between it and its embedded coarse rule is at most
+    INNER_TOL; the state records the order used and that error.
     """
     _check_time(t)
-    if inner_order is not None and not (1 <= inner_order <= MAX_ORDER):
-        raise CapacityError(f"inner order {inner_order} outside supported range 1..{MAX_ORDER}")
     inner_err = 0.0
     order = 0
     v_raw = u0 if t == 0 else u0.evolved(t)
@@ -261,7 +208,7 @@ def evolve(
     elif (exact := u0.ou_average(grid.nodes, t, ("h",))) is not None:
         v_raw, h = EvolvedDensity(u0=u0, t=t), exact[0]
     else:
-        order = inner_order if inner_order is not None else grid.order
+        order = grid.order
         while True:
             v_raw = mehler_density(u0, t, order)
             inner_err, h = _inner_mismatch(v_raw, grid)
@@ -295,19 +242,14 @@ def evolve(
     )
 
 
-def flow_curve(
-    u0: TestFunction,
-    times: np.ndarray,
-    grid: QuadratureGrid,
-    inner_order: int | None = None,
-) -> list[FlowState]:
+def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[FlowState]:
     """States along increasing times; entropy and Fisher must not increase."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise FlowError("times must be a nonempty 1-d array")
     if np.any(np.diff(times) <= 0):
         raise FlowError("times must be strictly increasing")
-    states = [evolve(u0, t, grid, inner_order=inner_order) for t in times]
+    states = [evolve(u0, t, grid) for t in times]
     for prev, cur in zip(states, states[1:]):
         slack = 1e-8 + 2.0 * (prev.quadrature_error + cur.quadrature_error)
         if cur.entropy > prev.entropy + slack:

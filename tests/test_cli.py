@@ -203,14 +203,11 @@ class TestFlow:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("inner_order", ["0", "-5", "100000"])
-    def test_inner_order_outside_the_envelope_fails_cleanly(self, capsys, inner_order):
-        argv = ["flow", "--builtin", "bump_r2", "--times", "0.5", "--inner-order", inner_order]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "inner order" in captured.err
+    def test_inner_order_is_not_an_option(self):
+        # the quadrature path picks its own inner rule
+        with pytest.raises(SystemExit) as excinfo:
+            main(["flow", "--builtin", "bump_r2", "--times", "0.5", "--inner-order", "64"])
+        assert excinfo.value.code == 2
 
     def test_infeasible_quadrature_flow_is_a_capacity_error(self, capsys, tmp_path):
         build = {"family": "bump", "params": {"radius": 2.0}, "d": 3}

@@ -76,6 +76,15 @@ class TestReport:
             # fine-vs-coarse error estimate
             assert rep.deficit >= -(2 * rep.quadrature_error + 1e-13)
 
+    @pytest.mark.parametrize("order", [64, 85, 94, 96, 128])
+    def test_unit_density_at_d3_stays_within_its_error(self, order):
+        # at u = 1 the entropy and the deficit are the rounding of summing up
+        # to 2e6 tensor weights, which the floor of log2 n_points ulps covers
+        grid = build_grid(GaussianMeasureSpec(d=3), order)
+        rep = report(normalize(GaussianProfile(sigma2=np.ones(3)), grid), grid)
+        assert abs(rep.entropy) <= rep.entropy_error
+        assert abs(rep.deficit) <= rep.quadrature_error
+
     def test_requires_unit_norm(self, grid1):
         with pytest.raises(NormalizationError):
             report(Tilt(a=np.array([0.5])), grid1)

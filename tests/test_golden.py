@@ -40,6 +40,13 @@ for _fixture in ("bump_d2", "affine_d3", "hermite_d3"):
     COMMANDS[f"logcc_{_fixture}"] = [
         "logcc", "--family", f"tests/golden/families/{_fixture}.json", "--grid-order", "16"
     ]
+# d = 3 flows of the polynomial families, which average exactly on a
+# Gauss-Hermite rule of their own degree
+for _fixture in ("affine_d3", "hermite_d3"):
+    COMMANDS[f"flow_{_fixture}"] = [
+        "flow", "--family", f"tests/golden/families/{_fixture}.json", "--grid-order", "16",
+        "--times", "0.1,0.5",
+    ]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

@@ -10,8 +10,10 @@ coefficient of the log-log regression.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +311,20 @@ assert result.n_evaluations > 0 and result.best_value < 1e-3, result
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sharpness_script_fits_the_quartic_scaling():
+    # the deficit along 1 + eps x scales like eps^4; the child imports the
+    # same glslab as this process
+    root = os.path.dirname(os.path.dirname(glslab.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "sharpness_search.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--grid-order", "32"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    exponent = float(re.search(r"eps\^(\S+)", proc.stdout).group(1))
+    assert abs(exponent - 4.0) <= 0.05, proc.stdout
