@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import PositivityError
 from .measure import QuadratureGrid, embedded, rounding_floor
-from .functions import Record, TestFunction, _moments, _require_unit_norm
+from .functions import Record, TestFunction, _moments, _require_unit_norm, _rowdot
 
 SUPPORT_FLOOR = 1e-12
 
@@ -79,7 +79,7 @@ def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     norm = _require_unit_norm(grid, h)
     h_c, grad_c = u.density_and_gradient(grid.coarse.nodes)
     entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
-    fisher, fis_err = embedded(grid, (grad**2).sum(axis=1), (grad_c**2).sum(axis=1))
+    fisher, fis_err = embedded(grid, _rowdot(grad, grad), _rowdot(grad_c, grad_c))
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     deficit = fisher - 0.5 * entropy
     ratio_q = fisher / entropy if entropy > 0 else None
@@ -159,8 +159,8 @@ def bochner_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResult:
 
     def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, grad, hess = v.jet(x)
-        lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
-        return lv**2, (hess**2).sum(axis=(1, 2)) + (grad**2).sum(axis=1)
+        lv = np.trace(hess, axis1=1, axis2=2) - _rowdot(x, grad)
+        return lv**2, (hess**2).sum(axis=(1, 2)) + _rowdot(grad, grad)
 
     return _identity("bochner_identity", grid, terms)
 
@@ -185,8 +185,8 @@ def fisher_flux_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResul
     def terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, grad, hess = v.jet(x)
         mask = _positive_mask(x, vals)
-        lv = np.trace(hess, axis1=1, axis2=2) - (x * grad).sum(axis=1)
-        g2 = (grad**2).sum(axis=1)
+        lv = np.trace(hess, axis1=1, axis2=2) - _rowdot(x, grad)
+        g2 = _rowdot(grad, grad)
         quad = (hess * grad[:, :, None] * grad[:, None, :]).sum(axis=(1, 2))
         lhs, rhs = np.zeros(x.shape[0]), np.zeros(x.shape[0])
         lhs[mask] = lv[mask] * g2[mask] / vals[mask]
@@ -234,7 +234,7 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
         hp[mask] = 2.0 * gu[:, :, None] * gu[:, None, :] - 2.0 * hess[mask] / vals[mask, None, None]
         h = vals**2
         hp2 = (hp**2).sum(axis=(1, 2))
-        return h, h * (gp**2).sum(axis=1), h * np.trace(hp, axis1=1, axis2=2), h * hp2
+        return h, h * _rowdot(gp, gp), h * np.trace(hp, axis1=1, axis2=2), h * hp2
 
     (h, *fine), (_, *coarse) = terms(grid.nodes), terms(grid.coarse.nodes)
     _require_unit_norm(grid, h)

@@ -27,12 +27,18 @@ Gauss-Hermite rule, exact for u^2; d = 1 bumps and disjoint two_bumps
 from the windows module, imported on first use so that `import glslab`
 does not compile it.  inner_average is also every family's reference
 quadrature (ou_flow.EvolvedDensity).
+
+Per-point kernels run along the point axis: an (n, d) batch is reduced or
+broadcast one length-n column at a time (_rowdot for row-wise dot
+products), never with numpy looping over the length-d axis, which costs
+more than the arithmetic at d <= 3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -89,11 +95,25 @@ class Record:
         return _plain(self)
 
 
-def _hull_probes(d: int, radius: float = POSITIVITY_HULL) -> np.ndarray:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_ij b_ij for each row i of two (n, d) arrays, one column at a
+    time in axis order, which is the order of (a * b).sum(axis=1)."""
+    out = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
+@lru_cache(maxsize=3)
+def _hull_probes(d: int) -> np.ndarray:
+    """The positivity check's tensor grid on |x|_inf <= POSITIVITY_HULL; one
+    shared read-only array per d."""
     per_axis = {1: 201, 2: 41, 3: 17}[d]
-    axis = np.linspace(-radius, radius, per_axis)
+    axis = np.linspace(-POSITIVITY_HULL, POSITIVITY_HULL, per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    probes = np.stack([g.ravel() for g in grids], axis=-1)
+    probes.flags.writeable = False
+    return probes
 
 
 def _support(values: np.ndarray, floor: float) -> np.ndarray:
@@ -224,7 +244,8 @@ class Tilt(TestFunction):
         u = self.c * np.exp(-x @ self.a)
         if order == 0:
             return (u,)
-        grad = -u[:, None] * self.a[None, :]
+        # built axis-major, (d, n), and read transposed
+        grad = np.multiply.outer(-self.a, u).T
         if order == 1:
             return u, grad
         return u, grad, u[:, None, None] * np.outer(self.a, self.a)[None, :, :]
@@ -325,14 +346,21 @@ class GaussianProfile(TestFunction):
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
         s2, b = self.sigma2, self.mean
-        log_u = (-0.25 * (x - b) ** 2 / s2 + 0.25 * x**2).sum(axis=1) - 0.25 * np.log(s2).sum()
-        u = self.amplitude * np.exp(log_u)
+        # axis by axis, summed in axis order:
+        # log u = sum_i (-(x_i - b_i)^2 / (4 s2_i) + x_i^2 / 4) - sum_i log(s2_i) / 4
+        shifted = [x[:, i] - b[i] for i in range(self.d)]
+        log_u = -0.25 * shifted[0] ** 2 / s2[0] + 0.25 * x[:, 0] ** 2
+        for i in range(1, self.d):
+            log_u += -0.25 * shifted[i] ** 2 / s2[i] + 0.25 * x[:, i] ** 2
+        u = self.amplitude * np.exp(log_u - 0.25 * np.log(s2).sum())
         if order == 0:
             return (u,)
-        grad_log = -0.5 * (x - b) / s2 + 0.5 * x
-        grad = u[:, None] * grad_log
+        # (d, n), read transposed
+        grad_log = np.array([-0.5 * z / s2[i] + 0.5 * x[:, i] for i, z in enumerate(shifted)])
+        grad = (u * grad_log).T
         if order == 1:
             return u, grad
+        grad_log = grad_log.T
         curv = np.diag(0.5 - 0.5 / s2)
         outer = grad_log[:, :, None] * grad_log[:, None, :]
         return u, grad, u[:, None, None] * (outer + curv[None, :, :])
@@ -379,7 +407,7 @@ class Bump(TestFunction):
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         z = _points(x, self.d) - self.center
-        q = (z**2).sum(axis=1) / self.radius**2
+        q = _rowdot(z, z) / self.radius**2
         inside = q < 1.0
         u = self.amplitude * np.where(inside, (1.0 - q) ** 2, 0.0)
         if order == 0:
@@ -406,7 +434,7 @@ class Bump(TestFunction):
 
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
-    """He_k(x) for k = 0..kmax, probabilists' normalization; shape (kmax+1, n)."""
+    """He_k(x) for k = 0..kmax, probabilists' normalization; shape (kmax+1,) + x.shape."""
     out = np.empty((kmax + 1,) + x.shape)
     out[0] = 1.0
     if kmax >= 1:
@@ -451,13 +479,19 @@ class HermiteExpansion(TestFunction):
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
         n = x.shape[0]
-        table = _hermite_table(x, self._kmax)  # (k, n, d)
+        # (k, d, n): each table[k, axis] is one contiguous row
+        table = _hermite_table(np.ascontiguousarray(x.T), self._kmax)
+
+        def product(factor: float, ks) -> np.ndarray:
+            # factor prod_axis He_{ks[axis]}(x_axis), multiplied in axis order
+            term = factor * table[ks[0], 0]
+            for axis in range(1, self.d):
+                term = term * table[ks[axis], axis]
+            return term
+
         u = np.zeros(n)
         for alpha, coeff in self.terms:
-            term = np.full(n, coeff)
-            for axis, k in enumerate(alpha):
-                term = term * table[k, :, axis]
-            u += term
+            u += product(coeff, alpha)
         if order == 0:
             return (u,)
         grad = np.zeros((n, self.d))
@@ -466,10 +500,8 @@ class HermiteExpansion(TestFunction):
                 if kj == 0:
                     continue
                 # He_k' = k He_{k-1}
-                term = np.full(n, coeff * kj)
-                for axis, k in enumerate(alpha):
-                    term = term * table[k - 1 if axis == j else k, :, axis]
-                grad[:, j] += term
+                ks = [k - 1 if axis == j else k for axis, k in enumerate(alpha)]
+                grad[:, j] += product(coeff * kj, ks)
         if order == 1:
             return u, grad
         hess = np.zeros((n, self.d, self.d))
@@ -487,17 +519,21 @@ class HermiteExpansion(TestFunction):
                             continue
                         factor = coeff * kj * kl
                         drop = {j: 1, l: 1}
-                    term = np.full(n, factor)
-                    for axis, k in enumerate(alpha):
-                        term = term * table[k - drop.get(axis, 0), :, axis]
+                    term = product(factor, [k - drop.get(axis, 0) for axis, k in enumerate(alpha)])
                     hess[:, j, l] += term
                     if j != l:
                         hess[:, l, j] += term
         return u, grad, hess
 
     def with_scale(self, c: float) -> "HermiteExpansion":
-        scaled = tuple((alpha, coeff * c) for alpha, coeff in self.terms)
-        return replace(self, terms=scaled)
+        # a positive finite rescale keeps the sign, so the hull check is not rerun
+        if not 0 < c < math.inf:
+            raise PositivityError(f"scale must be positive and finite, got {c}")
+        scaled = object.__new__(HermiteExpansion)
+        terms = tuple((alpha, float(coeff * c)) for alpha, coeff in self.terms)
+        object.__setattr__(scaled, "terms", terms)
+        object.__setattr__(scaled, "d", self.d)
+        return scaled
 
     def params(self) -> dict:
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
@@ -643,9 +679,11 @@ def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:
 def _moments(grid: QuadratureGrid, h: np.ndarray) -> tuple[np.ndarray, float]:
     """The first moment sum_i w_i h_i x_i and the second moment gap
     sum_i w_i h_i (|x_i|^2 - d) of h, given on grid.nodes."""
-    x = grid.nodes
-    m1 = (grid.weights[:, None] * x * h[:, None]).sum(axis=0)
-    return m1, float(grid.weights @ (h * ((x**2).sum(axis=1) - grid.d)))
+    x, wh = grid.nodes, grid.weights * h
+    # one pairwise sum per axis keeps m1 within rounding_floor; (w h) @ x through
+    # BLAS does not at d = 3, order 64
+    m1 = np.array([np.add.reduce(wh * x[:, i]) for i in range(grid.d)])
+    return m1, float(grid.weights @ (h * (_rowdot(x, x) - grid.d)))
 
 
 def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:

@@ -85,12 +85,17 @@ def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smallest eigenvalue and the largest |eigenvalue| of each symmetric
     row of m, shape (n, d, d): the entry itself at d = 1, read off the
     diagonal where a row is diagonal, from eigvalsh elsewhere."""
-    if m.shape[1] == 1:
+    d = m.shape[1]
+    if d == 1:
         return m[:, 0, 0], np.abs(m[:, 0, 0])
-    diag = np.diagonal(m, axis1=1, axis2=2)
-    low, top = diag.min(axis=1), np.abs(diag).max(axis=1)
-    below = np.tril_indices(m.shape[1], -1)
-    full = (m[:, below[0], below[1]] != 0.0).any(axis=1)
+    # entry by entry along the rows: min, max and the != 0 test are exact
+    low, top = m[:, 0, 0].copy(), np.abs(m[:, 0, 0])
+    full = np.zeros(m.shape[0], dtype=bool)
+    for i in range(1, d):
+        np.minimum(low, m[:, i, i], out=low)
+        np.maximum(top, np.abs(m[:, i, i]), out=top)
+        for j in range(i):
+            full |= m[:, i, j] != 0.0
     if full.any():
         eigs = np.linalg.eigvalsh(m[full])
         low[full], top[full] = eigs[:, 0], np.abs(eigs).max(axis=1)
@@ -119,8 +124,10 @@ def certify(
             tolerance=BASE_TOLERANCE,
         )
     pts = probes[active]
-    # M = I - Hess log h, formed in place
-    curv = np.subtract(np.eye(d), hess_log, out=hess_log)
+    # M = I - Hess log h, formed in place as -Hess log h + I
+    curv = np.negative(hess_log, out=hess_log)
+    for i in range(d):
+        curv[:, i, i] += 1.0
     mins, magnitudes = _extreme_eigenvalues(curv)
     scale = max(1.0, float(magnitudes.max()))
     tol = BASE_TOLERANCE * scale

@@ -23,7 +23,16 @@ import numpy as np
 
 from .errors import ConstraintError, LabError
 from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import MAX_HERMITE_DEGREE, Affine, Record, TestFunction, build_function, normalize
+from .functions import (
+    MAX_HERMITE_DEGREE,
+    Affine,
+    GaussianProfile,
+    HermiteExpansion,
+    Record,
+    TestFunction,
+    Tilt,
+    normalize,
+)
 from .functionals import report
 from .stability import BOUND_NAMES, verify_bounds
 
@@ -101,24 +110,24 @@ class SearchProblem(Record):
 
 
 def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
-    """Map a parameter vector into the problem's family."""
-    theta = np.asarray(theta, dtype=float)
+    """Map a parameter vector into the problem's family: the member
+    build_function makes of the same parameters, constructed directly."""
+    # a copy: the family keeps the array, the optimizer may reuse theta
+    theta = np.array(theta, dtype=float)
+    d = problem.d
     if problem.family == "hermite":
-        coeffs = [1.0] + theta.tolist()
-        return build_function(
-            {"family": "hermite", "params": {"coeffs": coeffs}, "d": problem.d}
+        # u = He_0 + sum_k theta_k He_k in d = 1, zero coefficients dropped
+        terms = (((0,), 1.0),) + tuple(
+            ((k,), c) for k, c in enumerate(theta.tolist(), start=1) if c != 0.0
         )
+        return HermiteExpansion(terms=terms, d=1)
     if problem.family == "affine":
-        return build_function(
-            {"family": "affine", "params": {"eps": float(theta[0])}, "d": problem.d}
-        )
+        return Affine(eps=float(theta[0]), nu=np.eye(d)[0])
+    # one box entry stands for all d axes
+    per_axis = np.full(d, theta[0]) if theta.shape == (1,) and d > 1 else theta
     if problem.family == "tilt":
-        return build_function(
-            {"family": "tilt", "params": {"a": theta.tolist()}, "d": problem.d}
-        )
-    return build_function(
-        {"family": "gaussian", "params": {"sigma2": theta.tolist()}, "d": problem.d}
-    )
+        return Tilt(a=per_axis)
+    return GaussianProfile(sigma2=per_axis)
 
 
 def raw_objective(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:

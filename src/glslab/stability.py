@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConstraintError, DomainError
 from .measure import QuadratureGrid, integrate_with_error
-from .functions import Record, TestFunction, second_moment_gap
+from .functions import Record, TestFunction, _rowdot, second_moment_gap
 from .functionals import FunctionalReport, report, second_moment_floor
 from .logconcavity import LogConcavityCertificate, certify
 from .ou_flow import STENCIL_DT, evolve, stencil_states
@@ -461,7 +461,7 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
     _check_tail_exponent(eps)
     a_tail, a_err = integrate_with_error(
         grid,
-        lambda pts: u.density(pts) * np.exp(eps * (pts**2).sum(axis=1)),
+        lambda pts: u.density(pts) * np.exp(eps * _rowdot(pts, pts)),
     )
     t0 = 2.0 * t_star_tail(eps)
     lam = lambda1_tail_lower(eps, max(float(a_tail), 1.0), t0)

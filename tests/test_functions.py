@@ -25,6 +25,9 @@ from glslab import (
     normalize,
     second_moment_gap,
 )
+from glslab.functionals import second_moment_floor
+from glslab.functions import _hull_probes, _moments, _rowdot
+from glslab.measure import rounding_floor
 
 
 def _sample_functions():
@@ -382,3 +385,168 @@ def test_with_scale_is_linear(idx, c):
     u = _sample_functions()[idx]
     x = np.linspace(-1.5, 1.5, 9)[:, None] * np.ones((1, u.d))
     np.testing.assert_allclose(u.with_scale(c).value(x), c * u.value(x), rtol=1e-12)
+
+
+# ----------------------------------------------------------- row kernels
+#
+# The per-point kernels run one length-n column at a time.  The references
+# below are the (n, d) broadcast formulas they replace, written out; every
+# kernel must agree with them bit for bit.
+
+
+def _old_tilt_jet(u, x):
+    val = u.c * np.exp(-x @ u.a)
+    return val, -val[:, None] * u.a[None, :], val[:, None, None] * np.outer(u.a, u.a)[None]
+
+
+def _old_gaussian_jet(u, x):
+    s2, b = u.sigma2, u.mean
+    log_u = (-0.25 * (x - b) ** 2 / s2 + 0.25 * x**2).sum(axis=1) - 0.25 * np.log(s2).sum()
+    val = u.amplitude * np.exp(log_u)
+    grad_log = -0.5 * (x - b) / s2 + 0.5 * x
+    outer = grad_log[:, :, None] * grad_log[:, None, :]
+    hess = val[:, None, None] * (outer + np.diag(0.5 - 0.5 / s2)[None])
+    return val, val[:, None] * grad_log, hess
+
+
+def _old_bump_jet(u, x):
+    z = x - u.center
+    q = (z**2).sum(axis=1) / u.radius**2
+    inside = q < 1.0
+    val = u.amplitude * np.where(inside, (1.0 - q) ** 2, 0.0)
+    slope = -4.0 * (1.0 - q) / u.radius**2
+    grad = u.amplitude * np.where(inside, slope, 0.0)[:, None] * z
+    first = slope[:, None, None] * np.eye(u.d)[None]
+    second = (8.0 / u.radius**4) * z[:, :, None] * z[:, None, :]
+    return val, grad, u.amplitude * np.where(inside[:, None, None], first + second, 0.0)
+
+
+def _old_hermite_jet(u, x):
+    n, d = x.shape
+    kmax = max(max(alpha) for alpha, _ in u.terms)
+    table = np.empty((kmax + 1, n, d))
+    table[0] = 1.0
+    table[1] = x
+    for k in range(1, kmax):
+        table[k + 1] = x * table[k] - k * table[k - 1]
+
+    def product(factor, ks):
+        term = np.full(n, factor)
+        for axis, k in enumerate(ks):
+            term = term * table[k, :, axis]
+        return term
+
+    val, grad, hess = np.zeros(n), np.zeros((n, d)), np.zeros((n, d, d))
+    for alpha, coeff in u.terms:
+        val += product(coeff, alpha)
+        for j in range(d):
+            if alpha[j]:
+                grad[:, j] += product(coeff * alpha[j], [k - (i == j) for i, k in enumerate(alpha)])
+            for l in range(j, d):
+                drop = [(i == j) + (i == l) for i in range(d)]
+                factor = coeff * alpha[j] * (alpha[j] - 1 if j == l else alpha[l])
+                if factor == 0 or min(k - m for k, m in zip(alpha, drop)) < 0:
+                    continue
+                term = product(factor, [k - m for k, m in zip(alpha, drop)])
+                hess[:, j, l] += term
+                if j != l:
+                    hess[:, l, j] += term
+    return val, grad, hess
+
+
+_D3_JETS = [
+    (Tilt(a=np.array([0.37, -0.4, 0.25]), c=0.8), _old_tilt_jet),
+    (
+        GaussianProfile(
+            sigma2=np.array([0.5, 0.8, 1.0]), mean=np.array([0.3, -0.2, 0.1]), amplitude=1.3
+        ),
+        _old_gaussian_jet,
+    ),
+    (Bump(radius=2.5, center=np.array([0.2, -0.3, 0.1]), amplitude=0.7), _old_bump_jet),
+    (
+        HermiteExpansion(
+            terms=(
+                ((0, 0, 0), 1.0),
+                ((1, 0, 2), 0.01),
+                ((2, 1, 0), -0.005),
+                ((0, 3, 1), 0.001),
+                ((1, 1, 1), 0.004),
+            ),
+            d=3,
+        ),
+        _old_hermite_jet,
+    ),
+]
+
+
+@pytest.mark.parametrize("u, old", _D3_JETS, ids=[u.family for u, _ in _D3_JETS])
+def test_d3_jets_equal_the_broadcast_formulas_bit_for_bit(u, old):
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(1000, 3))
+    for got, want in zip(u.jet(x), old(u, x)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_rowdot_sums_in_the_order_of_a_row_sum(d, layout):
+    # einsum("ij,ij->i") sums a C-ordered d = 3 row as (p0 + p2) + p1; the
+    # helper keeps (p0 + p1) + p2, the order of (a * b).sum(axis=1)
+    rng = np.random.default_rng(d)
+    a, b = (
+        np.asarray(rng.normal(size=(4000, d)) * 10.0 ** rng.integers(-8, 8, (4000, d)), order=layout)
+        for _ in range(2)
+    )
+    np.testing.assert_array_equal(_rowdot(a, b), (a * b).sum(axis=1))
+
+
+_MOMENT_CASES = [
+    Tilt(a=np.array([0.5])),
+    GaussianProfile(sigma2=np.array([0.6, 0.9]), mean=np.array([0.4, -0.3])),
+    HermiteExpansion(terms=(((0, 0), 1.0), ((1, 1), 0.05), ((2, 0), 0.1)), d=2),
+    # h dgamma = N(-2a, I): a first moment near 0.8 per axis, summed over 262,144 nodes
+    Tilt(a=np.array([-0.37, -0.4, -0.4])),
+    GaussianProfile(sigma2=np.array([0.5, 0.8, 1.0]), mean=np.array([0.3, -0.2, 0.1])),
+]
+
+
+@pytest.mark.parametrize("u", _MOMENT_CASES, ids=_case_id)
+def test_moments_within_their_rounding_floors(u, grid1, grid2, grid3):
+    grid = {1: grid1, 2: grid2, 3: grid3}[u.d]
+    u = normalize(u, grid)
+    h = u.density(grid.nodes)
+    m1, gap = _moments(grid, h)
+    L = np.longdouble
+    wh, x = grid.weights.astype(L) * h.astype(L), grid.nodes.astype(L)
+    terms = wh[:, None] * x
+    want_m1 = terms.sum(axis=0)
+    want_gap = (wh * (x**2).sum(axis=1)).sum() - grid.d * wh.sum()
+    for got, want, scale in zip(m1, want_m1, np.abs(terms).sum(axis=0)):
+        assert abs(L(got) - want) <= rounding_floor(float(scale), grid.n_points)
+    assert abs(L(gap) - want_gap) <= second_moment_floor(gap, grid.d, float(wh.sum()))
+
+
+class TestHermiteScale:
+    U = HermiteExpansion(terms=(((0, 0), 1.0), ((1, 1), 0.05), ((2, 0), 0.1)), d=2)
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 1.0 / 0.9123456789, 7.5e3])
+    def test_equals_the_replace_path_bit_for_bit(self, c):
+        from dataclasses import replace
+
+        want = replace(self.U, terms=tuple((alpha, coeff * c) for alpha, coeff in self.U.terms))
+        got = self.U.with_scale(c)
+        assert type(got) is HermiteExpansion and got == want
+        assert got.to_json() == want.to_json()
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
+        for a, b in zip(got.jet(x), want.jet(x)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_scale_that_is_not_positive_and_finite(self, c):
+        with pytest.raises(PositivityError):
+            self.U.with_scale(c)
+
+    def test_hull_probes_are_built_once_and_read_only(self):
+        probes = _hull_probes(2)
+        assert _hull_probes(2) is probes
+        assert probes.shape == (41 * 41, 2) and not probes.flags.writeable

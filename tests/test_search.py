@@ -29,7 +29,21 @@ from glslab import (
     run_search,
 )
 from glslab.measure import GaussianMeasureSpec, build_grid
-from glslab.search import instantiate, load_problem, minimize_callable, raw_objective
+from glslab.search import FAMILIES, instantiate, load_problem, minimize_callable, raw_objective
+
+
+_INSTANTIATE_CASES = [
+    ("hermite", 1, [0.1, 0.0, -0.05, 0.02]),
+    ("hermite", 1, [0.0]),
+    ("affine", 1, [0.12]),
+    ("affine", 2, [-0.08]),
+    ("tilt", 1, [0.4]),
+    ("tilt", 2, [0.3]),
+    ("tilt", 2, [0.3, -0.6]),
+    ("gaussian", 1, [0.55]),
+    ("gaussian", 2, [0.7]),
+    ("gaussian", 2, [0.5, 0.9]),
+]
 
 
 def test_optimizer_solves_a_quadratic():
@@ -285,6 +299,37 @@ class TestManifoldDistance:
         u = instantiate(problem, np.array([0.5, 0.75]))
         assert u.family == "gaussian"
         assert u.d == 2
+
+    def test_instantiate_cases_cover_every_searchable_family(self):
+        assert {family for family, _, _ in _INSTANTIATE_CASES} == set(FAMILIES)
+
+    @pytest.mark.parametrize("family, d, theta", _INSTANTIATE_CASES)
+    def test_instantiate_builds_what_build_function_builds(self, family, d, theta):
+        # the dict route instantiate used to take, member for member
+        params = {
+            "hermite": {"coeffs": [1.0] + theta},
+            "affine": {"eps": theta[0]},
+            "tilt": {"a": theta},
+            "gaussian": {"sigma2": theta},
+        }[family]
+        want = glslab.build_function({"family": family, "params": params, "d": d})
+        problem = SearchProblem(
+            name="f", objective="deficit", family=family, d=d, lower=theta, upper=theta
+        )
+        got = instantiate(problem, np.array(theta))
+        assert type(got) is type(want) and got.to_json() == want.to_json()
+        x = np.random.default_rng(1).uniform(-2.0, 2.0, size=(50, d))
+        for a, b in zip(got.jet(x), want.jet(x)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_instantiate_does_not_share_the_parameter_vector(self):
+        problem = SearchProblem(
+            name="f", objective="deficit", family="tilt", d=2, lower=(0.0, 0.0), upper=(1.0, 1.0)
+        )
+        theta = np.array([0.2, 0.4])
+        u = instantiate(problem, theta)
+        theta[:] = 0.9
+        np.testing.assert_array_equal(u.a, [0.2, 0.4])
 
 
 def test_import_loads_no_scipy_and_search_still_runs():
