@@ -50,9 +50,9 @@ def second_moment_floor(gap: float, d: int, mass: float) -> float:
 
 
 def _xlogx(h: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(h)
-    pos = h > 0
-    out[pos] = h[pos] * np.log(h[pos])
+    # log only where h > 0 and 0 elsewhere, without masked copies
+    out = np.log(h, out=np.zeros_like(h), where=h > 0)
+    out *= h
     return out
 
 

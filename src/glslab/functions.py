@@ -21,10 +21,10 @@ compactly supported by design and reports its support radius.
 
 Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 (evolved: Gaussian profiles and tilts) or supply the exact Gaussian
-averages of u^2 and its derivatives (ou_average).  Affine and Hermite u of
-per-axis degree k take them from inner_average on the order-(k + 1)
-Gauss-Hermite rule, exact for u^2; d = 1 bumps and disjoint two_bumps
-from the windows module, imported on first use so that `import glslab`
+averages of u^2 and its derivatives (ou_average).  Affine and Hermite u
+of degree k_i along axis i take them from inner_average on the tensor
+product of the order-(k_i + 1) Gauss-Hermite rules, exact for u^2; d = 1
+bumps and disjoint two_bumps from the windows module, imported on first use so that `import glslab`
 does not compile it.  inner_average is also every family's reference
 quadrature (ou_flow.EvolvedDensity).
 
@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, LabError, NormalizationError, PositivityError
-from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid
+from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid, product_grid
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
@@ -539,9 +539,10 @@ class HermiteExpansion(TestFunction):
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
 
     def ou_average(self, x, t, kinds):
-        # u^2 has degree <= 2 kmax per axis: the order-(kmax + 1) rule averages it exactly
-        inner = build_grid(GaussianMeasureSpec(self.d), self._kmax + 1)
-        return inner_average(self, x, t, kinds, inner)
+        # u^2 has degree <= 2 k_i along axis i, k_i the largest degree there:
+        # the order-(k_i + 1) rule on each axis averages it exactly
+        degrees = (max(ks) for ks in zip(*(alpha for alpha, _ in self.terms)))
+        return inner_average(self, x, t, kinds, product_grid([k + 1 for k in degrees]))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,16 +92,33 @@ def _coarse_order(order: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _tensor_grid(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = gauss_hermite_1d(order)
-    if d == 1:
+def _tensor_grid(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    rules = {n: gauss_hermite_1d(n) for n in set(orders)}
+    if len(orders) == 1:
+        x, w = rules[orders[0]]
         return x[:, None], w
-    axes = np.meshgrid(*([x] * d), indexing="ij")
+    axes = np.meshgrid(*(rules[n][0] for n in orders), indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=-1)
-    weights = w
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, w)
+    weights = rules[orders[0]][1]
+    for n in orders[1:]:
+        weights = np.multiply.outer(weights, rules[n][1])
     return nodes, weights.ravel()
+
+
+def product_grid(orders: Sequence[int]) -> QuadratureGrid:
+    """The tensor product of the order-orders[i] rules along axis i.
+
+    An average over it is exact for polynomials of degree <= 2 orders[i] - 1
+    along axis i.  Its ``order`` is the largest of the orders, and its
+    ``coarse`` partner is only meaningful when they are all equal.
+    """
+    orders = tuple(orders)
+    spec = GaussianMeasureSpec(len(orders))
+    for order in orders:
+        if not (1 <= order <= MAX_ORDER):
+            raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
+    nodes, weights = _tensor_grid(orders)
+    return QuadratureGrid(d=spec.d, order=max(orders), nodes=nodes, weights=weights)
 
 
 def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
@@ -110,10 +127,7 @@ def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     Rejects d > 3 and order > 256 (memory guard).  Order 1 is the single
     node at the origin with weight one.
     """
-    if not (1 <= order <= MAX_ORDER):
-        raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
-    nodes, weights = _tensor_grid(spec.d, order)
-    return QuadratureGrid(d=spec.d, order=order, nodes=nodes, weights=weights)
+    return product_grid((order,) * spec.d)
 
 
 def _checked(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:

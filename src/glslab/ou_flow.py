@@ -10,9 +10,10 @@ evolve, the one entry point, takes one of three paths.
    Gaussian profiles and tilts) evolves to another member of the family.
 2. Exact average.  A family with exact averages of h0, grad h0 and Hess h0
    (TestFunction.ou_average) evolves into an EvolvedDensity without an
-   inner rule.  Affine and Hermite u of per-axis degree k average over the
-   order-(k + 1) Gauss-Hermite rule, exact for h0 (any d); d = 1 bumps and
-   disjoint d = 1 two_bumps average in closed form (the windows module).
+   inner rule.  Affine and Hermite u of degree k_i along axis i average
+   over the tensor product of the order-(k_i + 1) Gauss-Hermite rules,
+   exact for h0 (any d); d = 1 bumps and disjoint d = 1 two_bumps average
+   in closed form (the windows module).
 3. Reference quadrature.  Every other family (bumps at d >= 2, two_bumps
    with overlapping lobes or d >= 2) is averaged over an inner
    Gauss-Hermite rule in y; differentiating under the integral gives

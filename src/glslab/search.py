@@ -8,6 +8,11 @@ so late restarts cannot trade constraint violation for objective value.
 Construction failures (sign changes, capacity) are charged a large value
 instead of raising, which keeps the simplex inside the feasible set.
 
+The Nelder-Mead itself (minimize_callable; Nelder & Mead, Comput. J. 7,
+1965) is written in numpy.  It takes the steps of scipy.optimize's
+non-adaptive method and evaluates the same points in the same order, so
+the search needs no scipy at run time.
+
 The module also fits the small-amplitude scaling of the deficit along the
 affine family and evaluates the closed-form squared distance from that
 family to the manifold of exponential tilts.
@@ -178,17 +183,69 @@ def minimize_callable(
     x0: np.ndarray,
     maxiter: int = 200,
 ) -> tuple[np.ndarray, float, int]:
-    """Nelder-Mead wrapper returning the point, value and evaluation count."""
-    # imported here so that importing glslab does not load scipy
-    from scipy import optimize
+    """Nelder-Mead from x0; returns the best vertex, the least value and the
+    number of evaluations.
 
-    res = optimize.minimize(
-        f,
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13},
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nfev)
+    Step for step the non-adaptive method of scipy.optimize.minimize
+    (scipy 1.17) with xatol 1e-9 and fatol 1e-13: the same initial simplex,
+    the coefficients 1, 2, 1/2, 1/2, the same sorting and stopping test, at
+    most maxiter - 1 iterations, so it evaluates the same points in the
+    same order.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    nfev = 0
+
+    def call(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        # a copy: f may keep or change its argument
+        return f(x.copy())
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([call(x) for x in sim], dtype=float)
+
+    def order() -> None:
+        nonlocal sim, fsim
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # sorted twice, as scipy does: np.argsort is not stable, and a second
+    # sort may reorder tied values
+    order()
+    order()
+    for _ in range(maxiter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-9
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-13):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = call(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = call(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = call(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = call(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = call(sim[j])
+        order()
+    return sim[0], float(np.min(fsim)), nfev
 
 
 def run_search(problem: SearchProblem, grid: QuadratureGrid | None = None) -> SearchResult:

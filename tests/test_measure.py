@@ -12,7 +12,7 @@ from glslab import (
     normalize,
     report,
 )
-from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error
+from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, product_grid
 
 
 def double_factorial(n: int) -> int:
@@ -112,6 +112,18 @@ class TestGrids:
             build_grid(spec, 0)
         with pytest.raises(CapacityError):
             build_grid(spec, 257)
+
+    def test_product_grid_has_its_own_order_per_axis(self):
+        grid = product_grid((3, 1, 2))
+        assert (grid.d, grid.order, grid.n_points) == (3, 3, 6)
+        x = grid.nodes
+        # exact up to degree 2 n_i - 1 along axis i: E x^4 = 3, E z^2 = 1
+        assert float(grid.weights @ (x[:, 0] ** 4 * x[:, 2] ** 2)) == pytest.approx(3.0, rel=1e-14)
+        np.testing.assert_array_equal(x[:, 1], 0.0)
+        with pytest.raises(CapacityError):
+            product_grid((2, 257))
+        with pytest.raises(CapacityError):
+            product_grid((2, 2, 2, 2))
 
     def test_coarse_partner_is_embedded_lower_order(self, grid1):
         coarse = grid1.coarse

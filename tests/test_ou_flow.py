@@ -22,6 +22,7 @@ from glslab import (
     FlowError,
     GaussianMeasureSpec,
     GaussianProfile,
+    HermiteExpansion,
     Tilt,
     build_grid,
     certify,
@@ -493,8 +494,8 @@ def _fixture(name):
 
 
 class TestPolynomialAverage:
-    """Affine and Hermite u of per-axis degree k average exactly over the
-    order-(k + 1) Gauss-Hermite rule, at any d."""
+    """Affine and Hermite u of degree k_i along axis i average exactly over
+    the tensor product of the order-(k_i + 1) Gauss-Hermite rules, at any d."""
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 2.0])
     @pytest.mark.parametrize("name", _POLYNOMIALS + ["affine_d3", "hermite_d3"])
@@ -519,20 +520,43 @@ class TestPolynomialAverage:
         np.testing.assert_array_equal(mask, ref_mask)
         np.testing.assert_allclose(hess_log, ref_hess_log, rtol=0, atol=5e-12)
 
+    # degree 12 along the first axis alone
+    _ONE_AXIS = (((0, 0, 0), 1.0), ((12, 0, 0), 1e-12))
+
     def test_the_rule_has_the_degree_of_the_function(self, monkeypatch):
-        orders = []
+        points = []
         original = functions.inner_average
 
         def recorded(u0, x, t, kinds, inner):
-            orders.append(inner.order)
+            points.append(inner.n_points)
             return original(u0, x, t, kinds, inner)
 
         monkeypatch.setattr(functions, "inner_average", recorded)
         quartic = corpus.get("hermite_quartic").function()
-        for u in (_fixture("affine_d3"), _fixture("hermite_d3"), quartic):
+        one_axis = HermiteExpansion(terms=self._ONE_AXIS, d=3)
+        mixed = HermiteExpansion(terms=(((0, 0, 0), 1.0), ((1, 0, 2), 0.01)), d=3)
+        for u in (_fixture("affine_d3"), _fixture("hermite_d3"), quartic, one_axis, mixed):
             u.ou_average(np.zeros((1, u.d)), 0.5, ("h",))
-        # degrees 1, 2 and 4 per axis
-        assert orders == [2, 3, 5]
+        # per-axis degrees 1 1 1, 2 2 2, 4, 12 0 0 and 1 0 2
+        assert points == [2**3, 3**3, 5, 13, 2 * 1 * 3]
+
+    def test_one_high_degree_axis_averages_at_order_64(self, grid3):
+        # 13^3 inner points per node put this past the envelope; 13 do not
+        u = normalize(HermiteExpansion(terms=self._ONE_AXIS, d=3), grid3)
+        h = u.ou_average(grid3.nodes, 0.3, ("h",))[0]
+        # P_t conserves mass
+        assert abs(float(grid3.weights @ h) - 1.0) < 1e-12
+
+    def test_one_high_degree_axis_matches_the_quadrature_reference(self):
+        grid = build_grid(GaussianMeasureSpec(d=3), 16)
+        u = normalize(HermiteExpansion(terms=self._ONE_AXIS, d=3), grid)
+        # every 16th node and a probe cloud: the order-13 reference costs
+        # 13^3 inner points per point
+        x = np.concatenate([grid.nodes[::16], _probe_cloud(3, 64)])
+        exact = ou_flow.EvolvedDensity(u0=u, t=0.3)
+        reference = mehler_density(u, 0.3, 13)
+        for g, w in zip(exact.jet(x), reference.jet(x), strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * np.abs(w).max())
 
     @pytest.mark.parametrize("name", ["affine_d3", "hermite_d3"])
     def test_d3_fixtures_evolve_at_order_64(self, name, grid3):

@@ -7,6 +7,7 @@ answer deficit ~ eps^4 / 2, which pins both the exponent and the
 coefficient of the log-log regression.
 """
 
+import dis
 import json
 import math
 import os
@@ -29,7 +30,15 @@ from glslab import (
     run_search,
 )
 from glslab.measure import GaussianMeasureSpec, build_grid
-from glslab.search import FAMILIES, instantiate, load_problem, minimize_callable, raw_objective
+from glslab import search
+from glslab.search import (
+    BIG_VALUE,
+    FAMILIES,
+    instantiate,
+    load_problem,
+    minimize_callable,
+    raw_objective,
+)
 
 
 _INSTANTIATE_CASES = [
@@ -46,12 +55,176 @@ _INSTANTIATE_CASES = [
 ]
 
 
+def _scipy_nelder_mead(f, x0, maxiter=200):
+    """The reference: scipy's Nelder-Mead with the options the search uses."""
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.minimize(
+        f,
+        np.asarray(x0, dtype=float),
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13},
+    )
+    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nfev)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _recorded(minimize, f, x0, maxiter):
+    """minimize's (x, fun, nfev) and every point it handed to f, in order."""
+    points = []
+
+    def g(x):
+        points.append(x.copy())
+        return f(x)
+
+    return minimize(g, x0, maxiter), points
+
+
+def _rosenbrock(x):
+    return float(((1.0 - x[:-1]) ** 2).sum() + 100.0 * ((x[1:] - x[:-1] ** 2) ** 2).sum())
+
+
+def _plateau(x):
+    # BIG_VALUE where x[0] > 1: a simplex started there has all values tied
+    return BIG_VALUE if x[0] > 1.0 else float(((x - 0.5) ** 2).sum())
+
+
+def _kink(x):
+    return float(np.abs(x).sum() + 0.3 * np.abs(x[0] - x[-1]))
+
+
+def _scribbles(x):
+    # overwrites its argument: the optimizer must hand it a copy
+    value = float(((x - 0.25) ** 2).sum())
+    x[:] = 1e3
+    return value
+
+
+# objective, x0, maxiter; between them they take every step of the method:
+# reflection, expansion, outside and inside contraction, shrink, the stopping
+# test and maxiter exhaustion, with exact ties in fsim and zero entries in x0
+_NELDER_MEAD_CASES = {
+    "quadratic": (lambda t: float(((t - np.array([0.3, -0.7])) ** 2).sum()), [0.0, 0.0], 200),
+    "rosenbrock_d2": (_rosenbrock, [-1.2, 1.0], 200),
+    "rosenbrock_d3_exhausted": (_rosenbrock, [-1.0, 0.5, 0.0], 40),
+    "plateau": (_plateau, [1.5, 0.0], 200),
+    "plateau_edge": (_plateau, [1.02, 0.3], 200),
+    "kink": (_kink, [0.4, -0.2, 0.7], 200),
+    "scribbles": (_scribbles, [0.0], 200),
+    "one_iteration": (_rosenbrock, [0.5, 0.5], 1),
+}
+
+
 def test_optimizer_solves_a_quadratic():
     center = np.array([0.3, -0.7])
     x, val, nfev = minimize_callable(lambda t: float(((t - center) ** 2).sum()), np.zeros(2))
     np.testing.assert_allclose(x, center, atol=1e-4)
     assert val < 1e-8
     assert nfev > 0
+
+
+class TestNelderMead:
+    """minimize_callable repeats scipy's Nelder-Mead bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_NELDER_MEAD_CASES))
+    def test_matches_scipy_point_for_point(self, name):
+        f, x0, maxiter = _NELDER_MEAD_CASES[name]
+        (want_x, want_fun, want_nfev), want_points = _recorded(
+            _scipy_nelder_mead, f, np.array(x0), maxiter
+        )
+        (x, fun, nfev), points = _recorded(minimize_callable, f, np.array(x0), maxiter)
+        assert len(points) == nfev == want_nfev
+        assert _bits(points) == _bits(want_points)
+        assert _bits(x) == _bits(want_x)
+        assert _bits(fun) == _bits(want_fun)
+
+    def test_the_cases_run_every_line(self):
+        # line events of minimize_callable and its closures over all cases
+        codes = {minimize_callable.__code__}
+        codes |= {c for c in minimize_callable.__code__.co_consts if hasattr(c, "co_code")}
+        want = {line for code in codes for _, line in dis.findlinestarts(code) if line}
+        seen = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code in codes:
+                seen.add(frame.f_lineno)
+                return tracer
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for f, x0, maxiter in _NELDER_MEAD_CASES.values():
+                minimize_callable(f, np.array(x0), maxiter)
+        finally:
+            sys.settrace(previous)
+        first = minimize_callable.__code__.co_firstlineno
+        assert want - seen <= {first}, sorted(line - first for line in want - seen)
+
+    def test_maxiter_bounds_the_iterations(self):
+        # scipy counts from 1: maxiter = 1 stops after the initial simplex
+        _, _, nfev = minimize_callable(_rosenbrock, np.array([0.5, 0.5]), maxiter=1)
+        assert nfev == 3
+        # the exhausted case stops at its cap, not at the stopping test
+        f, x0, maxiter = _NELDER_MEAD_CASES["rosenbrock_d3_exhausted"]
+        capped = minimize_callable(f, np.array(x0), maxiter)[2]
+        assert capped < minimize_callable(f, np.array(x0), maxiter + 1)[2]
+
+
+# one search per (objective, family, d) of the benchmark's search loop, on
+# boxes of the same shape and a coarser grid
+_LOOP_PROBLEMS = [
+    ("deficit", "affine", 1, (0.05,), (0.15,), None),
+    ("ratio_q", "affine", 1, (0.05,), (0.15,), None),
+    ("deficit", "tilt", 1, (0.2,), (0.45,), None),
+    ("ratio_q", "tilt", 1, (0.2,), (0.45,), None),
+    ("deficit", "gaussian", 1, (0.4,), (0.8,), None),
+    ("ratio_q", "gaussian", 1, (0.4,), (0.8,), None),
+    ("stab_margin", "gaussian", 1, (0.4,), (0.8,), "kappa_weighted"),
+    ("deficit", "hermite", 1, (-0.05, -0.04, -0.02), (0.05, 0.04, 0.02), None),
+    ("ratio_q", "hermite", 1, (-0.05, -0.04, -0.02), (0.05, 0.04, 0.02), None),
+    ("deficit", "gaussian", 2, (0.35, 0.45), (0.8, 0.9), None),
+    ("deficit", "tilt", 2, (0.15, 0.25), (0.4, 0.5), None),
+]
+
+
+@pytest.mark.parametrize(
+    "objective, family, d, lower, upper, bound",
+    _LOOP_PROBLEMS,
+    ids=[f"{o}_{f}_d{d}" for o, f, d, *_ in _LOOP_PROBLEMS],
+)
+def test_run_search_matches_the_scipy_reference(
+    monkeypatch, objective, family, d, lower, upper, bound
+):
+    problem = SearchProblem(
+        name="oracle", objective=objective, family=family, d=d,
+        lower=lower, upper=upper, bound=bound, grid_order=16, seed=5,
+    )
+    grid = build_grid(GaussianMeasureSpec(d), problem.grid_order)
+
+    def run(minimize):
+        calls = []
+
+        def recorded(f, x0, maxiter=200):
+            out = minimize(f, x0, maxiter)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(search, "minimize_callable", recorded)
+        return run_search(problem, grid), calls
+
+    want, want_calls = run(_scipy_nelder_mead)
+    got, got_calls = run(minimize_callable)
+    assert got.n_evaluations == want.n_evaluations
+    for field in ("params", "objective", "penalty"):
+        values = [getattr(point, field) for point in got.trace]
+        assert _bits(values) == _bits([getattr(point, field) for point in want.trace])
+    assert _bits(got.best_params) == _bits(want.best_params)
+    assert _bits(got.best_value) == _bits(want.best_value)
+    for (x, fun, nfev), (want_x, want_fun, want_nfev) in zip(got_calls, want_calls, strict=True):
+        assert (_bits(x), _bits(fun), nfev) == (_bits(want_x), _bits(want_fun), want_nfev)
 
 
 class TestProblemConfig:
@@ -332,25 +505,50 @@ class TestManifoldDistance:
         np.testing.assert_array_equal(u.a, [0.2, 0.4])
 
 
-def test_import_loads_no_scipy_and_search_still_runs():
-    # scipy is imported by minimize_callable alone, on the first search, and
-    # numpy.polynomial and glslab.windows on first use too; the child imports
-    # the same glslab as this process, installed or not
+def test_import_loads_no_scipy_and_search_still_runs(tmp_path):
+    # the child refuses every scipy import, then searches through the library
+    # and the CLI; numpy.polynomial and glslab.windows load on first use only.
+    # The child imports the same glslab as this process, installed or not
     root = os.path.dirname(os.path.dirname(glslab.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "name": "cli", "objective": "deficit", "family": "affine", "d": 1,
+        "lower": [0.01], "upper": [0.2], "grid_order": 16, "restarts": 1, "maxiter": 20,
+    }))
     code = """
-import sys, glslab
+import contextlib, io, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"refused import of {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import glslab
+from glslab import cli
 loaded = [m for m in sys.modules if m.startswith(("scipy", "numpy.polynomial", "glslab.windows"))]
 assert not loaded, loaded
-problem = glslab.SearchProblem(
-    name="affine", objective="deficit", family="affine", d=1,
-    lower=(0.01,), upper=(0.2,), grid_order=16, restarts=1, maxiter=20,
+hermite = glslab.SearchProblem(
+    name="hermite", objective="deficit", family="hermite", d=1,
+    lower=(-0.05, -0.04), upper=(0.05, 0.04), grid_order=16, restarts=1, maxiter=20,
 )
-result = glslab.run_search(problem)
-assert result.n_evaluations > 0 and result.best_value < 1e-3, result
+margin = glslab.SearchProblem(
+    name="margin", objective="stab_margin", family="gaussian", d=1, bound="entropy_squared",
+    lower=(0.4,), upper=(0.8,), grid_order=16, restarts=1, maxiter=20,
+)
+for problem in (hermite, margin):
+    result = glslab.run_search(problem)
+    assert result.n_evaluations > 0 and result.best_value < 1e-2, result
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["search", "--problem", sys.argv[1]]) == 0
+assert '"best_value"' in out.getvalue(), out.getvalue()
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert not loaded, loaded
 """
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(problem)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
