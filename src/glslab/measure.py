@@ -81,7 +81,16 @@ class QuadratureGrid:
 
     @cached_property
     def coarse(self) -> "QuadratureGrid":
-        """Embedded lower-order partner used for error estimates, built once per grid."""
+        """Embedded lower-order partner used for error estimates, built once per grid.
+
+        Only a grid of one order on every axis has one: it alone has
+        order**d points, since no axis has more than ``order`` nodes.
+        """
+        if self.n_points != self.order**self.d:
+            raise IntegrationError(
+                f"a grid of mixed per-axis orders (largest {self.order}) has no "
+                "embedded coarse partner"
+            )
         return build_grid(GaussianMeasureSpec(self.d), _coarse_order(self.order))
 
 
@@ -109,8 +118,9 @@ def product_grid(orders: Sequence[int]) -> QuadratureGrid:
     """The tensor product of the order-orders[i] rules along axis i.
 
     An average over it is exact for polynomials of degree <= 2 orders[i] - 1
-    along axis i.  Its ``order`` is the largest of the orders, and its
-    ``coarse`` partner is only meaningful when they are all equal.
+    along axis i.  Its ``order`` is the largest of the orders; when they
+    differ it has no ``coarse`` partner, and asking for one raises
+    IntegrationError, so it serves exact averages, not error estimates.
     """
     orders = tuple(orders)
     spec = GaussianMeasureSpec(len(orders))

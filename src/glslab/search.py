@@ -212,8 +212,10 @@ def minimize_callable(
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    # sorted twice, as scipy does: np.argsort is not stable, and a second
-    # sort may reorder tied values
+    # scipy sorts twice here (in a finally, then again) and after every
+    # step, but not on the break of the stopping test, which leaves its loop
+    # before the sort; np.argsort is not stable, so every sort is repeated
+    # as scipy places it, and ties in fsim end in the same order
     order()
     order()
     for _ in range(maxiter - 1):

