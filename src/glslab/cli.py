@@ -10,7 +10,8 @@ each record's dataclass fields (functions.Record).
 
 Exit codes: 0 success, 1 a bound was violated or a certificate refuted,
 2 usage error (NaN or infinite float options too), 3 any lab error
-(capacity, domain, positivity, ...).
+(capacity, domain, positivity, ...), an unreadable or malformed family or
+problem file included.
 """
 
 from __future__ import annotations
@@ -90,8 +91,11 @@ def _load_function(args: argparse.Namespace):
     if getattr(args, "builtin", None):
         entry = corpus.get(args.builtin)
         return entry.function(), {"builtin": args.builtin, "build": entry.build}
-    with open(args.family, "r", encoding="utf-8") as fh:
-        build = json.load(fh)
+    try:
+        with open(args.family, "r", encoding="utf-8") as fh:
+            build = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise LabError(f"cannot read family file {args.family!r}: {exc}") from exc
     return build_function(build), {"family_file": args.family, "build": build}
 
 

@@ -35,9 +35,15 @@ import numpy as np
 
 from .errors import PositivityError
 from .measure import QuadratureGrid, embedded, rounding_floor
-from .functions import Record, TestFunction, _moments, _require_unit_norm, _rowdot
-
-SUPPORT_FLOOR = 1e-12
+from .functions import (
+    SUPPORT_FLOOR,
+    Record,
+    TestFunction,
+    _moments,
+    _require_unit_norm,
+    _rowdot,
+    _support,
+)
 
 
 def second_moment_floor(gap: float, d: int, mass: float) -> float:
@@ -172,7 +178,7 @@ def _positive_mask(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
             f"function is negative at node {x[i]} (value {vals[i]!r}); "
             "identity integrands divide by v"
         )
-    return vals > SUPPORT_FLOOR * max(vals.max(), 1e-300)
+    return _support(vals, SUPPORT_FLOOR)
 
 
 def fisher_flux_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResult:

@@ -21,12 +21,13 @@ compactly supported by design and reports its support radius.
 
 Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 (evolved: Gaussian profiles and tilts) or supply the exact Gaussian
-averages of u^2 and its derivatives (ou_average).  Affine and Hermite u
-of degree k_i along axis i take them from inner_average on the tensor
-product of the order-(k_i + 1) Gauss-Hermite rules, exact for u^2; d = 1
-bumps and disjoint two_bumps from the windows module, imported on first use so that `import glslab`
-does not compile it.  inner_average is also every family's reference
-quadrature (ou_flow.EvolvedDensity).
+averages of u^2 and its derivatives (ou_average(x, t, order), whose order
+means what jet's does).  Affine and Hermite u of degree k_i along axis i
+take them from inner_average on measure.tensor_rule of the orders
+k_i + 1, exact for u^2; d = 1 bumps and disjoint two_bumps from the
+windows module, imported on first use so that `import glslab` does not
+compile it.  inner_average is also every family's reference quadrature
+(ou_flow.EvolvedDensity).
 
 Per-point kernels run along the point axis: an (n, d) batch is reduced or
 broadcast one length-n column at a time (_rowdot for row-wise dot
@@ -44,12 +45,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, LabError, NormalizationError, PositivityError
-from .measure import GaussianMeasureSpec, QuadratureGrid, build_grid, product_grid
+from .measure import GaussianMeasureSpec, QuadratureGrid, tensor_rule
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
 # density_and_hess_log's support: h > SUPPORT_THRESHOLD max h
 SUPPORT_THRESHOLD = 1e-10
+# the support of the readers that divide by v or h: v > SUPPORT_FLOOR max v
+SUPPORT_FLOOR = 1e-12
 FAMILY_TAGS = ("tilt", "affine", "gaussian", "bump", "hermite", "two_bumps")
 # outer x inner points x d^2 (a Hessian's entries) of one chunk of inner_average
 _POINT_BUDGET = 1 << 22
@@ -57,8 +60,6 @@ _POINT_BUDGET = 1 << 22
 # an order-256 inner rule fits, certifier probes included; d = 3 at order 32
 # (1.1e9) does not, nor at order 64 (6.9e10, hours)
 MAX_AVERAGE_POINTS = 1 << 29
-# the averaged kinds in pass order; each has `order` trailing axes of length d
-_ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
 def _points(x: np.ndarray, d: int) -> np.ndarray:
@@ -146,13 +147,11 @@ class TestFunction:
         a closed form; t is finite and positive."""
         return None
 
-    def ou_average(
-        self, x: np.ndarray, t: float, kinds: Sequence[str]
-    ) -> "tuple[np.ndarray, ...] | None":
+    def ou_average(self, x: np.ndarray, t: float, order: int) -> "tuple[np.ndarray, ...] | None":
         """Exact Gaussian averages int f(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y)
-        of f = h0, grad h0 and Hess h0 (h0 = u^2), one array per kind in kinds
-        ("h", "grad", "hess"), shapes (n,), (n, d) and (n, d, d); None for a
-        family without them.  t is finite and positive."""
+        of the first order + 1 of f = h0, grad h0 and Hess h0 (h0 = u^2), shapes
+        (n,), (n, d) and (n, d, d); None for a family without them.  t is
+        finite and positive."""
         return None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -185,16 +184,16 @@ class TestFunction:
 
 
 def inner_average(
-    u0: TestFunction, x: np.ndarray, t: float, kinds: Sequence[str], inner: QuadratureGrid
+    u0: TestFunction, x: np.ndarray, t: float, order: int, nodes: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """u0.ou_average's averages over the inner rule in y, one array per kind.
+    """u0.ou_average(x, t, order) over the inner rule (nodes, weights) in y.
 
-    One jet of u0 per chunk of outer x inner points serves every kind; an
-    average over more than MAX_AVERAGE_POINTS points raises CapacityError
-    before any work.
+    One jet of u0 to the given order per chunk of outer x inner points
+    serves every average; an average over more than MAX_AVERAGE_POINTS
+    points raises CapacityError before any work.
     """
     pts = _points(x, u0.d)
-    yn, yw, m = inner.nodes, inner.weights, inner.n_points
+    m = weights.shape[0]
     if pts.shape[0] * m > MAX_AVERAGE_POINTS:
         raise CapacityError(
             f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
@@ -202,25 +201,25 @@ def inner_average(
         )
     decay = math.exp(-t)
     spread = math.sqrt(-math.expm1(-2.0 * t))
-    todo = [kind for kind in _ORDER if kind in kinds]
-    avg = {kind: np.empty((pts.shape[0],) + (u0.d,) * _ORDER[kind]) for kind in todo}
+    avg = tuple(np.empty((pts.shape[0],) + (u0.d,) * k) for k in range(order + 1))
     chunk = max(1, _POINT_BUDGET // (m * u0.d**2))
     for start in range(0, pts.shape[0], chunk):
         xb = pts[start : start + chunk]
-        z = decay * xb[:, None, :] + spread * yn[None, :, :]
-        u, *derivs = u0.jet(z.reshape(-1, u0.d), _ORDER[todo[-1]])
-        for kind in todo:
-            # h0 = u^2, grad h0 = 2 u grad u, Hess h0 = 2 (grad u (x) grad u + u Hess u)
-            if kind == "h":
+        z = decay * xb[:, None, :] + spread * nodes[None, :, :]
+        u, *derivs = u0.jet(z.reshape(-1, u0.d), order)
+        # one order at a time: h0 = u^2, grad h0 = 2 u grad u,
+        # Hess h0 = 2 (grad u (x) grad u + u Hess u)
+        for k, out in enumerate(avg):
+            if k == 0:
                 vals = u**2
-            elif kind == "grad":
+            elif k == 1:
                 vals = 2.0 * u[:, None] * derivs[0]
             else:
                 g, hess = derivs
                 vals = 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
             vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
-            avg[kind][start : start + chunk] = np.tensordot(vals, yw, axes=([1], [0]))
-    return tuple(avg[kind] for kind in kinds)
+            out[start : start + chunk] = np.tensordot(vals, weights, axes=([1], [0]))
+    return avg
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,9 @@ class Affine(TestFunction):
     def with_scale(self, c: float) -> "Affine":
         return replace(self, amplitude=self.amplitude * c)
 
-    def ou_average(self, x, t, kinds):
+    def ou_average(self, x, t, order):
         # u^2 is quadratic per axis: the order-2 rule averages it exactly
-        return inner_average(self, x, t, kinds, build_grid(GaussianMeasureSpec(self.d), 2))
+        return inner_average(self, x, t, order, *tensor_rule((2,) * self.d))
 
 
 @dataclass(frozen=True)
@@ -423,14 +422,14 @@ class Bump(TestFunction):
     def with_scale(self, c: float) -> "Bump":
         return replace(self, amplitude=self.amplitude * c)
 
-    def ou_average(self, x, t, kinds):
+    def ou_average(self, x, t, order):
         if self.d != 1:
             return None
         from .windows import JETS, window_average
 
         x = _points(x, 1)[:, 0]
         jets = self.amplitude**2 * JETS[4]
-        return window_average(x, t, float(self.center[0]), self.radius, jets, kinds)
+        return window_average(x, t, float(self.center[0]), self.radius, jets, order)
 
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
@@ -538,11 +537,11 @@ class HermiteExpansion(TestFunction):
     def params(self) -> dict:
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
 
-    def ou_average(self, x, t, kinds):
+    def ou_average(self, x, t, order):
         # u^2 has degree <= 2 k_i along axis i, k_i the largest degree there:
         # the order-(k_i + 1) rule on each axis averages it exactly
         degrees = (max(ks) for ks in zip(*(alpha for alpha, _ in self.terms)))
-        return inner_average(self, x, t, kinds, product_grid([k + 1 for k in degrees]))
+        return inner_average(self, x, t, order, *tensor_rule(tuple(k + 1 for k in degrees)))
 
 
 @dataclass(frozen=True)
@@ -584,7 +583,7 @@ class TwoBumps(TestFunction):
     def with_scale(self, c: float) -> "TwoBumps":
         return replace(self, amplitude=self.amplitude * c)
 
-    def ou_average(self, x, t, kinds):
+    def ou_average(self, x, t, order):
         # disjoint lobes (separation >= radius) make h0 = A^2 (1 + sum_i 2 b_i + b_i^2)
         # with no cross term; overlapping lobes have no exact average here
         if self.d != 1 or self.separation < self.radius:
@@ -595,21 +594,38 @@ class TwoBumps(TestFunction):
         square = self.amplitude**2
         jets = square * (2.0 * self.height * JETS[2] + self.height**2 * JETS[4])
         right, left = (
-            window_average(x, t, center, self.radius, jets, kinds)
+            window_average(x, t, center, self.radius, jets, order)
             for center in (self.separation, -self.separation)
         )
         out = [r + l for r, l in zip(right, left)]
-        return tuple(avg + square if kind == "h" else avg for kind, avg in zip(kinds, out))
+        out[0] += square
+        return tuple(out)
 
 
 def build_function(obj: dict) -> TestFunction:
-    """Construct a family member from {"family": tag, "params": {...}, "d": n}."""
+    """Construct a family member from {"family": tag, "params": {...}, "d": n}.
+
+    A d outside 1..MAX_DIM (default 1), missing or malformed parameters,
+    and parameters of another dimension than d raise LabError.
+    """
     try:
         tag = obj["family"]
         params = dict(obj.get("params", {}))
         d = int(obj.get("d", 1))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise LabError(f"malformed function description: {exc}") from exc
+    GaussianMeasureSpec(d)  # CapacityError outside 1 <= d <= MAX_DIM
+    try:
+        u = _construct(tag, params, d)
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+        raise LabError(f"cannot build a {tag} from {params}: {problem}") from exc
+    if u.d != d:
+        raise LabError(f"the {tag} parameters have d = {u.d}, the description states d = {d}")
+    return u
+
+
+def _construct(tag: str, params: dict, d: int) -> TestFunction:
     if tag == "tilt":
         a = np.atleast_1d(np.asarray(params.get("a", 0.0), dtype=float))
         if a.shape == (1,) and d > 1:

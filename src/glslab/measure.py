@@ -10,7 +10,10 @@ eigenvalues of the companion matrix polished by one Newton step, and its
 weights come from 1 / He_{n-1}(x_i)^2, so they are accurate relative to
 their own size down to the far tail (3e-211 at order 256), where squared
 Golub-Welsch eigenvector components are only accurate to about eps and
-underflow to 0.  Multi-dimensional grids are full tensor products.
+underflow to 0.  Multi-dimensional rules are full tensor products
+(tensor_rule), with an order of their own on each axis; a QuadratureGrid
+(build_grid) has one order on every axis, so it has an embedded coarse
+partner.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -68,7 +71,8 @@ def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Hermite grid: ``nodes`` (n_points, d), ``weights`` (n_points,)."""
+    """Tensor Gauss-Hermite grid of one order on every axis: ``nodes``
+    (n_points, d), ``weights`` (n_points,)."""
 
     d: int
     order: int
@@ -81,16 +85,7 @@ class QuadratureGrid:
 
     @cached_property
     def coarse(self) -> "QuadratureGrid":
-        """Embedded lower-order partner used for error estimates, built once per grid.
-
-        Only a grid of one order on every axis has one: it alone has
-        order**d points, since no axis has more than ``order`` nodes.
-        """
-        if self.n_points != self.order**self.d:
-            raise IntegrationError(
-                f"a grid of mixed per-axis orders (largest {self.order}) has no "
-                "embedded coarse partner"
-            )
+        """Embedded lower-order partner used for error estimates, built once per grid."""
         return build_grid(GaussianMeasureSpec(self.d), _coarse_order(self.order))
 
 
@@ -101,7 +96,13 @@ def _coarse_order(order: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _tensor_grid(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def tensor_rule(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (n_points, d) and weights (n_points,) of the tensor product of
+    the order-orders[i] rules along axis i.
+
+    An average over it is exact for polynomials of degree <= 2 orders[i] - 1
+    along axis i.  Cached: the arrays are shared between callers.
+    """
     rules = {n: gauss_hermite_1d(n) for n in set(orders)}
     if len(orders) == 1:
         x, w = rules[orders[0]]
@@ -114,30 +115,16 @@ def _tensor_grid(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights.ravel()
 
 
-def product_grid(orders: Sequence[int]) -> QuadratureGrid:
-    """The tensor product of the order-orders[i] rules along axis i.
-
-    An average over it is exact for polynomials of degree <= 2 orders[i] - 1
-    along axis i.  Its ``order`` is the largest of the orders; when they
-    differ it has no ``coarse`` partner, and asking for one raises
-    IntegrationError, so it serves exact averages, not error estimates.
-    """
-    orders = tuple(orders)
-    spec = GaussianMeasureSpec(len(orders))
-    for order in orders:
-        if not (1 <= order <= MAX_ORDER):
-            raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
-    nodes, weights = _tensor_grid(orders)
-    return QuadratureGrid(d=spec.d, order=max(orders), nodes=nodes, weights=weights)
-
-
 def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     """Construct the tensor rule of the given per-axis order.
 
     Rejects d > 3 and order > 256 (memory guard).  Order 1 is the single
     node at the origin with weight one.
     """
-    return product_grid((order,) * spec.d)
+    if not (1 <= order <= MAX_ORDER):
+        raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
+    nodes, weights = tensor_rule((order,) * spec.d)
+    return QuadratureGrid(d=spec.d, order=order, nodes=nodes, weights=weights)
 
 
 def _checked(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
 TestFunction for v = sqrt(h), which plugs into every functional and
 certifier unchanged.  The inner rules of paths 2 and 3 go through one
 function, functions.inner_average, whose one pass over the inner points
-serves every average a call needs; nothing is kept between calls.
+serves every average a call needs; nothing is kept between calls.  Like
+jet(x, order), every average takes an order and returns the first
+order + 1 of h, grad h and Hess h.
 
 On path 3 the inner (y) rule starts at the outer order and is doubled
 until its embedded error estimate inner_error drops below 1e-9, capped at
@@ -46,12 +48,11 @@ import numpy as np
 
 from .errors import FlowError
 from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import _ORDER, SUPPORT_THRESHOLD, TestFunction, _support, inner_average
+from .functions import SUPPORT_FLOOR, SUPPORT_THRESHOLD, TestFunction, _support, inner_average
 from .functionals import FunctionalReport, IdentityResult, report
 
 INNER_TOL = 1e-9
 INNER_WARN = 1e-6
-_MASK_FLOOR = 1e-12
 # time step of the centered differences in the derivative checks
 STENCIL_DT = 1e-3
 
@@ -62,11 +63,11 @@ def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
         grad v = grad h / (2 sqrt h),
         Hess v = Hess h / (2 sqrt h) - grad h (x) grad h / (4 h^1.5)
 
-    on the support h > _MASK_FLOOR max h, and 0 off it."""
+    on the support h > SUPPORT_FLOOR max h, and 0 off it."""
     out = [np.sqrt(np.maximum(h, 0.0))]
     if not derivs:
         return tuple(out)
-    mask = _support(h, _MASK_FLOOR)
+    mask = _support(h, SUPPORT_FLOOR)
     hm = h[mask]
     ghm = derivs[0][mask]
     grad = np.zeros_like(derivs[0])
@@ -87,11 +88,11 @@ class EvolvedDensity(TestFunction):
 
     Without an inner rule (inner = None) h, grad h and Hess h are u0's exact
     averages (u0.ou_average); with one they come from inner_average over that
-    rule, the reference every family has.  The kind of order k carries
-    e^{-k t}.  One pass averages every kind a call needs (h, grad h, Hess h).
-    Nothing is kept between calls: jet(x, order) reads one average of the
-    kinds up to order, density reads h alone, density_and_gradient h and
-    grad h, and density_and_hess_log all three.
+    rule, the reference every family has.  The average of order k carries
+    e^{-k t}.  One pass averages h, grad h and Hess h up to the order a call
+    needs.  Nothing is kept between calls: jet(x, order) reads one average
+    of its own order, density order 0, density_and_gradient order 1 and
+    density_and_hess_log order 2.
     """
 
     u0: TestFunction
@@ -105,29 +106,29 @@ class EvolvedDensity(TestFunction):
             raise FlowError(f"evolved density needs a finite t > 0, got {self.t}")
         object.__setattr__(self, "d", self.u0.d)
 
-    def _average(self, x: np.ndarray, *kinds: str) -> tuple[np.ndarray, ...]:
-        """h, grad h and Hess h of the evolved density at x, one array per kind."""
+    def _average(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """The first order + 1 of h, grad h and Hess h of the evolved density at x."""
         if self.inner is None:
-            avg = self.u0.ou_average(x, self.t, kinds)
+            avg = self.u0.ou_average(x, self.t, order)
             if avg is None:
                 raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
         else:
-            avg = inner_average(self.u0, x, self.t, kinds, self.inner)
+            avg = inner_average(self.u0, x, self.t, order, self.inner.nodes, self.inner.weights)
         scale = self.amplitude**2
-        return tuple(scale * math.exp(-_ORDER[k] * self.t) * a for k, a in zip(kinds, avg))
+        return tuple(scale * math.exp(-k * self.t) * a for k, a in enumerate(avg))
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        return _root_jet(*self._average(x, *list(_ORDER)[: order + 1]))
+        return _root_jet(*self._average(x, order))
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        return self._average(x, "h")[0]
+        return self._average(x, 0)[0]
 
     def density_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, gh = self._average(x, "h", "grad")
+        h, gh = self._average(x, 1)
         return h, _root_jet(h, gh)[1]
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h, gh, hh = self._average(x, "h", "grad", "hess")
+        h, gh, hh = self._average(x, 2)
         mask = _support(h, SUPPORT_THRESHOLD)
         gl = gh[mask] / h[mask, None]
         return h, mask, hh[mask] / h[mask, None, None] - gl[:, :, None] * gl[:, None, :]
@@ -206,7 +207,7 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     v_raw = u0 if t == 0 else u0.evolved(t)
     if v_raw is not None:
         h = v_raw.density(grid.nodes)
-    elif (exact := u0.ou_average(grid.nodes, t, ("h",))) is not None:
+    elif (exact := u0.ou_average(grid.nodes, t, 0)) is not None:
         v_raw, h = EvolvedDensity(u0=u0, t=t), exact[0]
     else:
         order = grid.order
@@ -316,7 +317,7 @@ def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> float:
     """-2 int || Hess v - (grad v (x) grad v) / v ||_F^2 dgamma on the support."""
     x = grid.nodes
     vals, g, hess = v.jet(x)
-    mask = _support(vals, _MASK_FLOOR)
+    mask = _support(vals, SUPPORT_FLOOR)
     defect = np.zeros_like(hess)
     defect[mask] = hess[mask] - (g[mask][:, :, None] * g[mask][:, None, :]) / vals[
         mask, None, None

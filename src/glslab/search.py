@@ -108,10 +108,19 @@ class SearchProblem(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchProblem":
+        if not isinstance(obj, dict):
+            raise ConstraintError(f"a search problem is a JSON object, got {obj!r}")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConstraintError(f"unknown search problem fields {sorted(unknown)}")
-        return cls(**obj)
+        counts = ("d", "grid_order", "restarts", "maxiter", "seed")
+        bad = [name for name in counts if name in obj and not isinstance(obj[name], int)]
+        if bad:
+            raise ConstraintError(f"search problem fields {bad} must be integers")
+        try:
+            return cls(**obj)
+        except (TypeError, ValueError) as exc:
+            raise ConstraintError(f"malformed search problem: {exc}") from exc
 
 
 def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
@@ -298,8 +307,12 @@ def run_search(problem: SearchProblem, grid: QuadratureGrid | None = None) -> Se
 
 
 def load_problem(path: str) -> SearchProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SearchProblem.from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise LabError(f"cannot read search problem {path!r}: {exc}") from exc
+    return SearchProblem.from_json(obj)
 
 
 @dataclass(frozen=True, eq=False)

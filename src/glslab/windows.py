@@ -40,7 +40,6 @@ _WINDOWS = {
     ),
 }
 _DEGREE = 8
-_KIND_ORDER = {"h": 0, "grad": 1, "hess": 2}
 
 
 def _derivative(taylor: np.ndarray, order: int) -> np.ndarray:
@@ -110,9 +109,10 @@ def _upper_moments(lam: np.ndarray) -> np.ndarray:
 
 
 def window_average(
-    x: np.ndarray, t: float, center: float, radius: float, jets: np.ndarray, kinds
+    x: np.ndarray, t: float, center: float, radius: float, jets: np.ndarray, order: int
 ) -> tuple[np.ndarray, ...]:
-    """Exact averages of p(w), p'(w) / R and p''(w) / R^2 over |w| < 1, for the
+    """Exact averages of p(w), p'(w) / R and p''(w) / R^2 over |w| < 1, the
+    first order + 1 of them with shapes (n,), (n, 1) and (n, 1, 1), for the
     polynomial p whose jets (order, point, coefficient) are laid out as JETS,
     with w = (e^{-t} x + s y - center) / R, s = sqrt(1 - e^{-2t}) and y ~ gamma.
 
@@ -130,11 +130,12 @@ def window_average(
     beta = math.sqrt(-math.expm1(-2.0 * t)) / radius
     alpha = (math.exp(-t) * x - center) / radius
     n = alpha.shape[0]
-    orders = [_KIND_ORDER[kind] for kind in kinds]
-    coeffs = jets[orders] / (radius ** np.array(orders, dtype=float))[:, None, None]
+    coeffs = jets[: order + 1] / (radius ** np.arange(order + 1, dtype=float))[:, None, None]
     if beta > 1.0:
-        avg = [_narrow_window(alpha, beta, c[0]) for c in coeffs]
-        return tuple(row.reshape((n,) + (1,) * order) for row, order in zip(avg, orders))
+        return tuple(
+            _narrow_window(alpha, beta, c[0]).reshape((n,) + (1,) * k)
+            for k, c in enumerate(coeffs)
+        )
     ends = np.concatenate([-1.0 - alpha, 1.0 - alpha]) / beta
     side = np.where(ends < 0, -1.0, 1.0)
     steps = _upper_moments(np.abs(ends)) * (beta ** np.arange(_DEGREE + 1))[:, None]
@@ -147,11 +148,11 @@ def window_average(
     for k in range(1, _DEGREE):
         moments[k + 1] = ac * moments[k] + k * beta**2 * moments[k - 1]
     out = []
-    # one kind at a time, so that its bits do not depend on the other kinds asked for
-    for (at0, at1, at_minus1), order in zip(coeffs, orders):
+    # one order at a time, so that its bits do not depend on the order asked for
+    for k, (at0, at1, at_minus1) in enumerate(coeffs):
         avg = np.where(central, at0 @ moments, 0.0)
         avg += side[:n] * (at_minus1 @ steps[:, :n]) - side[n:] * (at1 @ steps[:, n:])
-        out.append(avg.reshape((n,) + (1,) * order))
+        out.append(avg.reshape((n,) + (1,) * k))
     return tuple(out)
 
 

@@ -82,6 +82,56 @@ class TestReport:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read family file"),
+            ("{not json", "cannot read family file"),
+            (json.dumps({"family": "bump", "params": {}}), "KeyError: 'radius'"),
+            (json.dumps({"family": "gaussian", "params": {"sigma2": "abc"}}), "ValueError"),
+            (json.dumps({"family": "tilt", "params": {"a": [0.1]}, "d": "one"}), "malformed"),
+            (
+                json.dumps({"family": "gaussian", "params": {"sigma2": [0.5, 0.5]}, "d": 3}),
+                "d = 2, the description states d = 3",
+            ),
+            (
+                json.dumps({"family": "bump", "params": {"radius": 1, "center": [0, 0]}, "d": 1}),
+                "d = 2, the description states d = 1",
+            ),
+            (
+                json.dumps({"family": "tilt", "params": {"a": [0.1, 0.2, 0.3]}, "d": 2}),
+                "d = 3, the description states d = 2",
+            ),
+            (json.dumps({"family": "tilt", "params": {"a": []}}), "d = 0"),
+            (
+                json.dumps({"family": "hermite", "params": {"coeffs": [[[], 1.0]]}, "d": 0}),
+                "dimension 0 outside",
+            ),
+        ],
+        ids=[
+            "missing_file",
+            "not_json",
+            "missing_parameter",
+            "not_a_number",
+            "d_not_a_number",
+            "gaussian_d",
+            "bump_d",
+            "tilt_d",
+            "tilt_empty",
+            "hermite_d0",
+        ],
+    )
+    def test_malformed_family_file_is_a_lab_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "family.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["report", "--family", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
     def test_unknown_builtin_is_a_lab_error(self, capsys):
         code, _ = _run(capsys, ["report", "--builtin", "missing_entry"])
         assert code == 3
@@ -277,6 +327,16 @@ class TestLogcc:
         assert "nonnegative" in captured.err
 
 
+_AFFINE_PROBLEM = {
+    "name": "affine",
+    "objective": "deficit",
+    "family": "affine",
+    "d": 1,
+    "lower": [0.01],
+    "upper": [0.2],
+}
+
+
 class TestSearch:
     def test_end_to_end(self, capsys, tmp_path):
         problem = {
@@ -321,6 +381,38 @@ class TestSearch:
         assert code == 3
         assert captured.out == ""
         assert "restarts" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read search problem"),
+            ("{not json", "cannot read search problem"),
+            ("[1, 2]", "JSON object"),
+            (json.dumps({"name": "x", "lower": [0.1], "upper": [0.2]}), "missing"),
+            (json.dumps({**_AFFINE_PROBLEM, "lower": ["a"]}), "could not convert"),
+            (json.dumps({**_AFFINE_PROBLEM, "restarts": "3"}), "['restarts'] must be integers"),
+            (json.dumps({**_AFFINE_PROBLEM, "d": 1.5}), "['d'] must be integers"),
+        ],
+        ids=[
+            "missing_file",
+            "not_json",
+            "not_an_object",
+            "missing_fields",
+            "lower_not_a_number",
+            "restarts_a_string",
+            "d_not_an_integer",
+        ],
+    )
+    def test_malformed_problem_file_is_a_lab_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "problem.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["search", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "override, message",

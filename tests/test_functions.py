@@ -259,6 +259,22 @@ def test_build_function_rejects_unknown_family():
         build_function({"family": "spline", "params": {}, "d": 1})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "gaussian", "params": {"sigma2": [0.5, 0.5]}, "d": 3},
+        {"family": "bump", "params": {"radius": 1.0, "center": [0.0, 0.0]}, "d": 1},
+        {"family": "tilt", "params": {"a": [0.1, 0.2, 0.3]}, "d": 2},
+        {"family": "tilt", "params": {"a": []}},
+        {"family": "hermite", "params": {"coeffs": [1.0, 0.1]}, "d": 2},
+    ],
+    ids=["gaussian", "bump", "tilt", "tilt_empty", "hermite_flat_coeffs"],
+)
+def test_build_function_rejects_a_dimension_the_parameters_do_not_have(obj):
+    with pytest.raises(LabError, match="parameters have d = "):
+        build_function(obj)
+
+
 def test_normalize_gives_unit_norm(grid1, grid2):
     for u in _sample_functions():
         grid = grid1 if u.d == 1 else grid2

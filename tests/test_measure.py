@@ -12,7 +12,7 @@ from glslab import (
     normalize,
     report,
 )
-from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, product_grid
+from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, tensor_rule
 
 
 def double_factorial(n: int) -> int:
@@ -113,23 +113,17 @@ class TestGrids:
         with pytest.raises(CapacityError):
             build_grid(spec, 257)
 
-    def test_product_grid_has_its_own_order_per_axis(self):
-        grid = product_grid((3, 1, 2))
-        assert (grid.d, grid.order, grid.n_points) == (3, 3, 6)
-        x = grid.nodes
-        # exact up to degree 2 n_i - 1 along axis i: E x^4 = 3, E z^2 = 1
-        assert float(grid.weights @ (x[:, 0] ** 4 * x[:, 2] ** 2)) == pytest.approx(3.0, rel=1e-14)
+    def test_tensor_rule_has_its_own_order_per_axis(self):
+        x, w = tensor_rule((3, 1, 2))
+        assert x.shape == (6, 3) and w.shape == (6,)
+        assert float(w.sum()) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_array_equal(x[:, 1], 0.0)
-        # mixed orders are embedded in no coarse grid, so error estimates refuse them
-        with pytest.raises(IntegrationError, match="mixed per-axis orders"):
-            grid.coarse
-        with pytest.raises(IntegrationError, match="mixed per-axis orders"):
-            integrate_with_error(grid, lambda x: x[:, 0] ** 2)
-        assert product_grid((4, 4)).coarse.order == 3
-        with pytest.raises(CapacityError):
-            product_grid((2, 257))
-        with pytest.raises(CapacityError):
-            product_grid((2, 2, 2, 2))
+        # exact up to degree 2 n_i - 1 along axis i: E x^4 = 3, E x^5 = 0,
+        # E z^2 = 1, E z^3 = 0
+        assert float(w @ (x[:, 0] ** 4 * x[:, 2] ** 2)) == pytest.approx(3.0, rel=1e-14)
+        assert abs(float(w @ (x[:, 0] ** 5 * x[:, 2] ** 3))) < 1e-13
+        # but not beyond: the order-3 rule gives E x^6 = 9, not 15
+        assert float(w @ x[:, 0] ** 6) == pytest.approx(9.0, rel=1e-14)
 
     def test_coarse_partner_is_embedded_lower_order(self, grid1):
         coarse = grid1.coarse

@@ -161,10 +161,10 @@ def _readings(v, x):
 
 
 class TestOnePass:
-    """One pass over the inner points serves every kind of average a call needs."""
+    """One pass over the inner points serves every average a call needs."""
 
     def test_each_derivative_of_u0_is_evaluated_once(self, grid1, monkeypatch):
-        # one jet of u0 per chunk, to the highest order the kinds need
+        # one jet of u0 per chunk, to the order of the average
         v = mehler_density(corpus.get("bump_r2").normalized(grid1), 0.5)
         calls = Counter()
         original = Bump.jet
@@ -177,10 +177,10 @@ class TestOnePass:
         x = np.linspace(-3.0, 3.0, 13)[:, None]
         v.density_and_hess_log(x)
         assert calls == {2: 1}
-        for kinds, order in [(("h",), 0), (("grad",), 1), (("h", "grad"), 1), (("hess",), 2)]:
+        for order in (0, 1, 2):
             calls.clear()
-            v._average(x, *kinds)
-            assert calls == {order: 1}, kinds
+            v._average(x, order)
+            assert calls == {order: 1}, order
 
     def test_tilt_jet_runs_once_per_average(self, monkeypatch):
         u, x = _order16("tilt_d2")
@@ -194,7 +194,7 @@ class TestOnePass:
         monkeypatch.setattr(Tilt, "jet", counted)
         v = mehler_density(u, 0.5, 16)
         m = v.inner.n_points
-        v._average(x, "h", "grad", "hess")
+        v._average(x, 2)
         assert calls == {(2, len(x) * m): 1}
         calls.clear()
         v.density_and_gradient(x)
@@ -204,20 +204,25 @@ class TestOnePass:
         "name", [e.name for e in corpus.entries() if e.d == 1] + ["tilt_d2"]
     )
     def test_joint_pass_matches_one_kind_at_a_time(self, name):
+        # the order-2 pass averages h, grad h and Hess h jointly; the passes of
+        # order 0 (h alone) and 1 give its first arrays bit for bit
         u, x = _order16(name)
-        joint = mehler_density(u, 0.5, 16)._average(x, "h", "grad", "hess")
-        for kind, want in zip(("h", "grad", "hess"), joint):
-            np.testing.assert_array_equal(mehler_density(u, 0.5, 16)._average(x, kind)[0], want)
+        joint = mehler_density(u, 0.5, 16)._average(x, 2)
+        for order in (0, 1):
+            got = mehler_density(u, 0.5, 16)._average(x, order)
+            assert len(got) == order + 1
+            for g, want in zip(got, joint):
+                np.testing.assert_array_equal(g, want)
 
     def test_quadrature_evolve_repeats_no_average(self, grid1, monkeypatch):
-        # no call averages the same kinds on the same inner rule and node set
-        # twice; started at the grid order, the inner rule doubles twice
+        # no call averages to the same order on the same inner rule and node
+        # set twice; started at the grid order, the inner rule doubles twice
         calls = Counter()
         original = ou_flow.EvolvedDensity._average
 
-        def counted(self, x, *kinds):
-            calls[(kinds, self.inner.order, len(x))] += 1
-            return original(self, x, *kinds)
+        def counted(self, x, order):
+            calls[(order, self.inner.order, len(x))] += 1
+            return original(self, x, order)
 
         monkeypatch.setattr(ou_flow.EvolvedDensity, "_average", counted)
         u = normalize(_OVERLAPPING, grid1)
@@ -240,28 +245,26 @@ class TestOnePass:
         calls = Counter()
         original = ou_flow.EvolvedDensity._average
 
-        def counted(self, x, *kinds):
-            calls[(kinds, len(x))] += 1
-            return original(self, x, *kinds)
+        def counted(self, x, order):
+            calls[(order, len(x))] += 1
+            return original(self, x, order)
 
         monkeypatch.setattr(ou_flow.EvolvedDensity, "_average", counted)
         if reader == "hessian_defect":
             ou_flow._hessian_defect_integral(v, grid1)
         else:
             getattr(functionals, reader)(v, grid1)
-        joint = ("h", "grad", "hess")
         fine, coarse = grid1.n_points, grid1.coarse.n_points
-        want = Counter({(joint, fine): 1})
+        want = Counter({(2, fine): 1})
         if reader != "hessian_defect":
-            want[(joint, coarse)] = 1
+            want[(2, coarse)] = 1
         assert calls == want
 
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):
         u, x = _order16(name)
-        kinds = ("h", "grad", "hess")
         readings = _readings(mehler_density(u, 0.5, 16), x)
-        whole = {k: mehler_density(u, 0.5, 16)._average(x, k)[0] for k in kinds}
+        whole = mehler_density(u, 0.5, 16)._average(x, 2)
         # eight outer points per chunk, whole blocks of the rows BLAS sums
         # together: the same bits as one chunk
         monkeypatch.setattr(functions, "_POINT_BUDGET", 8 * 16**u.d * u.d**2)
@@ -271,10 +274,10 @@ class TestOnePass:
         # here) and the remainder rows in another order, so ragged chunks of
         # three points change the averages by rounding only
         monkeypatch.setattr(functions, "_POINT_BUDGET", 3 * 16**u.d * u.d**2)
-        for kind in kinds:
-            chunked = mehler_density(u, 0.5, 16)._average(x, kind)[0]
-            atol = 8 * np.finfo(float).eps * np.abs(whole[kind]).max()
-            np.testing.assert_allclose(chunked, whole[kind], rtol=0.0, atol=atol)
+        chunked = mehler_density(u, 0.5, 16)._average(x, 2)
+        for got, want in zip(chunked, whole, strict=True):
+            atol = 8 * np.finfo(float).eps * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
 _CLOSED_FORMS = ["gaussian_shifted", "gaussian_d2_aniso", "tilt_half", "tilt_d2"]
@@ -399,12 +402,24 @@ def _exact_cases():
     return fns
 
 
+_POLYNOMIALS = [e.name for e in corpus.entries() if e.function().family in ("affine", "hermite")]
+_FIXTURES = Path(__file__).with_name("golden") / "families"
+
+
+def _fixture(name):
+    return build_function(json.loads((_FIXTURES / f"{name}.json").read_text(encoding="utf-8")))
+
+
+# corpus entries of each family with an exact average
+_EXACT_FAMILIES = ["bump_r2", "two_bumps_wide", "affine_eps02", "hermite_mixed"]
+
+
 class TestExactAverage:
     """d = 1 bumps and disjoint two_bumps average exactly along the flow."""
 
     @staticmethod
     def _check_against_reference(u, x, t):
-        h, g, hh = u.ou_average(x, t, ("h", "grad", "hess"))
+        h, g, hh = u.ou_average(x, t, 2)
         g, hh = g[:, 0], hh[:, 0, 0]
         rh, rg, rhh = _quad_reference(u, x, t)
         # the probes the certifier keeps
@@ -443,20 +458,31 @@ class TestExactAverage:
         u = corpus.get(name).normalized(grid1)
         for t in (0.1, 0.5, 1.0):
             err, quad = ou_flow._inner_mismatch(mehler_density(u, t, 256), grid1)
-            exact = u.ou_average(grid1.nodes, t, ("h",))[0]
+            exact = u.ou_average(grid1.nodes, t, 0)[0]
             assert grid1.weights @ np.abs(exact - quad) <= err, t
 
-    def test_one_call_matches_one_kind_at_a_time(self, grid1):
-        x = _probe_cloud(1, 64)
-        for name in ("bump_r2", "two_bumps_wide"):
-            u = corpus.get(name).normalized(grid1)
-            joint = u.ou_average(x, 0.5, ("h", "grad", "hess"))
-            for kind, want in zip(("h", "grad", "hess"), joint):
-                np.testing.assert_array_equal(u.ou_average(x, 0.5, (kind,))[0], want)
-
     @pytest.mark.parametrize(
-        "name", ["bump_r2", "two_bumps_wide", "affine_eps02", "hermite_mixed"]
+        "u",
+        [pytest.param(corpus.get(name).function(), id=name) for name in _EXACT_FAMILIES]
+        + [
+            pytest.param(_fixture("affine_d3"), id="affine_d3"),
+            pytest.param(_fixture("hermite_d3"), id="hermite_d3"),
+            pytest.param(Bump(radius=0.25), id="narrow_bump"),
+        ],
     )
+    def test_lower_orders_are_a_prefix_of_order_2(self, u):
+        # ou_average(x, t, k) and _average(x, k) give the first k + 1 arrays
+        # of order 2 bit for bit, the narrow window (radius 0.25) included
+        x = _probe_cloud(u.d, 64)
+        v = ou_flow.EvolvedDensity(u0=u, t=0.5)
+        full, evolved = u.ou_average(x, 0.5, 2), v._average(x, 2)
+        for order in (0, 1):
+            for got, want in ((u.ou_average(x, 0.5, order), full), (v._average(x, order), evolved)):
+                assert len(got) == order + 1
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("name", _EXACT_FAMILIES)
     def test_evolve_takes_the_exact_path(self, name, grid1):
         u = corpus.get(name).normalized(grid1)
         with warnings.catch_warnings():
@@ -471,11 +497,11 @@ class TestExactAverage:
     def test_other_cases_keep_the_quadrature_path(self, grid1):
         x = grid1.nodes
         touching = TwoBumps(height=1.0, radius=2.0, separation=2.0)
-        assert touching.ou_average(x, 0.5, ("h",)) is not None
+        assert touching.ou_average(x, 0.5, 0) is not None
         overlapping = TwoBumps(height=1.0, radius=2.0, separation=1.9)
-        assert overlapping.ou_average(x, 0.5, ("h",)) is None
+        assert overlapping.ou_average(x, 0.5, 0) is None
         bump_d2 = Bump(radius=2.0, center=np.zeros(2))
-        assert bump_d2.ou_average(np.zeros((1, 2)), 0.5, ("h",)) is None
+        assert bump_d2.ou_average(np.zeros((1, 2)), 0.5, 0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             st = evolve(normalize(overlapping, grid1), 0.5, grid1)
@@ -483,14 +509,6 @@ class TestExactAverage:
         assert st.inner_error > 0.0
         with pytest.raises(FlowError, match="no exact average"):
             ou_flow.EvolvedDensity(u0=overlapping, t=0.5).density(x)
-
-
-_POLYNOMIALS = [e.name for e in corpus.entries() if e.function().family in ("affine", "hermite")]
-_FIXTURES = Path(__file__).with_name("golden") / "families"
-
-
-def _fixture(name):
-    return build_function(json.loads((_FIXTURES / f"{name}.json").read_text(encoding="utf-8")))
 
 
 class TestPolynomialAverage:
@@ -527,23 +545,23 @@ class TestPolynomialAverage:
         points = []
         original = functions.inner_average
 
-        def recorded(u0, x, t, kinds, inner):
-            points.append(inner.n_points)
-            return original(u0, x, t, kinds, inner)
+        def recorded(u0, x, t, order, nodes, weights):
+            points.append(len(weights))
+            return original(u0, x, t, order, nodes, weights)
 
         monkeypatch.setattr(functions, "inner_average", recorded)
         quartic = corpus.get("hermite_quartic").function()
         one_axis = HermiteExpansion(terms=self._ONE_AXIS, d=3)
         mixed = HermiteExpansion(terms=(((0, 0, 0), 1.0), ((1, 0, 2), 0.01)), d=3)
         for u in (_fixture("affine_d3"), _fixture("hermite_d3"), quartic, one_axis, mixed):
-            u.ou_average(np.zeros((1, u.d)), 0.5, ("h",))
+            u.ou_average(np.zeros((1, u.d)), 0.5, 0)
         # per-axis degrees 1 1 1, 2 2 2, 4, 12 0 0 and 1 0 2
         assert points == [2**3, 3**3, 5, 13, 2 * 1 * 3]
 
     def test_one_high_degree_axis_averages_at_order_64(self, grid3):
         # 13^3 inner points per node put this past the envelope; 13 do not
         u = normalize(HermiteExpansion(terms=self._ONE_AXIS, d=3), grid3)
-        h = u.ou_average(grid3.nodes, 0.3, ("h",))[0]
+        h = u.ou_average(grid3.nodes, 0.3, 0)[0]
         # P_t conserves mass
         assert abs(float(grid3.weights @ h) - 1.0) < 1e-12
 
