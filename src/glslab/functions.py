@@ -24,10 +24,10 @@ Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 averages of u^2 and its derivatives (ou_average(x, t, order), whose order
 means what jet's does).  Affine and Hermite u of degree k_i along axis i
 take them from inner_average on measure.tensor_rule of the orders
-k_i + 1, exact for u^2; d = 1 bumps and disjoint two_bumps from the
-windows module, imported on first use so that `import glslab` does not
-compile it.  inner_average is also every family's reference quadrature
-(ou_flow.EvolvedDensity).
+k_i + 1, exact for u^2; every d = 1 bump and two_bumps from the windows
+module, imported on first use so that `import glslab` does not compile
+it.  inner_average is also every family's reference quadrature
+(ou_flow.EvolvedDensity), the only one of d >= 2 bumps and two_bumps.
 
 Per-point kernels run along the point axis: an (n, d) batch is reduced or
 broadcast one length-n column at a time (_rowdot for row-wise dot
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +95,14 @@ class Record:
 
     def to_json(self) -> dict:
         return _plain(self)
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """value as a 1-d float array, a scalar as one entry; LabError for more axes."""
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if v.ndim != 1:
+        raise LabError(f"{name} must be a vector, got shape {v.shape}")
+    return v
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,7 +241,7 @@ class Tilt(TestFunction):
     family = "tilt"
 
     def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        a = _vector("a", self.a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", a.shape[0])
         if not self.c > 0:
@@ -279,7 +288,7 @@ class Affine(TestFunction):
     family = "affine"
 
     def __post_init__(self) -> None:
-        nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
+        nu = _vector("nu", self.nu)
         norm = np.linalg.norm(nu)
         if norm == 0:
             raise LabError("direction nu must be nonzero")
@@ -327,13 +336,13 @@ class GaussianProfile(TestFunction):
     family = "gaussian"
 
     def __post_init__(self) -> None:
-        s2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
+        s2 = _vector("sigma2", self.sigma2)
         object.__setattr__(self, "sigma2", s2)
         object.__setattr__(self, "d", s2.shape[0])
         mean = self.mean
         if mean is None:
             mean = np.zeros(self.d)
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        mean = _vector("mean", mean)
         if mean.shape != (self.d,):
             raise LabError(f"mean must have shape ({self.d},)")
         object.__setattr__(self, "mean", mean)
@@ -397,7 +406,7 @@ class Bump(TestFunction):
         center = self.center
         if center is None:
             center = np.zeros(self.d)
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = _vector("center", center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "d", center.shape[0])
         if not self.amplitude > 0:
@@ -458,6 +467,8 @@ class HermiteExpansion(TestFunction):
     def __post_init__(self) -> None:
         terms = []
         for alpha, coeff in self.terms:
+            if not all(isinstance(k, Real) and k >= 0 and float(k).is_integer() for k in alpha):
+                raise LabError(f"multi-index {list(alpha)} needs nonnegative integer entries")
             alpha = tuple(int(k) for k in alpha)
             if len(alpha) != self.d:
                 raise LabError(f"multi-index {alpha} does not match d = {self.d}")
@@ -584,11 +595,11 @@ class TwoBumps(TestFunction):
         return replace(self, amplitude=self.amplitude * c)
 
     def ou_average(self, x, t, order):
-        # disjoint lobes (separation >= radius) make h0 = A^2 (1 + sum_i 2 b_i + b_i^2)
-        # with no cross term; overlapping lobes have no exact average here
-        if self.d != 1 or self.separation < self.radius:
+        # h0 = A^2 (1 + sum_i (2 b_i + b_i^2) + 2 b_+ b_-): each lobe on its own
+        # window, and the cross term where the lobes overlap (separation < radius)
+        if self.d != 1:
             return None
-        from .windows import JETS, window_average
+        from .windows import JETS, window_average, window_jets
 
         x = _points(x, 1)[:, 0]
         square = self.amplitude**2
@@ -598,6 +609,16 @@ class TwoBumps(TestFunction):
             for center in (self.separation, -self.separation)
         )
         out = [r + l for r, l in zip(right, left)]
+        if self.separation < self.radius:
+            # b_+- = H q_+-^2 on the overlap z = (R - s) w, with q_+- = 1 - (z -+ s)^2 / R^2
+            # = 1 - sigma^2 +- 2 rho sigma w - rho^2 w^2
+            half = self.radius - self.separation
+            rho, sigma = half / self.radius, self.separation / self.radius
+            poly = np.polynomial.polynomial
+            q = [[1.0 - sigma**2, sign * 2.0 * rho * sigma, -(rho**2)] for sign in (1.0, -1.0)]
+            cross = 2.0 * square * self.height**2 * poly.polypow(poly.polymul(*q), 2)
+            for o, c in zip(out, window_average(x, t, 0.0, half, window_jets(cross), order)):
+                o += c
         out[0] += square
         return tuple(out)
 
@@ -611,7 +632,9 @@ def build_function(obj: dict) -> TestFunction:
     try:
         tag = obj["family"]
         params = dict(obj.get("params", {}))
-        d = int(obj.get("d", 1))
+        d = obj.get("d", 1)
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise TypeError(f"d must be an integer, got {d!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise LabError(f"malformed function description: {exc}") from exc
     GaussianMeasureSpec(d)  # CapacityError outside 1 <= d <= MAX_DIM

@@ -12,11 +12,10 @@ evolve, the one entry point, takes one of three paths.
    (TestFunction.ou_average) evolves into an EvolvedDensity without an
    inner rule.  Affine and Hermite u of degree k_i along axis i average
    over the tensor product of the order-(k_i + 1) Gauss-Hermite rules,
-   exact for h0 (any d); d = 1 bumps and disjoint d = 1 two_bumps average
-   in closed form (the windows module).
-3. Reference quadrature.  Every other family (bumps at d >= 2, two_bumps
-   with overlapping lobes or d >= 2) is averaged over an inner
-   Gauss-Hermite rule in y; differentiating under the integral gives
+   exact for h0 (any d); every d = 1 bump and two_bumps averages in
+   closed form (the windows module).
+3. Reference quadrature.  Bumps and two_bumps at d >= 2 are averaged over
+   an inner Gauss-Hermite rule in y; differentiating under the integral gives
    grad h = e^{-t} int grad h0(...) and Hess h = e^{-2t} int Hess h0(...).
 
 On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
@@ -194,9 +193,9 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     """Evolve u0 to time t and report functionals of the normalized state.
 
     A family with a closed form (u0.evolved) or an exact average
-    (u0.ou_average: affine, Hermite, d = 1 bumps and disjoint two_bumps)
-    evolves exactly, with inner_order = 0 and inner_error = 0.0 in the
-    state.  Any other family is averaged by quadrature: the inner rule
+    (u0.ou_average: affine, Hermite, d = 1 bumps and two_bumps) evolves
+    exactly, with inner_order = 0 and inner_error = 0.0 in the state.
+    Bumps and two_bumps at d >= 2 are averaged by quadrature: the inner rule
     starts at the grid order and doubles up to MAX_ORDER until the
     inner_error between it and its embedded coarse rule is at most
     INNER_TOL; the state records the order used and that error.

@@ -114,7 +114,8 @@ class SearchProblem(Record):
         if unknown:
             raise ConstraintError(f"unknown search problem fields {sorted(unknown)}")
         counts = ("d", "grid_order", "restarts", "maxiter", "seed")
-        bad = [name for name in counts if name in obj and not isinstance(obj[name], int)]
+        # JSON integers only: a bool is an int to isinstance
+        bad = [name for name in counts if name in obj and type(obj[name]) is not int]
         if bad:
             raise ConstraintError(f"search problem fields {bad} must be integers")
         try:

@@ -11,6 +11,8 @@ derivatives are finite sums of truncated Gaussian moments (Johnson, Kotz
 and Balakrishnan, vol. 1, ch. 13).  window_average evaluates them without
 the cancellation of the plain moment sum in the tails, where the
 log-concavity certifier still reads h down to 1e-10 of its maximum.
+Where the lobes of a two_bumps overlap, the cross term of u^2 is one more
+such polynomial; window_jets builds the table window_average reads.
 """
 
 from __future__ import annotations
@@ -20,44 +22,31 @@ import math
 
 import numpy as np
 
-# Taylor coefficients, lowest order first, of the window polynomials
-# (1 - w^2)^2 (key 2: a bump) and (1 - w^2)^4 (key 4: its square), one row
-# each at w = 0, w = 1 and w = -1
-_WINDOWS = {
-    2: np.array(
-        [
-            [1.0, 0, -2, 0, 1, 0, 0, 0, 0],
-            [0.0, 0, 4, 4, 1, 0, 0, 0, 0],
-            [0.0, 0, 4, -4, 1, 0, 0, 0, 0],
-        ]
-    ),
-    4: np.array(
-        [
-            [1.0, 0, -4, 0, 6, 0, -4, 0, 1],
-            [0.0, 0, 0, 0, 16, 32, 24, 8, 1],
-            [0.0, 0, 0, 0, 16, -32, 24, -8, 1],
-        ]
-    ),
-}
 _DEGREE = 8
+_POWERS = range(_DEGREE + 1)
+# coefficients at 0 times _SHIFT[i] are the Taylor coefficients at w = 0, 1, -1
+# (i = 0, 1, 2): entry (j, k) is C(j, k) a^(j - k), which is 0 for k > j
+_SHIFT = np.array(
+    [[[math.comb(j, k) * a ** max(j - k, 0) for k in _POWERS] for j in _POWERS] for a in (0, 1, -1)],
+    dtype=float,
+)
 
 
-def _derivative(taylor: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients, at the same points, of the order-th derivative."""
-    k = np.arange(_DEGREE + 1 - order)
-    falling = np.ones(k.size)
-    for j in range(1, order + 1):
-        falling *= k + j
-    out = np.zeros_like(taylor)
-    out[..., : k.size] = taylor[..., order:] * falling
-    return out
+def window_jets(coeffs) -> np.ndarray:
+    """The (order, point, coefficient) table window_average reads for the
+    polynomial p(w) of degree <= 8 with coefficients coeffs, lowest first:
+    the Taylor coefficients of p, p' and p'' at w = 0, 1 and -1."""
+    derivs = np.zeros((3, _DEGREE + 1))
+    for order in range(3):
+        c = np.polynomial.polynomial.polyder(coeffs, order)
+        derivs[order, : c.size] = c
+    return np.tensordot(derivs, _SHIFT, axes=([1], [1]))
 
 
-# the windows and their first two derivatives: (order, point, coefficient)
-JETS = {
-    key: np.stack([_derivative(rows, order) for order in range(3)])
-    for key, rows in _WINDOWS.items()
-}
+# the windows (1 - w^2)^2 (key 2: a bump) and (1 - w^2)^4 (key 4: its square)
+_BUMP = np.polynomial.polynomial.polypow([1.0, 0.0, -1.0], 2)
+JETS = {2: window_jets(_BUMP), 4: window_jets(np.polynomial.polynomial.polymul(_BUMP, _BUMP))}
+
 # U_k(lam) below: forward recursion up to lam = _FORWARD_MAX, beyond it the
 # continued fraction from _FRACTION_DEPTH terms deeper; both keep U_0..U_8
 # within 1e-11 relative (checked against 120-digit forward recursion).

@@ -107,6 +107,37 @@ class TestReport:
                 json.dumps({"family": "hermite", "params": {"coeffs": [[[], 1.0]]}, "d": 0}),
                 "dimension 0 outside",
             ),
+            (
+                json.dumps(
+                    {"family": "hermite", "params": {"coeffs": [[[0], 1.0], [[-1], 0.1]]}, "d": 1}
+                ),
+                "multi-index [-1]",
+            ),
+            (
+                json.dumps(
+                    {"family": "hermite", "params": {"coeffs": [[[0], 1.0], [[1.5], 0.1]]}, "d": 1}
+                ),
+                "multi-index [1.5]",
+            ),
+            (json.dumps({"family": "tilt", "params": {"a": [0.1]}, "d": 1.7}), "d must be an integer"),
+            (json.dumps({"family": "tilt", "params": {"a": [0.1]}, "d": True}), "d must be an integer"),
+            (json.dumps({"family": "tilt", "params": {"a": [[0.5]]}, "d": 1}), "a must be a vector"),
+            (
+                json.dumps({"family": "affine", "params": {"eps": 0.1, "nu": [[1.0]]}, "d": 1}),
+                "nu must be a vector",
+            ),
+            (
+                json.dumps({"family": "gaussian", "params": {"sigma2": [[0.5]]}, "d": 1}),
+                "sigma2 must be a vector",
+            ),
+            (
+                json.dumps({"family": "gaussian", "params": {"sigma2": [0.5], "mean": [[0.1]]}}),
+                "mean must be a vector",
+            ),
+            (
+                json.dumps({"family": "bump", "params": {"radius": 1.0, "center": [[0.1]]}}),
+                "center must be a vector",
+            ),
         ],
         ids=[
             "missing_file",
@@ -119,6 +150,15 @@ class TestReport:
             "tilt_d",
             "tilt_empty",
             "hermite_d0",
+            "hermite_negative_index",
+            "hermite_fractional_index",
+            "d_fractional",
+            "d_bool",
+            "tilt_matrix",
+            "affine_matrix",
+            "gaussian_matrix",
+            "gaussian_mean_matrix",
+            "bump_center_matrix",
         ],
     )
     def test_malformed_family_file_is_a_lab_error(self, capsys, tmp_path, text, message):
@@ -392,6 +432,8 @@ class TestSearch:
             (json.dumps({**_AFFINE_PROBLEM, "lower": ["a"]}), "could not convert"),
             (json.dumps({**_AFFINE_PROBLEM, "restarts": "3"}), "['restarts'] must be integers"),
             (json.dumps({**_AFFINE_PROBLEM, "d": 1.5}), "['d'] must be integers"),
+            (json.dumps({**_AFFINE_PROBLEM, "d": True}), "['d'] must be integers"),
+            (json.dumps({**_AFFINE_PROBLEM, "restarts": True}), "['restarts'] must be integers"),
         ],
         ids=[
             "missing_file",
@@ -401,6 +443,8 @@ class TestSearch:
             "lower_not_a_number",
             "restarts_a_string",
             "d_not_an_integer",
+            "d_a_bool",
+            "restarts_a_bool",
         ],
     )
     def test_malformed_problem_file_is_a_lab_error(self, capsys, tmp_path, text, message):

@@ -168,6 +168,12 @@ class TestHermiteExpansion:
         with pytest.raises(LabError):
             HermiteExpansion(terms=(((13,), 0.001),), d=1)
 
+    @pytest.mark.parametrize("index", [-1, 1.5, math.inf, "1"])
+    def test_rejects_a_multi_index_entry_that_is_not_a_degree(self, index):
+        # He_{-1} would read as He_0, and 1.5 would truncate to 1
+        with pytest.raises(LabError, match="nonnegative integer"):
+            HermiteExpansion(terms=(((0,), 1.0), ((index,), 0.1)), d=1)
+
     def test_flat_coefficient_list(self):
         u = build_function({"family": "hermite", "params": {"coeffs": [1.0, 0.0, 0.15]}, "d": 1})
         x = np.array([[2.0]])
@@ -325,6 +331,22 @@ NAN = float("nan")
 )
 def test_construction_rejects_non_finite_parameters(make):
     with pytest.raises(LabError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Tilt(a=np.array([[0.5]])),
+        lambda: Affine(eps=0.1, nu=np.array([[1.0]])),
+        lambda: GaussianProfile(sigma2=np.array([[0.5]])),
+        lambda: GaussianProfile(sigma2=np.array([0.5]), mean=np.array([[0.1]])),
+        lambda: Bump(radius=1.0, center=np.array([[0.1]])),
+    ],
+    ids=["tilt_a", "affine_nu", "gaussian_sigma2", "gaussian_mean", "bump_center"],
+)
+def test_vector_parameters_must_be_one_dimensional(make):
+    with pytest.raises(LabError, match="must be a vector"):
         make()
 
 
