@@ -7,9 +7,11 @@ For ||u||_{L2(dgamma)} = 1 the three core quantities are
     deficit  delta(u) = I(u) - E(u) / 2 >= 0
 
 together with the density moments used by the stability bounds.  u is
-evaluated once per node set, the grid and its embedded coarse rule, and
-every integral and moment reads those arrays.  Every integral carries an
-error estimate from the coarse rule with a rounding floor (see
+evaluated once per grid, on grid.points (the grid's nodes followed by its
+embedded coarse partner's), and every integral and moment reads that array:
+an integral through measure.embedded, a moment or the unit-norm check
+through its first n_points entries, the fine nodes.  Every integral carries
+an error estimate from the coarse rule with a rounding floor (see
 measure.embedded), and the deficit error combines the two parts as
 err_I + err_E / 2.  The entropy error is at least rounding_floor(||u||^2, n)
 for the n grid points: h = u^2 is itself only known to a few ulps, and
@@ -81,15 +83,15 @@ class FunctionalReport(Record):
 
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized."""
-    h, grad = u.density_and_gradient(grid.nodes)
-    norm = _require_unit_norm(grid, h)
-    h_c, grad_c = u.density_and_gradient(grid.coarse.nodes)
-    entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
-    fisher, fis_err = embedded(grid, _rowdot(grad, grad), _rowdot(grad_c, grad_c))
+    h, grad = u.density_and_gradient(grid.points)
+    fine_h = h[: grid.n_points]
+    norm = _require_unit_norm(grid, fine_h)
+    entropy, ent_err = embedded(grid, _xlogx(h))
+    fisher, fis_err = embedded(grid, _rowdot(grad, grad))
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     deficit = fisher - 0.5 * entropy
     ratio_q = fisher / entropy if entropy > 0 else None
-    m1, gap = _moments(grid, h)
+    m1, gap = _moments(grid, fine_h)
     return FunctionalReport(
         d=u.d,
         entropy=float(entropy),
@@ -123,8 +125,8 @@ _Terms = Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
 def _integrals(grid: QuadratureGrid, terms: _Terms) -> list[tuple[float, float]]:
-    """embedded() of each integrand terms(x) returns, with one call per node set."""
-    return [embedded(grid, f, c) for f, c in zip(terms(grid.nodes), terms(grid.coarse.nodes))]
+    """embedded() of each integrand terms(x) returns, with one call on grid.points."""
+    return [embedded(grid, f) for f in terms(grid.points)]
 
 
 def _identity(name: str, grid: QuadratureGrid, terms: _Terms) -> IdentityResult:
@@ -144,11 +146,10 @@ def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
 
     The entropy error has report's floor rounding_floor(||u||^2, n_points).
     """
-    h = u.density(grid.nodes)
-    norm = _require_unit_norm(grid, h)
-    h_c = u.density(grid.coarse.nodes)
-    entropy, ent_err = embedded(grid, _xlogx(h), _xlogx(h_c))
-    tv, tv_err = embedded(grid, np.abs(h - 1.0), np.abs(h_c - 1.0))
+    h = u.density(grid.points)
+    norm = _require_unit_norm(grid, h[: grid.n_points])
+    entropy, ent_err = embedded(grid, _xlogx(h))
+    tv, tv_err = embedded(grid, np.abs(h - 1.0))
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     rhs = 0.25 * tv**2
     return IdentityResult(
@@ -228,7 +229,7 @@ class PressureData:
 
 def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
     """PressureData of normalized u; h, its unit-norm check and the moment gap
-    come from the fine-node values the integrands read."""
+    come from the fine nodes' share of the values the integrands read."""
 
     def terms(x: np.ndarray) -> tuple[np.ndarray, ...]:
         vals, grad, hess = u.jet(x)
@@ -242,12 +243,11 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
         hp2 = (hp**2).sum(axis=(1, 2))
         return h, h * _rowdot(gp, gp), h * np.trace(hp, axis1=1, axis2=2), h * hp2
 
-    (h, *fine), (_, *coarse) = terms(grid.nodes), terms(grid.coarse.nodes)
+    h, *integrands = terms(grid.points)
+    h = h[: grid.n_points]
     _require_unit_norm(grid, h)
     gap = _moments(grid, h)[1]
-    (f4, f4_err), (lap, lap_err), (frob, frob_err) = [
-        embedded(grid, f, c) for f, c in zip(fine, coarse)
-    ]
+    (f4, f4_err), (lap, lap_err), (frob, frob_err) = [embedded(grid, f) for f in integrands]
     return PressureData(
         d=u.d,
         fisher4=float(f4),

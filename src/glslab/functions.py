@@ -353,22 +353,37 @@ class GaussianProfile(TestFunction):
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         x = _points(x, self.d)
-        s2, b = self.sigma2, self.mean
-        # axis by axis, summed in axis order:
+        n, s2, b = x.shape[0], self.sigma2, self.mean
+        # axis by axis, summed in axis order, with at most two length-n
+        # temporaries besides u and the (d, n) rows that become grad log u:
         # log u = sum_i (-(x_i - b_i)^2 / (4 s2_i) + x_i^2 / 4) - sum_i log(s2_i) / 4
-        shifted = [x[:, i] - b[i] for i in range(self.d)]
-        log_u = -0.25 * shifted[0] ** 2 / s2[0] + 0.25 * x[:, 0] ** 2
-        for i in range(1, self.d):
-            log_u += -0.25 * shifted[i] ** 2 / s2[i] + 0.25 * x[:, i] ** 2
-        u = self.amplitude * np.exp(log_u - 0.25 * np.log(s2).sum())
+        rows = np.empty((self.d, n)) if order else None
+        u = None
+        for i in range(self.d):
+            z = np.subtract(x[:, i], b[i], out=None if rows is None else rows[i])
+            term = np.square(z)
+            term *= -0.25
+            term /= s2[i]
+            term += 0.25 * np.square(x[:, i])
+            if u is None:
+                u = term
+            else:
+                u += term
+        u -= 0.25 * np.log(s2).sum()
+        np.exp(u, out=u)
+        u *= self.amplitude
         if order == 0:
             return (u,)
-        # (d, n), read transposed
-        grad_log = np.array([-0.5 * z / s2[i] + 0.5 * x[:, i] for i, z in enumerate(shifted)])
-        grad = (u * grad_log).T
+        # grad log u, row i = -(x_i - b_i) / (2 s2_i) + x_i / 2, in place of x_i - b_i
+        for i, row in enumerate(rows):
+            row *= -0.5
+            row /= s2[i]
+            row += 0.5 * x[:, i]
         if order == 1:
-            return u, grad
-        grad_log = grad_log.T
+            rows *= u
+            return u, rows.T
+        grad = (u * rows).T
+        grad_log = rows.T
         curv = np.diag(0.5 - 0.5 / s2)
         outer = grad_log[:, :, None] * grad_log[:, None, :]
         return u, grad, u[:, None, None] * (outer + curv[None, :, :])
@@ -448,7 +463,9 @@ def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
     if kmax >= 1:
         out[1] = x
     for k in range(1, kmax):
-        out[k + 1] = x * out[k] - k * out[k - 1]
+        # He_{k+1} = x He_k - k He_{k-1}, in place
+        np.multiply(x, out[k], out=out[k + 1])
+        out[k + 1] -= k * out[k - 1]
     return out
 
 

@@ -24,7 +24,11 @@ Where M is exactly diagonal (every off-diagonal entry 0, as eigvalsh reads
 the lower triangle) both are read off its diagonal, which is bit-identical
 to eigvalsh; that covers every row at d = 1 (taken as the entry itself)
 and every row of a tilt or a Gaussian profile, whose Hess log h is
-constant and diagonal.  The other rows still go to numpy's eigvalsh.
+constant and diagonal.  The other rows of a 2 x 2 M = [[a, b], [b, c]]
+have the eigenvalues mid -+ rad with mid = (a + c) / 2 and
+rad = hypot((a - c) / 2, b), so the smallest is mid - rad and the largest
+magnitude |mid| + rad, each within a few ulps of the largest magnitude
+from eigvalsh; at d = 3 they go to numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ def _probe_cloud(d: int, n: int) -> np.ndarray:
 def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smallest eigenvalue and the largest |eigenvalue| of each symmetric
     row of m, shape (n, d, d): the entry itself at d = 1, read off the
-    diagonal where a row is diagonal, from eigvalsh elsewhere."""
+    diagonal where a row is diagonal, in closed form for the other rows at
+    d = 2 and from eigvalsh for those at d = 3."""
     d = m.shape[1]
     if d == 1:
         return m[:, 0, 0], np.abs(m[:, 0, 0])
@@ -96,8 +101,17 @@ def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(top, np.abs(m[:, i, i]), out=top)
         for j in range(i):
             full |= m[:, i, j] != 0.0
-    if full.any():
-        eigs = np.linalg.eigvalsh(m[full])
+    if not full.any():
+        return low, top
+    rows = m[full]
+    if d == 2:
+        # [[a, b], [b, c]] has the eigenvalues mid -+ rad
+        a, b, c = rows[:, 0, 0], rows[:, 1, 0], rows[:, 1, 1]
+        mid = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), b)
+        low[full], top[full] = mid - rad, np.abs(mid) + rad
+    else:
+        eigs = np.linalg.eigvalsh(rows)
         low[full], top[full] = eigs[:, 0], np.abs(eigs).max(axis=1)
     return low, top
 

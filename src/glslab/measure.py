@@ -13,7 +13,10 @@ Golub-Welsch eigenvector components are only accurate to about eps and
 underflow to 0.  Multi-dimensional rules are full tensor products
 (tensor_rule), with an order of their own on each axis; a QuadratureGrid
 (build_grid) has one order on every axis, so it has an embedded coarse
-partner.
+partner.  A grid holds its nodes and its partner's in one array,
+grid.points, so that an integrand is evaluated once per grid, on
+grid.points, and embedded takes the fine and the coarse sum from the two
+slices of that one array of values.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -71,28 +74,62 @@ def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Hermite grid of one order on every axis: ``nodes``
-    (n_points, d), ``weights`` (n_points,)."""
+    """Tensor Gauss-Hermite grid of one order on every axis.
+
+    ``points`` (n_points + n_coarse, d) holds the grid's nodes and then those
+    of its embedded coarse partner, so that an integrand is evaluated once
+    per grid; ``nodes`` and ``coarse.nodes`` are row slices of it, and
+    ``weights`` (n_points,) belongs to the nodes.  The partner of a grid is
+    itself a QuadratureGrid whose points are its nodes, with no partner of
+    its own (coarse = None).
+    """
 
     d: int
     order: int
-    nodes: np.ndarray
+    points: np.ndarray
     weights: np.ndarray
+    coarse: "QuadratureGrid | None" = None
 
     @property
     def n_points(self) -> int:
-        return self.nodes.shape[0]
+        return self.weights.shape[0]
 
-    @cached_property
-    def coarse(self) -> "QuadratureGrid":
-        """Embedded lower-order partner used for error estimates, built once per grid."""
-        return build_grid(GaussianMeasureSpec(self.d), _coarse_order(self.order))
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.points[: self.weights.shape[0]]
+
+
+@lru_cache(maxsize=32)
+def _rule_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_hermite_1d(order), computed once and shared read-only."""
+    rule = gauss_hermite_1d(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _coarse_order(order: int) -> int:
     if order == 1:
         return 1
     return min(order - 1, -(-3 * order // 4))
+
+
+def _tensor_product(
+    rules: dict[int, tuple[np.ndarray, np.ndarray]], orders: tuple[int, ...], nodes: np.ndarray
+) -> np.ndarray:
+    """Write the nodes of the tensor product of rules[orders[i]] along axis i
+    into nodes, shape (prod(orders), d), in C order of the axes (the last
+    axis varies fastest); return its weights."""
+    d = len(orders)
+    per_axis = nodes.reshape(orders + (d,), copy=False)
+    for axis, n in enumerate(orders):
+        shape = [1] * d
+        shape[axis] = n
+        per_axis[..., axis] = rules[n][0].reshape(shape)
+    weights = rules[orders[0]][1]
+    for n in orders[1:]:
+        weights = np.multiply.outer(weights, rules[n][1])
+    return weights.ravel()
 
 
 @lru_cache(maxsize=64)
@@ -103,43 +140,37 @@ def tensor_rule(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     An average over it is exact for polynomials of degree <= 2 orders[i] - 1
     along axis i.  Cached: the arrays are shared between callers.
     """
-    rules = {n: gauss_hermite_1d(n) for n in set(orders)}
-    if len(orders) == 1:
-        x, w = rules[orders[0]]
-        return x[:, None], w
-    axes = np.meshgrid(*(rules[n][0] for n in orders), indexing="ij")
-    nodes = np.stack([a.ravel() for a in axes], axis=-1)
-    weights = rules[orders[0]][1]
-    for n in orders[1:]:
-        weights = np.multiply.outer(weights, rules[n][1])
-    return nodes, weights.ravel()
+    rules = {n: _rule_1d(n) for n in set(orders)}
+    nodes = np.empty((math.prod(orders), len(orders)))
+    weights = _tensor_product(rules, orders, nodes)
+    return nodes, weights
+
+
+@lru_cache(maxsize=16)
+def _grid(d: int, order: int) -> QuadratureGrid:
+    coarse_order = _coarse_order(order)
+    rules = {n: _rule_1d(n) for n in {order, coarse_order}}
+    n, n_c = order**d, coarse_order**d
+    points = np.empty((n + n_c, d))
+    weights = _tensor_product(rules, (order,) * d, points[:n])
+    coarse_weights = _tensor_product(rules, (coarse_order,) * d, points[n:])
+    for a in (points, weights, coarse_weights):
+        a.flags.writeable = False
+    coarse = QuadratureGrid(d=d, order=coarse_order, points=points[n:], weights=coarse_weights)
+    return QuadratureGrid(d=d, order=order, points=points, weights=weights, coarse=coarse)
 
 
 def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
-    """Construct the tensor rule of the given per-axis order.
+    """Construct the tensor rule of the given per-axis order together with
+    its embedded partner of order ceil(3 order / 4) (order 1: itself).
 
     Rejects d > 3 and order > 256 (memory guard).  Order 1 is the single
-    node at the origin with weight one.
+    node at the origin with weight one.  Cached: a grid and its arrays are
+    shared between callers and read-only.
     """
     if not (1 <= order <= MAX_ORDER):
         raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
-    nodes, weights = tensor_rule((order,) * spec.d)
-    return QuadratureGrid(d=spec.d, order=order, nodes=nodes, weights=weights)
-
-
-def _checked(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_points,):
-        raise IntegrationError(
-            f"integrand returned shape {values.shape}, expected ({grid.n_points},)"
-        )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrationError(
-            f"non-finite integrand value {values[i]!r} at node {i}, x = {grid.nodes[i]}"
-        )
-    return values
+    return _grid(spec.d, order)
 
 
 def rounding_floor(scale: float, n_points: int = 1) -> float:
@@ -150,28 +181,49 @@ def rounding_floor(scale: float, n_points: int = 1) -> float:
 
 def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f against dgamma.  f maps (n, d) arrays to (n,) arrays."""
-    return float(grid.weights @ _checked(grid, f(grid.nodes)))
+    nodes = grid.nodes
+    values = np.asarray(f(nodes), dtype=float)
+    _check(values, nodes)
+    return float(grid.weights @ values)
 
 
-def embedded(
-    grid: QuadratureGrid, fine_values: np.ndarray, coarse_values: np.ndarray
-) -> tuple[float, float]:
+def _check(values: np.ndarray, points: np.ndarray) -> None:
+    """IntegrationError unless values holds one finite value per point."""
+    if values.shape != (points.shape[0],):
+        raise IntegrationError(
+            f"integrand returned shape {values.shape}, expected ({points.shape[0]},)"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise IntegrationError(
+            f"non-finite integrand value {values[i]!r} at point {i}, x = {points[i]}"
+        )
+
+
+def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
     """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
 
-    fine_values and coarse_values are the integrand at grid.nodes and at
-    grid.coarse.nodes.  The floor is rounding_floor(sum_i w_i |f(x_i)|, n_points)
-    over the fine values; it is never 0 unless f vanishes on the grid.
+    values is the integrand on grid.points: the fine sum reads the first
+    n_points of them, the coarse sum the rest.  The floor is
+    rounding_floor(sum_i w_i |f(x_i)|, n_points) over the fine values; it is
+    never 0 unless f vanishes on the grid.
     """
     coarse_grid = grid.coarse
-    values = _checked(grid, fine_values)
-    fine = float(grid.weights @ values)
-    coarse = float(coarse_grid.weights @ _checked(coarse_grid, coarse_values))
-    floor = rounding_floor(float(grid.weights @ np.abs(values)), grid.n_points)
+    if coarse_grid is None:
+        raise IntegrationError(f"the order-{grid.order} grid has no embedded partner")
+    values = np.asarray(values, dtype=float)
+    _check(values, grid.points)
+    n = grid.n_points
+    fine_values = values[:n]
+    fine = float(grid.weights @ fine_values)
+    coarse = float(coarse_grid.weights @ values[n:])
+    floor = rounding_floor(float(grid.weights @ np.abs(fine_values)), n)
     return fine, max(abs(fine - coarse), floor)
 
 
 def integrate_with_error(
     grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
-    """embedded() of f on the grid and its coarse partner."""
-    return embedded(grid, f(grid.nodes), f(grid.coarse.nodes))
+    """embedded() of f, evaluated once on grid.points."""
+    return embedded(grid, f(grid.points))

@@ -84,8 +84,10 @@ def _diagonal(rng, n, d):
 
 
 class TestExtremeEigenvalues:
-    """Read off the diagonal or taken from eigvalsh, every row is bit-equal
-    to eigvalsh's smallest eigenvalue and largest |eigenvalue|."""
+    """Read off the diagonal or taken from eigvalsh, every row at d = 1 and 3
+    and every diagonal row at d = 2 is bit-equal to eigvalsh's smallest
+    eigenvalue and largest |eigenvalue|; the other rows at d = 2 come from
+    the closed form, within a few ulps of the largest |eigenvalue|."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bit_equal_to_eigvalsh_on_mixed_rows(self, d):
@@ -100,8 +102,36 @@ class TestExtremeEigenvalues:
         )[rng.permutation(6003)]
         eigs = np.linalg.eigvalsh(m)
         low, top = _extreme_eigenvalues(m)
-        np.testing.assert_array_equal(low, eigs[:, 0])
-        np.testing.assert_array_equal(top, np.abs(eigs).max(axis=1))
+        want_low, want_top = eigs[:, 0], np.abs(eigs).max(axis=1)
+        exact = np.ones(len(m), dtype=bool) if d != 2 else m[:, 1, 0] == 0.0
+        np.testing.assert_array_equal(low[exact], want_low[exact])
+        np.testing.assert_array_equal(top[exact], want_top[exact])
+        self._close(low[~exact], top[~exact], want_low[~exact], want_top[~exact])
+
+    @staticmethod
+    def _close(low, top, want_low, want_top):
+        tol = 4.0 * np.finfo(float).eps * want_top
+        assert np.all(np.abs(low - want_low) <= tol)
+        assert np.all(np.abs(top - want_top) <= tol)
+
+    @pytest.mark.parametrize("kind", ["random", "near_degenerate", "tiny_offdiagonal"])
+    def test_closed_form_2x2_matches_eigvalsh(self, kind):
+        rng = np.random.default_rng(5)
+        n = 20000
+        scale = 10.0 ** rng.integers(-6, 7, size=n)
+        a, c = rng.normal(size=n) * scale, rng.normal(size=n) * scale
+        b = rng.normal(size=n) * scale
+        if kind == "near_degenerate":
+            # a = c to within 1e-16 .. 1e-2 relative, and an off-diagonal as small
+            c = a * (1.0 + 10.0 ** rng.integers(-16, -1, size=n) * rng.uniform(-1, 1, size=n))
+            b = a * 10.0 ** rng.integers(-16, -1, size=n) * rng.uniform(-1, 1, size=n)
+        elif kind == "tiny_offdiagonal":
+            b = scale * 10.0 ** rng.integers(-300, -8, size=n) * rng.uniform(-1, 1, size=n)
+        m = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=1)
+        assert np.all(b != 0.0)
+        eigs = np.linalg.eigvalsh(m)
+        low, top = _extreme_eigenvalues(m)
+        self._close(low, top, eigs[:, 0], np.abs(eigs).max(axis=1))
 
 
 class TestVerdicts:

@@ -174,21 +174,64 @@ class TestIntegration:
             return np.exp(-x.sum(axis=1)) + np.abs(x[:, 0])
 
         for grid in (grid1, build_grid(GaussianMeasureSpec(d=2), 20)):
-            got = embedded(grid, f(grid.nodes), f(grid.coarse.nodes))
+            got = embedded(grid, f(grid.points))
             assert got == integrate_with_error(grid, f)
+            # the fine and the coarse sum are the dot products of each rule alone
+            fine = integrate(grid, f)
+            assert got == (fine, abs(fine - integrate(grid.coarse, f)))
 
     def test_embedded_rejects_nonfinite_and_misshapen_values(self, grid1):
-        fine, coarse = np.ones(grid1.n_points), np.ones(grid1.coarse.n_points)
-        nan = fine.copy()
-        nan[3] = np.nan
-        for args in (
-            (nan, coarse),
-            (fine, np.full(coarse.shape, np.inf)),
-            (fine[:5], coarse),
-            (fine, fine),
-        ):
-            with pytest.raises(IntegrationError):
-                embedded(grid1, *args)
+        n, n_c = grid1.n_points, grid1.coarse.n_points
+        values = np.ones(n + n_c)
+        for i in (3, n + 3):
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = values.copy()
+                broken[i] = bad
+                # the message names the index and the point
+                with pytest.raises(IntegrationError, match=f"at point {i}, x = "):
+                    embedded(grid1, broken)
+        for wrong in (values[:n], values[:n_c], values[:5], np.ones((n + n_c, 1))):
+            with pytest.raises(IntegrationError, match="shape"):
+                embedded(grid1, wrong)
+
+    def test_embedded_needs_a_grid_with_a_partner(self, grid1):
+        with pytest.raises(IntegrationError, match="no embedded partner"):
+            embedded(grid1.coarse, np.ones(grid1.coarse.n_points))
+
+
+class TestGridLayout:
+    @pytest.mark.parametrize("d, order", [(1, 1), (1, 64), (2, 20), (3, 7)])
+    def test_nodes_and_coarse_nodes_are_slices_of_points(self, d, order):
+        grid = build_grid(GaussianMeasureSpec(d=d), order)
+        n, n_c = grid.n_points, grid.coarse.n_points
+        assert grid.points.shape == (n + n_c, d)
+        assert grid.points.flags.c_contiguous
+        assert np.shares_memory(grid.nodes, grid.points)
+        assert np.shares_memory(grid.coarse.nodes, grid.points)
+        np.testing.assert_array_equal(grid.nodes, grid.points[:n])
+        np.testing.assert_array_equal(grid.coarse.nodes, grid.points[n:])
+        assert grid.coarse.coarse is None
+
+    @pytest.mark.parametrize("d, order", [(1, 64), (2, 20), (3, 7)])
+    def test_each_rule_is_the_tensor_product_of_its_1d_rule(self, d, order):
+        # the layout of numpy's meshgrid, indexing "ij": the last axis varies fastest
+        grid = build_grid(GaussianMeasureSpec(d=d), order)
+        for rule in (grid, grid.coarse):
+            x, w = gauss_hermite_1d(rule.order)
+            axes = np.meshgrid(*([x] * d), indexing="ij")
+            np.testing.assert_array_equal(rule.nodes, np.stack([a.ravel() for a in axes], axis=-1))
+            weights = w
+            for _ in range(d - 1):
+                weights = np.multiply.outer(weights, w)
+            np.testing.assert_array_equal(rule.weights, weights.ravel())
+
+    def test_grids_are_shared_read_only_and_not_copied_by_tensor_rule(self):
+        before = tensor_rule.cache_info()
+        grid = build_grid(GaussianMeasureSpec(d=2), 29)
+        assert build_grid(GaussianMeasureSpec(d=2), 29) is grid
+        assert tensor_rule.cache_info() == before
+        for a in (grid.points, grid.weights, grid.coarse.weights):
+            assert not a.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
