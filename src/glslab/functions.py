@@ -57,10 +57,13 @@ SUPPORT_FLOOR = 1e-12
 FAMILY_TAGS = ("tilt", "affine", "gaussian", "bump", "hermite", "two_bumps")
 # outer x inner points x d^2 (a Hessian's entries) of one chunk of inner_average
 _POINT_BUDGET = 1 << 22
-# outer x inner points of one average, minutes of work: d = 2 at order 64 with
-# an order-256 inner rule fits, certifier probes included; d = 3 at order 32
-# (1.1e9) does not, nor at order 64 (6.9e10, hours)
-MAX_AVERAGE_POINTS = 1 << 29
+# outer x inner points of one average, minutes of work.  An average on
+# grid.points covers the grid's nodes and its partner's, which are at most as
+# many, so the envelope is twice the 2^29 of one node set: d = 2 at order 64
+# with an order-256 inner rule fits, certifier probes included; d = 3 at
+# order 32 with an order-32 inner rule (1.5e9) does not, nor at order 64
+# (9.8e10, hours)
+MAX_AVERAGE_POINTS = 1 << 30
 
 
 def _points(x: np.ndarray, d: int) -> np.ndarray:
@@ -192,6 +195,16 @@ class TestFunction:
         return {"family": self.family, "params": self.params(), "d": self.d}
 
 
+def check_envelope(n_outer: int, n_inner: int) -> None:
+    """CapacityError if an average over n_outer x n_inner points would exceed
+    MAX_AVERAGE_POINTS."""
+    if n_outer * n_inner > MAX_AVERAGE_POINTS:
+        raise CapacityError(
+            f"averaging {n_outer} x {n_inner} points exceeds the envelope of "
+            f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
+        )
+
+
 def inner_average(
     u0: TestFunction, x: np.ndarray, t: float, order: int, nodes: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -203,11 +216,7 @@ def inner_average(
     """
     pts = _points(x, u0.d)
     m = weights.shape[0]
-    if pts.shape[0] * m > MAX_AVERAGE_POINTS:
-        raise CapacityError(
-            f"averaging {pts.shape[0]} x {m} points exceeds the envelope of "
-            f"{MAX_AVERAGE_POINTS}; lower the grid or inner order"
-        )
+    check_envelope(pts.shape[0], m)
     decay = math.exp(-t)
     spread = math.sqrt(-math.expm1(-2.0 * t))
     avg = tuple(np.empty((pts.shape[0],) + (u0.d,) * k) for k in range(order + 1))

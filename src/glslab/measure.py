@@ -99,15 +99,6 @@ class QuadratureGrid:
         return self.points[: self.weights.shape[0]]
 
 
-@lru_cache(maxsize=32)
-def _rule_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """gauss_hermite_1d(order), computed once and shared read-only."""
-    rule = gauss_hermite_1d(order)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def _coarse_order(order: int) -> int:
     if order == 1:
         return 1
@@ -121,7 +112,8 @@ def _tensor_product(
     into nodes, shape (prod(orders), d), in C order of the axes (the last
     axis varies fastest); return its weights."""
     d = len(orders)
-    per_axis = nodes.reshape(orders + (d,), copy=False)
+    # nodes is C-contiguous, so this is a view and the writes land in nodes
+    per_axis = nodes.reshape(orders + (d,))
     for axis, n in enumerate(orders):
         shape = [1] * d
         shape[axis] = n
@@ -140,7 +132,7 @@ def tensor_rule(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     An average over it is exact for polynomials of degree <= 2 orders[i] - 1
     along axis i.  Cached: the arrays are shared between callers.
     """
-    rules = {n: _rule_1d(n) for n in set(orders)}
+    rules = {n: gauss_hermite_1d(n) for n in set(orders)}
     nodes = np.empty((math.prod(orders), len(orders)))
     weights = _tensor_product(rules, orders, nodes)
     return nodes, weights
@@ -149,7 +141,7 @@ def tensor_rule(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _grid(d: int, order: int) -> QuadratureGrid:
     coarse_order = _coarse_order(order)
-    rules = {n: _rule_1d(n) for n in {order, coarse_order}}
+    rules = {n: gauss_hermite_1d(n) for n in {order, coarse_order}}
     n, n_c = order**d, coarse_order**d
     points = np.empty((n + n_c, d))
     weights = _tensor_product(rules, (order,) * d, points[:n])

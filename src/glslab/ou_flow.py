@@ -47,7 +47,14 @@ import numpy as np
 
 from .errors import FlowError
 from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
-from .functions import SUPPORT_FLOOR, SUPPORT_THRESHOLD, TestFunction, _support, inner_average
+from .functions import (
+    SUPPORT_FLOOR,
+    SUPPORT_THRESHOLD,
+    TestFunction,
+    _support,
+    check_envelope,
+    inner_average,
+)
 from .functionals import FunctionalReport, IdentityResult, report
 
 INNER_TOL = 1e-9
@@ -212,6 +219,8 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
         order = grid.order
         while True:
             v_raw = mehler_density(u0, t, order)
+            # report averages on grid.points: fail before any average it could not finish
+            check_envelope(grid.points.shape[0], v_raw.inner.n_points)
             inner_err, h = _inner_mismatch(v_raw, grid)
             if inner_err <= INNER_TOL or order >= MAX_ORDER:
                 break

@@ -698,6 +698,34 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             v.density(x)
 
+    def test_a_report_within_the_per_node_set_bound_still_runs(self, monkeypatch):
+        # report averages the grid's n nodes and its partner's n_c < n in one
+        # call: twice n x m, the bound one node set had, holds both
+        assert functions.MAX_AVERAGE_POINTS >= 2 * (1 << 29)
+        grid = build_grid(GaussianMeasureSpec(d=2), 8)
+        u = normalize(Bump(radius=4.0, center=np.zeros(2)), grid)
+        ref = evolve(u, 0.5, grid)
+        m = ref.inner_order**2
+        monkeypatch.setattr(functions, "MAX_AVERAGE_POINTS", 2 * grid.n_points * m)
+        st = evolve(u, 0.5, grid)
+        assert (st.inner_order, st.entropy, st.fisher) == (ref.inner_order, ref.entropy, ref.fisher)
+
+    def test_an_inner_order_report_cannot_finish_fails_before_its_averages(self, monkeypatch):
+        grid = build_grid(GaussianMeasureSpec(d=2), 8)
+        u = normalize(Bump(radius=4.0, center=np.zeros(2)), grid)
+        m = evolve(u, 0.5, grid).inner_order ** 2
+        sizes = []
+
+        def spy(u0, x, t, order, nodes, weights):
+            sizes.append(weights.shape[0])
+            return functions.inner_average(u0, x, t, order, nodes, weights)
+
+        monkeypatch.setattr(ou_flow, "inner_average", spy)
+        monkeypatch.setattr(functions, "MAX_AVERAGE_POINTS", grid.points.shape[0] * m - 1)
+        with pytest.raises(CapacityError, match="envelope"):
+            evolve(u, 0.5, grid)
+        assert sizes and m not in sizes
+
 
 class TestFlowCurve:
     def test_monotone_functionals(self, grid1):
