@@ -8,9 +8,13 @@ reruns the command in-process through cli.main and compares exit
 codes, strings, booleans, ints and nulls exactly, and floats within
 1e-12 max(1, |ref|), so that a different BLAS cannot make it flaky.  JSON
 output is compared field by field, the flow CSV cell by cell.  A change
-that means to move an output regenerates the files and says why:
+that means to move an output regenerates the files it moves, by name, and
+says why:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
+
+rewrites the named files (a name is a key of COMMANDS, the file name
+without .json), and every file when no name is given.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import io
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +45,10 @@ for _fixture in ("bump_d2", "affine_d3", "hermite_d3"):
     COMMANDS[f"logcc_{_fixture}"] = [
         "logcc", "--family", f"tests/golden/families/{_fixture}.json", "--grid-order", "16"
     ]
+# Certificates of a constant Hess log h: a d = 3 tilt, whose M is the
+# identity, and an anisotropic d = 2 Gaussian profile, whose M is diagonal
+COMMANDS["logcc_tilt_d3"] = ["logcc", "--builtin", "tilt_d3"]
+COMMANDS["logcc_gaussian_d2_aniso"] = ["logcc", "--builtin", "gaussian_d2_aniso"]
 # d = 3 flows of the polynomial families, which average exactly on a
 # Gauss-Hermite rule of their own degree
 for _fixture in ("affine_d3", "hermite_d3"):
@@ -112,8 +121,13 @@ def test_comparison_is_tight():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown golden name(s) {unknown}; known: {sorted(COMMANDS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
+    for name in names:
+        argv = COMMANDS[name]
         code, stdout = _run(argv)
         record = {"argv": argv, "exit_code": code, "stdout": stdout}
         (GOLDEN / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
