@@ -12,7 +12,7 @@ certifier is
 
 which density_and_hess_log forms from one jet on the support
 h > SUPPORT_THRESHOLD max h (tilts and Gaussian profiles know it in closed
-form).
+form, one constant matrix that they return once, as a (1, d, d) row).
 
 Families that can vanish (affine, hermite) are admitted only when strictly
 positive on the reference hull |x|_inf <= 3; operations that divide by u
@@ -179,7 +179,11 @@ class TestFunction:
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h = u^2 at every point of x, the support mask h > SUPPORT_THRESHOLD
-        max h, and Hess log h on the masked points only, shape (mask.sum(), d, d)."""
+        max h, and Hess log h on the masked points only, shape (mask.sum(), d, d).
+
+        A family whose Hess log h is the same at every point may return that
+        one matrix instead, shape (1, d, d), which broadcasts over the masked
+        points; the caller may write into the returned array."""
         u, g, hess = self.jet(x)
         h = u**2
         mask = _support(h, SUPPORT_THRESHOLD)
@@ -268,10 +272,9 @@ class Tilt(TestFunction):
         return u, grad, u[:, None, None] * np.outer(self.a, self.a)[None, :, :]
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # log u^2 = 2 log c - 2 a . x is affine
+        # log u^2 = 2 log c - 2 a . x is affine: one zero matrix for every point
         h = self.density(x)
-        mask = _support(h, SUPPORT_THRESHOLD)
-        return h, mask, np.zeros((int(mask.sum()), self.d, self.d))
+        return h, _support(h, SUPPORT_THRESHOLD), np.zeros((1, self.d, self.d))
 
     def with_scale(self, c: float) -> "Tilt":
         return replace(self, a=self.a, c=self.c * c)
@@ -398,10 +401,9 @@ class GaussianProfile(TestFunction):
         return u, grad, u[:, None, None] * (outer + curv[None, :, :])
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point
         h = self.density(x)
-        mask = _support(h, SUPPORT_THRESHOLD)
-        curv = np.diag(1.0 - 1.0 / self.sigma2)
-        return h, mask, np.broadcast_to(curv, (int(mask.sum()), self.d, self.d)).copy()
+        return h, _support(h, SUPPORT_THRESHOLD), np.diag(1.0 - 1.0 / self.sigma2)[None]
 
     def with_scale(self, c: float) -> "GaussianProfile":
         return replace(self, amplitude=self.amplitude * c)

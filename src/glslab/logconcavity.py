@@ -1,6 +1,7 @@
 """Numerical certification that a density u^2 dgamma is log-concave.
 
-Log-concavity of h dgamma with h = u^2 is equivalent to
+Where {h > 0} is convex, log-concavity of h dgamma with h = u^2 is
+equivalent to
 
     M(x) = I - Hess log h(x)  >=  0   wherever h > 0,
 
@@ -8,9 +9,11 @@ so the certifier samples M on the quadrature nodes plus a deterministic
 low-discrepancy cloud in the box |x|_inf <= 6 (the unscrambled Halton
 sequence, computed by radical inverse and kept read-only for reuse),
 masks points with h <= 1e-10 max h, and inspects the smallest eigenvalue.
-One density_and_hess_log call reads each probe once: it returns h on every
-probe and Hess log h on the active ones only, from which M is formed in
-place.  Verdicts:
+Masked probes are not examined, so neither the convexity of {h > 0} nor
+the curvature where h is below the mask is checked.  One
+density_and_hess_log call reads each probe once: it returns h on every
+probe and Hess log h on the active ones only (one broadcast row where it
+is constant), from which M is formed in place.  Verdicts:
 
     certified     min eig >= -tol        with tol = 1e-8 max(1, scale)
     refuted       min eig <  -10 tol
@@ -20,15 +23,12 @@ where scale is the largest eigenvalue magnitude seen.  The inconclusive
 band keeps borderline curvature from flipping with the probe set.
 
 Only the smallest eigenvalue and the largest magnitude of each M are read.
-Where M is exactly diagonal (every off-diagonal entry 0, as eigvalsh reads
-the lower triangle) both are read off its diagonal, which is bit-identical
-to eigvalsh; that covers every row at d = 1 (taken as the entry itself)
-and every row of a tilt or a Gaussian profile, whose Hess log h is
-constant and diagonal.  The other rows of a 2 x 2 M = [[a, b], [b, c]]
-have the eigenvalues mid -+ rad with mid = (a + c) / 2 and
-rad = hypot((a - c) / 2, b), so the smallest is mid - rad and the largest
-magnitude |mid| + rad, each within a few ulps of the largest magnitude
-from eigvalsh; at d = 3 they go to numpy's eigvalsh.
+At d = 1 they are the entry itself.  A 2 x 2 M = [[a, b], [b, c]] has the
+eigenvalues mid -+ rad with mid = (a + c) / 2 and rad = hypot((a - c) / 2, b);
+mid - rad and |mid| + rad are within a few ulps of the largest magnitude
+from eigvalsh, and where b = 0 the certifier takes min(a, c) and
+max(|a|, |c|), bit-identical to eigvalsh.  At d = 3 both come from
+numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -87,33 +87,23 @@ def _probe_cloud(d: int, n: int) -> np.ndarray:
 
 def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smallest eigenvalue and the largest |eigenvalue| of each symmetric
-    row of m, shape (n, d, d): the entry itself at d = 1, read off the
-    diagonal where a row is diagonal, in closed form for the other rows at
-    d = 2 and from eigvalsh for those at d = 3."""
+    row of m, shape (n, d, d): the entry itself at d = 1, the closed form at
+    d = 2 and eigvalsh at d = 3."""
     d = m.shape[1]
     if d == 1:
         return m[:, 0, 0], np.abs(m[:, 0, 0])
-    # entry by entry along the rows: min, max and the != 0 test are exact
-    low, top = m[:, 0, 0].copy(), np.abs(m[:, 0, 0])
-    full = np.zeros(m.shape[0], dtype=bool)
-    for i in range(1, d):
-        np.minimum(low, m[:, i, i], out=low)
-        np.maximum(top, np.abs(m[:, i, i]), out=top)
-        for j in range(i):
-            full |= m[:, i, j] != 0.0
-    if not full.any():
-        return low, top
-    rows = m[full]
     if d == 2:
-        # [[a, b], [b, c]] has the eigenvalues mid -+ rad
-        a, b, c = rows[:, 0, 0], rows[:, 1, 0], rows[:, 1, 1]
+        # [[a, b], [b, c]] has the eigenvalues mid -+ rad; a diagonal row
+        # keeps a and c themselves, as eigvalsh does
+        a, b, c = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
         mid = 0.5 * (a + c)
         rad = np.hypot(0.5 * (a - c), b)
-        low[full], top[full] = mid - rad, np.abs(mid) + rad
-    else:
-        eigs = np.linalg.eigvalsh(rows)
-        low[full], top[full] = eigs[:, 0], np.abs(eigs).max(axis=1)
-    return low, top
+        diagonal = b == 0.0
+        low = np.where(diagonal, np.minimum(a, c), mid - rad)
+        top = np.where(diagonal, np.maximum(np.abs(a), np.abs(c)), np.abs(mid) + rad)
+        return low, top
+    eigs = np.linalg.eigvalsh(m)
+    return eigs[:, 0], np.abs(eigs).max(axis=1)
 
 
 def certify(
@@ -137,8 +127,8 @@ def certify(
             threshold=threshold,
             tolerance=BASE_TOLERANCE,
         )
-    pts = probes[active]
-    # M = I - Hess log h, formed in place as -Hess log h + I
+    # M = I - Hess log h, formed in place as -Hess log h + I; on the one row
+    # of a constant Hess log h the argmin is the first active probe
     curv = np.negative(hess_log, out=hess_log)
     for i in range(d):
         curv[:, i, i] += 1.0
@@ -156,7 +146,7 @@ def certify(
     return LogConcavityCertificate(
         status=status,
         min_eigenvalue=min_eig,
-        worst_point=pts[worst].copy(),
+        worst_point=probes[np.flatnonzero(active)[worst]].copy(),
         n_probes=probes.shape[0],
         n_active=int(active.sum()),
         threshold=threshold,

@@ -55,7 +55,7 @@ from .functions import (
     check_envelope,
     inner_average,
 )
-from .functionals import FunctionalReport, IdentityResult, report
+from .functionals import FunctionalReport, IdentityResult, _integrals, _positive_mask, report
 
 INNER_TOL = 1e-9
 INNER_WARN = 1e-6
@@ -321,26 +321,29 @@ def entropy_production_check(u0: TestFunction, t: float, grid: QuadratureGrid) -
     )
 
 
-def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> float:
-    """-2 int || Hess v - (grad v (x) grad v) / v ||_F^2 dgamma on the support."""
-    x = grid.nodes
-    vals, g, hess = v.jet(x)
-    mask = _support(vals, SUPPORT_FLOOR)
-    defect = np.zeros_like(hess)
-    defect[mask] = hess[mask] - (g[mask][:, :, None] * g[mask][:, None, :]) / vals[
-        mask, None, None
-    ]
-    integrand = (defect**2).sum(axis=(1, 2))
-    return -2.0 * float(grid.weights @ integrand)
+def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> tuple[float, float]:
+    """-2 int || Hess v - (grad v (x) grad v) / v ||_F^2 dgamma on the support,
+    with its embedded error; a negative v at a node raises PositivityError."""
+
+    def terms(x: np.ndarray) -> tuple[np.ndarray]:
+        vals, g, hess = v.jet(x)
+        mask = _positive_mask(x, vals)
+        defect = np.zeros_like(hess)
+        defect[mask] = hess[mask] - (g[mask][:, :, None] * g[mask][:, None, :]) / vals[
+            mask, None, None
+        ]
+        return (-2.0 * (defect**2).sum(axis=(1, 2)),)
+
+    return _integrals(grid, terms)[0]
 
 
 def fisher_dissipation_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:
     """dI/dt + 2 I equals -2 int ||Hess v - grad v (x) grad v / v||^2 dgamma."""
     lo, mid, hi = stencil_states(u0, t, grid)
     lhs = (hi.fisher - lo.fisher) / (2.0 * STENCIL_DT) + 2.0 * mid.fisher
-    rhs = _hessian_defect_integral(mid.v, grid)
+    rhs, rhs_err = _hessian_defect_integral(mid.v, grid)
     err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * STENCIL_DT)
-    err += 2.0 * mid.quadrature_error
+    err += 2.0 * mid.quadrature_error + rhs_err
     return IdentityResult(
         name="fisher_dissipation",
         lhs=float(lhs),

@@ -72,7 +72,8 @@ class TestTilt:
         h, mask, hess_log = u.density_and_hess_log(x)
         np.testing.assert_array_equal(h, u.value(x) ** 2)
         assert mask.all()
-        np.testing.assert_array_equal(hess_log, np.zeros((7, 2, 2)))
+        ref = np.zeros((7, 2, 2))
+        np.testing.assert_array_equal(np.broadcast_to(hess_log, ref.shape), ref)
 
 
 class TestAffine:

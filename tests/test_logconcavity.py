@@ -14,7 +14,9 @@ import pytest
 
 from glslab import (
     DomainError,
+    GaussianMeasureSpec,
     GaussianProfile,
+    build_grid,
     certify,
     certify_along_flow,
     compact_improvement_pipeline,
@@ -42,6 +44,51 @@ class TestClosedFormCurvature:
         assert cert.certified
         # smallest eigenvalue of diag(1/s) comes from the widest coordinate
         assert cert.min_eigenvalue == pytest.approx(1.0 / 0.9, rel=1e-12)
+
+
+_CONSTANT_CURVATURE = {
+    **{e.name: e.function() for e in corpus.ENTRIES if e.build["family"] in ("tilt", "gaussian")},
+    "gaussian_d3": GaussianProfile(
+        sigma2=np.array([0.5, 0.7, 0.9]), mean=np.array([0.1, -0.2, 0.3])
+    ),
+}
+
+
+class _RowPerPoint:
+    """u with its constant Hess log h written out as one row per masked point."""
+
+    def __init__(self, u):
+        self.u, self.d = u, u.d
+
+    def density_and_hess_log(self, x):
+        h, mask, hess_log = self.u.density_and_hess_log(x)
+        rows = np.broadcast_to(hess_log, (int(mask.sum()),) + hess_log.shape[1:])
+        return h, mask, rows.copy()
+
+
+class TestConstantCurvature:
+    """Tilts and Gaussian profiles return their constant Hess log h once, as
+    a (1, d, d) row that broadcasts over the masked points."""
+
+    def test_every_dimension_is_covered(self):
+        assert {u.d for u in _CONSTANT_CURVATURE.values()} == {1, 2, 3}
+
+    @pytest.mark.parametrize("name", sorted(_CONSTANT_CURVATURE))
+    def test_one_row(self, name):
+        u = _CONSTANT_CURVATURE[name]
+        grid = build_grid(GaussianMeasureSpec(d=u.d), 16)
+        h, mask, hess_log = u.density_and_hess_log(grid.points)
+        assert hess_log.shape == (1, u.d, u.d)
+        assert mask.shape == h.shape == (grid.points.shape[0],) and mask.any()
+
+    @pytest.mark.parametrize("name", sorted(_CONSTANT_CURVATURE))
+    def test_certificate_equals_one_row_per_point(self, name):
+        u = _CONSTANT_CURVATURE[name]
+        grid = build_grid(GaussianMeasureSpec(d=u.d), 16)
+        cert = certify(u, grid)
+        assert cert.to_json() == certify(_RowPerPoint(u), grid).to_json()
+        # a copy of the worst probe, which holds no reference to the probe array
+        assert cert.worst_point.base is None
 
 
 class TestProbeCloud:

@@ -23,6 +23,7 @@ from glslab import (
     GaussianMeasureSpec,
     GaussianProfile,
     HermiteExpansion,
+    PositivityError,
     Tilt,
     build_grid,
     certify,
@@ -262,11 +263,7 @@ class TestOnePass:
             ou_flow._hessian_defect_integral(v, grid1)
         else:
             getattr(functionals, reader)(v, grid1)
-        # the Hessian defect integral has no error estimate: fine nodes only
-        n = grid1.n_points
-        if reader != "hessian_defect":
-            n += grid1.coarse.n_points
-        assert calls == Counter({(2, n): 1})
+        assert calls == Counter({(2, grid1.n_points + grid1.coarse.n_points): 1})
 
     @pytest.mark.parametrize("name", ["bump_r2", "hermite_mixed", "tilt_d2"])
     def test_chunks_match_a_single_chunk(self, name, monkeypatch):
@@ -308,8 +305,11 @@ class TestClosedForm:
         _, mask, hess_log = exact.density_and_hess_log(x)
         _, ref_mask, ref_hess_log = reference.density_and_hess_log(x)
         np.testing.assert_array_equal(mask, ref_mask)
-        # exactly 0 for a tilt: a relative error means nothing there
-        np.testing.assert_allclose(hess_log, ref_hess_log, rtol=0, atol=1e-13)
+        # exactly 0 for a tilt: a relative error means nothing there; the
+        # closed form is one row for every masked point
+        np.testing.assert_allclose(
+            np.broadcast_to(hess_log, ref_hess_log.shape), ref_hess_log, rtol=0, atol=1e-13
+        )
 
     @pytest.mark.parametrize("name", _CLOSED_FORMS)
     def test_semigroup_law(self, name):
@@ -763,6 +763,17 @@ class TestFlowCurve:
         assert math.isnan(float(row.split(",")[4]))
 
 
+class _Linear:
+    """The jet of u = 1 + x / 2 at d = 1, which no admissible family is:
+    negative for x < -2."""
+
+    d = 1
+
+    def jet(self, x, order=2):
+        u = 1.0 + 0.5 * x[:, 0]
+        return (u, np.full((len(u), 1), 0.5), np.zeros((len(u), 1, 1)))[: order + 1]
+
+
 class TestDerivativeChecks:
     def test_entropy_production(self, grid1):
         r = entropy_production_check(corpus.get("hermite_mixed").normalized(grid1), 0.5, grid1)
@@ -771,6 +782,25 @@ class TestDerivativeChecks:
     def test_fisher_dissipation(self, grid1):
         r = fisher_dissipation_check(corpus.get("hermite_mixed").normalized(grid1), 0.5, grid1)
         assert abs(r.residual) < 1e-4
+
+    @pytest.mark.parametrize("name", ["hermite_mixed", "two_bumps_wide"])
+    def test_fisher_dissipation_error_covers_both_sides(self, grid1, name):
+        # the stencil's error on the left, the defect integral's embedded
+        # error on the right, as the other identities report theirs
+        u = corpus.get(name).normalized(grid1)
+        r = fisher_dissipation_check(u, 0.2, grid1)
+        lo, mid, hi = ou_flow.stencil_states(u, 0.2, grid1)
+        lhs_err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * ou_flow.STENCIL_DT)
+        lhs_err += 2.0 * mid.quadrature_error
+        rhs, rhs_err = ou_flow._hessian_defect_integral(mid.v, grid1)
+        assert r.rhs == rhs
+        assert rhs_err > 0.0
+        assert r.error == lhs_err + rhs_err
+
+    def test_hessian_defect_refuses_a_negative_function(self, grid1):
+        # u = 1 + x / 2 is negative for x < -2; the integrand divides by it
+        with pytest.raises(PositivityError, match="negative"):
+            ou_flow._hessian_defect_integral(_Linear(), grid1)
 
     def test_needs_room_for_the_stencil(self, grid1):
         u = corpus.get("tilt_half").normalized(grid1)
