@@ -64,7 +64,7 @@ def _xlogx(h: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalReport(Record):
     """Core functionals of one normalized test function on one grid."""
 
@@ -115,6 +115,11 @@ class IdentityResult:
     residual: float
     error: float
 
+    @classmethod
+    def of(cls, name: str, lhs: float, rhs: float, error: float) -> "IdentityResult":
+        """The record of lhs = rhs, with residual lhs - rhs."""
+        return cls(name, float(lhs), float(rhs), float(lhs - rhs), float(error))
+
     @property
     def relative_residual(self) -> float:
         scale = max(abs(self.lhs), abs(self.rhs), 1e-300)
@@ -132,13 +137,7 @@ def _integrals(grid: QuadratureGrid, terms: _Terms) -> list[tuple[float, float]]
 def _identity(name: str, grid: QuadratureGrid, terms: _Terms) -> IdentityResult:
     """lhs = rhs for terms(x) = (lhs integrand, rhs integrand)."""
     (lhs, lhs_err), (rhs, rhs_err) = _integrals(grid, terms)
-    return IdentityResult(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(lhs - rhs),
-        error=float(lhs_err + rhs_err),
-    )
+    return IdentityResult.of(name, lhs, rhs, lhs_err + rhs_err)
 
 
 def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
@@ -152,13 +151,7 @@ def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     tv, tv_err = embedded(grid, np.abs(h - 1.0))
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     rhs = 0.25 * tv**2
-    return IdentityResult(
-        name="pinsker_gap",
-        lhs=float(entropy),
-        rhs=float(rhs),
-        residual=float(entropy - rhs),
-        error=float(ent_err + 0.5 * tv * tv_err),
-    )
+    return IdentityResult.of("pinsker_gap", entropy, rhs, ent_err + 0.5 * tv * tv_err)
 
 
 def bochner_identity(v: TestFunction, grid: QuadratureGrid) -> IdentityResult:

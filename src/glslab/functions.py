@@ -79,9 +79,11 @@ def _points(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _plain(value):
-    """value as plain JSON data: a dataclass becomes {field name: value}, a
-    dict a dict, a list, tuple or array a list, a numpy scalar its Python
-    value; NaN stays NaN."""
+    """value as plain JSON data: a test function becomes its to_json(), any
+    other dataclass {field name: value}, a dict a dict, a list, tuple or array
+    a list, a numpy scalar its Python value; NaN stays NaN."""
+    if isinstance(value, TestFunction):
+        return value.to_json()
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
@@ -784,8 +786,9 @@ def center_mass(u: TestFunction, grid: QuadratureGrid, tol: float = 1e-10) -> Ce
     """Return a representative with vanishing density first moment when the
     family supports exact recentring (gaussian mean, bump center); otherwise
     report the measured moment with recentred = False."""
-    _require_unit_norm(grid, u.density(grid.nodes))
-    m1 = first_moment(u, grid)
+    h = u.density(grid.nodes)
+    _require_unit_norm(grid, h)
+    m1 = _moments(grid, h)[0]
     if np.linalg.norm(m1) <= tol:
         return CenteredResult(function=u, shift=np.zeros(u.d), recentred=True)
     if isinstance(u, GaussianProfile):

@@ -34,7 +34,10 @@ mehler_density is the quadrature path at a fixed inner order for every
 family, and the reference paths 1 and 2 are tested against.
 Exact facts checked downstream: mass is conserved, the density first
 moment decays like e^{-t}, the second moment gap like e^{-2t}, dE/dt = -4 I,
-and E, I are non-increasing.
+and E, I are non-increasing.  Every rate check reads its centered difference
+through one reader, _centered_rate over stencil_states: a figure's rate
+(f(t + dt) - f(t - dt)) / (2 dt) with stencil error (err(t - dt) +
+err(t + dt)) / (2 dt), dt = STENCIL_DT, from the figure's quadrature error.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -179,19 +183,13 @@ def _inner_mismatch(v: EvolvedDensity, grid: QuadratureGrid) -> tuple[float, np.
 
 
 @dataclass(frozen=True, eq=False)
-class FlowState:
-    """Snapshot of the evolved density at one time with its diagnostics."""
+class FlowState(FunctionalReport):
+    """The report of the normalized evolved density v at time t, with v, the
+    mass v was normalized from and the inner rule's order and error."""
 
     t: float
     v: TestFunction
-    entropy: float
-    fisher: float
-    deficit: float
-    ratio_q: float | None
     mass: float
-    first_moment: np.ndarray
-    second_moment_gap: float
-    quadrature_error: float
     inner_error: float
     inner_order: int
 
@@ -235,18 +233,11 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     if mass <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
     v = v_raw.with_scale(1.0 / math.sqrt(mass))
-    rep: FunctionalReport = report(v, grid)
     return FlowState(
+        **vars(report(v, grid)),
         t=float(t),
         v=v,
-        entropy=rep.entropy,
-        fisher=rep.fisher,
-        deficit=rep.deficit,
-        ratio_q=rep.ratio_q,
         mass=float(mass),
-        first_moment=rep.first_moment,
-        second_moment_gap=rep.second_moment_gap,
-        quadrature_error=rep.quadrature_error,
         inner_error=float(inner_err),
         inner_order=order,
     )
@@ -262,16 +253,13 @@ def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> lis
     states = [evolve(u0, t, grid) for t in times]
     for prev, cur in zip(states, states[1:]):
         slack = 1e-8 + 2.0 * (prev.quadrature_error + cur.quadrature_error)
-        if cur.entropy > prev.entropy + slack:
-            raise FlowError(
-                f"entropy increased along the flow: {prev.entropy!r} -> {cur.entropy!r} "
-                f"between t = {prev.t} and t = {cur.t}"
-            )
-        if cur.fisher > prev.fisher + slack:
-            raise FlowError(
-                f"fisher information increased along the flow: "
-                f"{prev.fisher!r} -> {cur.fisher!r} between t = {prev.t} and t = {cur.t}"
-            )
+        for name, what in (("entropy", "entropy"), ("fisher", "fisher information")):
+            a, b = getattr(prev, name), getattr(cur, name)
+            if b > a + slack:
+                raise FlowError(
+                    f"{what} increased along the flow: {a!r} -> {b!r} "
+                    f"between t = {prev.t} and t = {cur.t}"
+                )
     return states
 
 
@@ -295,9 +283,12 @@ def flow_csv_rows(states: list[FlowState]) -> list[str]:
     return rows
 
 
-def stencil_states(
-    u0: TestFunction, t: float, grid: QuadratureGrid
-) -> tuple[FlowState, FlowState, FlowState]:
+_Stencil = tuple[FlowState, FlowState, FlowState]
+# a figure of a state and its quadrature error
+_Figure = Callable[[FlowState], tuple[float, float]]
+
+
+def stencil_states(u0: TestFunction, t: float, grid: QuadratureGrid) -> _Stencil:
     """States at t - STENCIL_DT, t and t + STENCIL_DT for a centered difference."""
     if t <= STENCIL_DT:
         raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
@@ -305,20 +296,21 @@ def stencil_states(
     return lo, mid, hi
 
 
+def _centered_rate(states: _Stencil, figure: _Figure) -> tuple[float, float]:
+    """The centered rate of a figure over stencil_states and its stencil error
+    (err(lo) + err(hi)) / (2 STENCIL_DT)."""
+    (lo, lo_err), (hi, hi_err) = figure(states[0]), figure(states[2])
+    return (hi - lo) / (2.0 * STENCIL_DT), (hi_err + lo_err) / (2.0 * STENCIL_DT)
+
+
 def entropy_production_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:
     """Centered difference of E against the exact production rate -4 I."""
-    lo, mid, hi = stencil_states(u0, t, grid)
-    lhs = (hi.entropy - lo.entropy) / (2.0 * STENCIL_DT)
+    states = stencil_states(u0, t, grid)
+    mid = states[1]
+    lhs, err = _centered_rate(states, lambda s: (s.entropy, s.quadrature_error))
     rhs = -4.0 * mid.fisher
-    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * STENCIL_DT)
     err += 4.0 * mid.quadrature_error
-    return IdentityResult(
-        name="entropy_production",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(lhs - rhs),
-        error=float(err),
-    )
+    return IdentityResult.of("entropy_production", lhs, rhs, err)
 
 
 def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> tuple[float, float]:
@@ -339,48 +331,60 @@ def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> tuple[flo
 
 def fisher_dissipation_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:
     """dI/dt + 2 I equals -2 int ||Hess v - grad v (x) grad v / v||^2 dgamma."""
-    lo, mid, hi = stencil_states(u0, t, grid)
-    lhs = (hi.fisher - lo.fisher) / (2.0 * STENCIL_DT) + 2.0 * mid.fisher
+    states = stencil_states(u0, t, grid)
+    mid = states[1]
+    rate, err = _centered_rate(states, lambda s: (s.fisher, s.quadrature_error))
+    lhs = rate + 2.0 * mid.fisher
     rhs, rhs_err = _hessian_defect_integral(mid.v, grid)
-    err = (hi.quadrature_error + lo.quadrature_error) / (2.0 * STENCIL_DT)
     err += 2.0 * mid.quadrature_error + rhs_err
-    return IdentityResult(
-        name="fisher_dissipation",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(lhs - rhs),
-        error=float(err),
-    )
+    return IdentityResult.of("fisher_dissipation", lhs, rhs, err)
 
 
 @dataclass(frozen=True)
-class QOdeSample:
+class OdeSample:
+    """value' <= bound(t, value) at time t: rate is the centered difference of
+    value, margin is bound - rate and error is the rate's stencil error.  The
+    bound's own error, smaller by a factor |d bound / d value| dt, is left out."""
+
     t: float
-    q: float
-    dq_dt: float
+    value: float
+    rate: float
     bound: float
     margin: float
+    error: float
 
 
-def q_ode_check(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[QOdeSample]:
+def _ode_samples(
+    u0: TestFunction,
+    times: np.ndarray,
+    grid: QuadratureGrid,
+    figure: _Figure,
+    bound: Callable[[float, float], float],
+    stop: Callable[[_Stencil], bool] = lambda states: False,
+) -> list[OdeSample]:
+    """One OdeSample of a figure per time, until stop(stencil states) holds."""
+    samples: list[OdeSample] = []
+    for t in np.asarray(times, dtype=float).tolist():
+        states = stencil_states(u0, t, grid)
+        if stop(states):
+            break
+        value, (rate, err) = figure(states[1])[0], _centered_rate(states, figure)
+        b = bound(t, value)
+        samples.append(OdeSample(t, value, rate, b, b - rate, err))
+    return samples
+
+
+def q_ode_check(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[OdeSample]:
     """Samples of dQ/dt against the comparison rate 2 Q (2 Q - 1).
 
-    Q = I / E; sampling stops once the entropy underflows below 1e-10.
+    Q = I / E has quadrature error (err_I + Q err_E) / E; sampling stops once
+    the entropy underflows below 1e-10.
     """
-    samples: list[QOdeSample] = []
-    for t in np.asarray(times, dtype=float):
-        lo, mid, hi = stencil_states(u0, t, grid)
-        if mid.entropy < 1e-10 or any(s.ratio_q is None for s in (lo, mid, hi)):
-            break
-        dq = (hi.ratio_q - lo.ratio_q) / (2.0 * STENCIL_DT)
-        bound = 2.0 * mid.ratio_q * (2.0 * mid.ratio_q - 1.0)
-        samples.append(
-            QOdeSample(
-                t=float(t),
-                q=float(mid.ratio_q),
-                dq_dt=float(dq),
-                bound=float(bound),
-                margin=float(bound - dq),
-            )
-        )
-    return samples
+    return _ode_samples(
+        u0,
+        times,
+        grid,
+        figure=lambda s: (s.ratio_q, (s.fisher_error + s.ratio_q * s.entropy_error) / s.entropy),
+        bound=lambda t, q: 2.0 * q * (2.0 * q - 1.0),
+        stop=lambda states: states[1].entropy < 1e-10 or any(s.ratio_q is None for s in states),
+    )

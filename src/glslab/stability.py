@@ -51,7 +51,7 @@ from .measure import QuadratureGrid, integrate_with_error
 from .functions import Record, TestFunction, _rowdot, second_moment_gap
 from .functionals import FunctionalReport, report, second_moment_floor
 from .logconcavity import LogConcavityCertificate, certify
-from .ou_flow import STENCIL_DT, evolve, stencil_states
+from .ou_flow import OdeSample, _ode_samples, evolve
 
 C_STAR = 1.0 + 1.0 / 1728.0
 POINCARE_LOGCONCAVE = 1.0 / 432.0
@@ -586,46 +586,28 @@ def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> Pipel
     )
 
 
-@dataclass(frozen=True)
-class ZOdeSample:
-    t: float
-    z: float
-    dz_dt: float
-    bound: float
-    margin: float
-
-
 def excess_moment_decay_check(
     u: TestFunction, grid: QuadratureGrid, times: np.ndarray
-) -> list[ZOdeSample]:
+) -> list[OdeSample]:
     """Comparison ODE for z(t) = e^{2t} I(t) when the excess moment is positive.
 
     With A0 = int (|x|^2 - d) u^2 dgamma > 0 the flow obeys
 
         z'(t) <= -(e^{-2t} / (2d)) (4 z(t) - A0)^2,
 
-    checked by centered differences at each sample time.
+    checked by centered differences at each sample time; z has quadrature
+    error e^{2t} err_I.  A sample time at or below the stencil step
+    ou_flow.STENCIL_DT raises the stencil's FlowError.
     """
     a0 = second_moment_gap(u, grid)
     if a0 <= 0:
         raise ConstraintError(
             f"excess_moment_decay needs a positive second moment gap, got {a0:.3e}"
         )
-    samples: list[ZOdeSample] = []
-    for t in np.asarray(times, dtype=float):
-        if t <= STENCIL_DT:
-            raise DomainError(f"sample times must exceed dt = {STENCIL_DT}")
-        lo, mid, hi = stencil_states(u, t, grid)
-        z_lo, z_mid, z_hi = (math.exp(2.0 * s.t) * s.fisher for s in (lo, mid, hi))
-        dz = (z_hi - z_lo) / (2.0 * STENCIL_DT)
-        bound = -(math.exp(-2.0 * t) / (2.0 * u.d)) * (4.0 * z_mid - a0) ** 2
-        samples.append(
-            ZOdeSample(
-                t=float(t),
-                z=float(z_mid),
-                dz_dt=float(dz),
-                bound=float(bound),
-                margin=float(bound - dz),
-            )
-        )
-    return samples
+    return _ode_samples(
+        u,
+        times,
+        grid,
+        figure=lambda s: (math.exp(2.0 * s.t) * s.fisher, math.exp(2.0 * s.t) * s.fisher_error),
+        bound=lambda t, z: -(math.exp(-2.0 * t) / (2.0 * u.d)) * (4.0 * z - a0) ** 2,
+    )

@@ -97,6 +97,21 @@ class TestAffine:
         assert not res.recentred
         assert np.linalg.norm(res.shift) > 0.1
 
+    def test_center_mass_reads_the_density_once(self, grid1, monkeypatch):
+        u = normalize(Affine(eps=0.2, nu=np.array([1.0])), grid1)
+        shift = first_moment(u, grid1)
+        calls = []
+        density = Affine.density
+
+        def counted(self, x):
+            calls.append(len(x))
+            return density(self, x)
+
+        monkeypatch.setattr(Affine, "density", counted)
+        res = center_mass(u, grid1)
+        assert calls == [grid1.n_points]
+        np.testing.assert_array_equal(res.shift, shift)
+
 
 class TestGaussianProfile:
     def test_unit_norm_by_construction(self, grid1):

@@ -763,6 +763,27 @@ class TestFlowCurve:
         assert math.isnan(float(row.split(",")[4]))
 
 
+class TestFlowStateIsAReport:
+    def test_fields_are_the_report_of_v(self, grid1):
+        u = corpus.get("hermite_mixed").normalized(grid1)
+        state = evolve(u, 0.5, grid1)
+        assert isinstance(state, functionals.FunctionalReport)
+        rep = functionals.report(state.v, grid1)
+        for name, value in vars(rep).items():
+            np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
+        assert state.d == 1 and state.entropy_error > 0.0 and state.fisher_error > 0.0
+
+    def test_compares_and_hashes_by_identity(self, grid2_order4):
+        # a d = 2 first_moment is an array, which a generated __eq__ cannot compare
+        u = normalize(Tilt(a=np.array([0.3, -0.2])), grid2_order4)
+        state = evolve(u, 0.5, grid2_order4)
+        twin = evolve(u, 0.5, grid2_order4)
+        assert state == state and state != twin
+        assert len({state, twin}) == 2
+        rep = functionals.report(u, grid2_order4)
+        assert rep == rep and rep != functionals.report(u, grid2_order4)
+
+
 class _Linear:
     """The jet of u = 1 + x / 2 at d = 1, which no admissible family is:
     negative for x < -2."""
@@ -807,13 +828,28 @@ class TestDerivativeChecks:
         with pytest.raises(FlowError):
             entropy_production_check(u, 1e-4, grid1)
 
+    @pytest.mark.parametrize(
+        "name", ["tilt_half", "affine_eps01", "hermite_mixed", "gaussian_shifted"]
+    )
+    def test_q_ode_error_is_the_stencil_error_of_q(self, grid1, name):
+        # Q = I / E carries (err_I + Q err_E) / E, and its rate the stencil's error
+        # (err(t - dt) + err(t + dt)) / (2 dt)
+        u = corpus.get(name).normalized(grid1)
+        samples = q_ode_check(u, np.array([0.2, 0.5, 1.0]), grid1)
+        assert len(samples) == 3
+        for s in samples:
+            lo, _, hi = ou_flow.stencil_states(u, s.t, grid1)
+            err = [(x.fisher_error + x.ratio_q * x.entropy_error) / x.entropy for x in (lo, hi)]
+            assert math.isfinite(s.error) and s.error > 0.0, s.t
+            assert s.error == (err[0] + err[1]) / (2.0 * ou_flow.STENCIL_DT), s.t
+
     def test_q_ode_margins(self, grid1):
         u = corpus.get("gaussian_shifted").normalized(grid1)
         samples = q_ode_check(u, np.array([0.2, 0.5, 1.0]), grid1)
         assert len(samples) == 3
         for s in samples:
             assert s.margin > 0
-            assert 0.5 <= s.q <= 1.0 + 1e-9
+            assert 0.5 <= s.value <= 1.0 + 1e-9
 
 
 class TestInnerRuleAdaptation:

@@ -12,11 +12,12 @@ from glslab import (
     build_grid,
     certify,
     corpus,
+    evolve,
     normalize,
     report,
     verify_bounds,
 )
-from glslab.functions import Record, _plain
+from glslab.functions import Bump, Record, _plain
 from glslab.search import SearchProblem, run_search
 from glslab.stability import compact_improvement_pipeline, poincare_chain
 
@@ -127,3 +128,27 @@ def test_plain_walks_arrays_scalars_and_tuples():
     plain = _plain(value)
     assert plain == {"a": [[0.0, 1.0], [2.0, 3.0]], "s": 0.5, "n": 3, "t": [1, [2.0]]}
     assert [type(leaf) for _, leaf in _leaves(plain)] == [float] * 4 + [float, int, int, float]
+
+
+@pytest.mark.parametrize(
+    "d, order, build, inner",
+    [
+        (1, 16, lambda: corpus.get("tilt_half").function(), False),  # closed form
+        (1, 16, lambda: corpus.get("bump_r2").function(), False),  # exact average
+        (2, 4, lambda: Bump(radius=2.0, d=2), True),  # quadrature, inner order 256
+    ],
+    ids=["closed_form", "exact_average", "quadrature"],
+)
+def test_flow_state_writes_v_as_its_family_json(d, order, build, inner):
+    grid = build_grid(GaussianMeasureSpec(d=d), order)
+    state = evolve(normalize(build(), grid), 0.5, grid)
+    assert (state.inner_order > 0) == inner
+    payload = state.to_json()
+    text = json.dumps(payload)
+    assert set(payload) == {f.name for f in fields(state)}
+    assert payload["v"] == state.v.to_json()
+    assert payload["v"]["family"] == state.v.family
+    for path, leaf in _leaves(payload):
+        assert type(leaf) in PLAIN_LEAVES, (path, type(leaf))
+    # the inner rule is named by its order, not written out node by node
+    assert len(text) < 10_000

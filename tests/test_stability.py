@@ -20,6 +20,7 @@ from glslab import (
     ConstraintError,
     DomainError,
     Figures,
+    FlowError,
     GAUSSIAN_CHEEGER,
     GaussianMeasureSpec,
     GaussianProfile,
@@ -51,7 +52,7 @@ from glslab import (
     verify_gaussian_tail,
     verify_kappa_weighted,
 )
-from glslab import stability
+from glslab import ou_flow, stability
 from glslab.stability import BOUND_NAMES
 
 
@@ -492,6 +493,20 @@ class TestExcessMomentDecay:
             assert s.margin >= -1e-8
             assert s.bound <= 0.0
 
+    def test_error_is_the_stencil_error_of_z(self, grid1):
+        # z = e^{2t} I carries e^{2t} err_I, and its rate the stencil's error
+        # (err(t - dt) + err(t + dt)) / (2 dt)
+        times = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        for entry in corpus.entries("excess_moment"):
+            u = entry.normalized(grid1)
+            samples = excess_moment_decay_check(u, grid1, times)
+            assert len(samples) == 5, entry.name
+            for s in samples:
+                lo, _, hi = ou_flow.stencil_states(u, s.t, grid1)
+                err = [math.exp(2.0 * x.t) * x.fisher_error for x in (lo, hi)]
+                assert math.isfinite(s.error) and s.error > 0.0, (entry.name, s.t)
+                assert s.error == (err[0] + err[1]) / (2.0 * ou_flow.STENCIL_DT), (entry.name, s.t)
+
     def test_needs_positive_excess(self, grid1):
         with pytest.raises(ConstraintError):
             excess_moment_decay_check(
@@ -500,5 +515,5 @@ class TestExcessMomentDecay:
 
     def test_needs_room_for_the_stencil(self, grid1):
         u = corpus.get("affine_eps02").normalized(grid1)
-        with pytest.raises(DomainError):
+        with pytest.raises(FlowError):
             excess_moment_decay_check(u, grid1, np.array([1e-4]))
