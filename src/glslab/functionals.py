@@ -18,6 +18,11 @@ for the n grid points: h = u^2 is itself only known to a few ulps, and
 d(h log h)/dh = 1 + log h, so at the Gaussian equality case (h = 1, E = 0)
 the entropy is pure rounding.
 
+report_rows takes the values of k members with a leading member axis, h
+(k, N) and grad (k, N, d), and runs every integral and moment once over
+the k rows; report is its one-row case, and a row's figures are bit for
+bit those of report on that member alone.
+
 The module also checks two exact integral identities satisfied by smooth v
 under the generator L = Laplacian - x . grad:
 
@@ -84,27 +89,39 @@ class FunctionalReport(Record):
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized."""
     h, grad = u.density_and_gradient(grid.points)
-    fine_h = h[: grid.n_points]
-    norm = _require_unit_norm(grid, fine_h)
-    entropy, ent_err = embedded(grid, _xlogx(h))
-    fisher, fis_err = embedded(grid, _rowdot(grad, grad))
-    ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
-    deficit = fisher - 0.5 * entropy
-    ratio_q = fisher / entropy if entropy > 0 else None
+    return report_rows(grid, h[None], grad[None])[0]
+
+
+def report_rows(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> list[FunctionalReport]:
+    """The report of each of k normalized members, given its density h
+    (k, N) and its gradient grad (k, N, d) on the N grid.points; every
+    integral and moment is taken over all rows at once."""
+    n = grid.n_points
+    fine_h = h[:, :n]
+    norms = _require_unit_norm(grid, fine_h)
+    entropy, ent_errors = embedded(grid, _xlogx(h))
+    fisher, fis_errors = embedded(grid, _rowdot(grad, grad))
     m1, gap = _moments(grid, fine_h)
-    return FunctionalReport(
-        d=u.d,
-        entropy=float(entropy),
-        fisher=float(fisher),
-        deficit=float(deficit),
-        ratio_q=ratio_q,
-        l2_norm=float(norm),
-        first_moment=m1,
-        second_moment_gap=gap,
-        entropy_error=float(ent_err),
-        fisher_error=float(fis_err),
-        quadrature_error=float(fis_err + 0.5 * ent_err),
-    )
+    reports = []
+    for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
+        e, f, f_err = entropy[i], fisher[i], fis_errors[i]
+        e_err = max(ent_errors[i], rounding_floor(norm**2, n))
+        reports.append(
+            FunctionalReport(
+                d=grid.d,
+                entropy=e,
+                fisher=f,
+                deficit=f - 0.5 * e,
+                ratio_q=f / e if e > 0 else None,
+                l2_norm=norm,
+                first_moment=m1[i],
+                second_moment_gap=gap_i,
+                entropy_error=e_err,
+                fisher_error=f_err,
+                quadrature_error=f_err + 0.5 * e_err,
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -239,7 +256,7 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
     h, *integrands = terms(grid.points)
     h = h[: grid.n_points]
     _require_unit_norm(grid, h)
-    gap = _moments(grid, h)[1]
+    gap = float(_moments(grid, h)[1])
     (f4, f4_err), (lap, lap_err), (frob, frob_err) = [embedded(grid, f) for f in integrands]
     return PressureData(
         d=u.d,

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, LabError, NormalizationError, PositivityError
-from .measure import GaussianMeasureSpec, QuadratureGrid, tensor_rule
+from .measure import GaussianMeasureSpec, QuadratureGrid, row_sums, tensor_rule
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
@@ -111,11 +111,11 @@ def _vector(name: str, value) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j a_ij b_ij for each row i of two (n, d) arrays, one column at a
-    time in axis order, which is the order of (a * b).sum(axis=1)."""
-    out = a[:, 0] * b[:, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j] * b[:, j]
+    """sum_j a_ij b_ij for each row i of two (..., n, d) arrays, one column at
+    a time in axis order, which is the order of (a * b).sum(axis=-1)."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
     return out
 
 
@@ -141,7 +141,15 @@ class TestFunction:
 
     A family implements jet and with_scale, and optionally evolved or
     ou_average; value, density, density_and_gradient and
-    density_and_hess_log read one jet.
+    density_and_hess_log read one jet.  The searchable families (tilt,
+    affine, gaussian, hermite) write their formula once, as
+    jet_rows(x, order, **rows) over an optional leading member axis: each
+    keyword holds one row per member, (k,) or (k, d) (the Hermite
+    multi-indices are shared), and it returns shapes (k, n), (k, d, n) and
+    (k, n, d, d).  Their jet is _row_jet, jet_rows on _row(), the member's
+    own keywords without that axis; admits(**rows) tells which rows pass
+    the constructor's check of the parameters, and the constructor calls it
+    on its own parameters.
     """
 
     d: int
@@ -201,6 +209,15 @@ class TestFunction:
         return {"family": self.family, "params": self.params(), "d": self.d}
 
 
+def _row_jet(u: TestFunction, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+    """The jet of a family with a formula over members: jet_rows on u's own row."""
+    value, *derivs = u.jet_rows(_points(x, u.d), order, **u._row())
+    if not derivs:
+        return (value,)
+    # the gradient is built axis-major, (d, n), and read transposed
+    return (value, derivs[0].T) + tuple(derivs[1:])
+
+
 def check_envelope(n_outer: int, n_inner: int) -> None:
     """CapacityError if an average over n_outer x n_inner points would exceed
     MAX_AVERAGE_POINTS."""
@@ -254,24 +271,34 @@ class Tilt(TestFunction):
     c: float = 1.0
     d: int = field(init=False, default=0)
     family = "tilt"
+    jet = _row_jet
 
     def __post_init__(self) -> None:
         a = _vector("a", self.a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", a.shape[0])
-        if not self.c > 0:
+        if not self.admits(a, self.c):
             raise PositivityError(f"tilt amplitude must be positive, got {self.c}")
 
-    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        x = _points(x, self.d)
-        u = self.c * np.exp(-x @ self.a)
+    def _row(self) -> dict:
+        return {"a": self.a, "c": np.asarray(self.c)}
+
+    @staticmethod
+    def admits(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return c > 0
+
+    @staticmethod
+    def jet_rows(x: np.ndarray, order: int, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The tilts c exp(-a . x), a (k, d) and c (k,)."""
+        u = np.exp(np.matmul(-x, a[..., :, None])[..., 0])
+        u *= c[..., None]
         if order == 0:
             return (u,)
-        # built axis-major, (d, n), and read transposed
-        grad = np.multiply.outer(-self.a, u).T
+        grad = -a[..., :, None] * u[..., None, :]
         if order == 1:
             return u, grad
-        return u, grad, u[:, None, None] * np.outer(self.a, self.a)[None, :, :]
+        outer = a[..., :, None] * a[..., None, :]
+        return u, grad, u[..., None, None] * outer[..., None, :, :]
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log u^2 = 2 log c - 2 a . x is affine: one zero matrix for every point
@@ -300,6 +327,7 @@ class Affine(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "affine"
+    jet = _row_jet
 
     def __post_init__(self) -> None:
         nu = _vector("nu", self.nu)
@@ -308,24 +336,36 @@ class Affine(TestFunction):
             raise LabError("direction nu must be nonzero")
         object.__setattr__(self, "nu", nu / norm)
         object.__setattr__(self, "d", nu.shape[0])
-        worst = 1.0 - abs(self.eps) * POSITIVITY_HULL * np.abs(self.nu).sum()
-        if not worst > 0:
+        if not self.admits(self.eps, self.nu, self.amplitude):
             raise PositivityError(
                 f"affine function vanishes on |x|_inf <= {POSITIVITY_HULL}: eps = {self.eps}"
             )
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        x = _points(x, self.d)
-        u = self.amplitude * (1.0 + self.eps * (x @ self.nu))
+    def _row(self) -> dict:
+        return {"eps": np.asarray(self.eps), "nu": self.nu, "amplitude": np.asarray(self.amplitude)}
+
+    @staticmethod
+    def admits(eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+        # 1 + eps x . nu at its least on the hull
+        return 1.0 - np.abs(eps) * POSITIVITY_HULL * np.abs(nu).sum(axis=-1) > 0
+
+    @staticmethod
+    def jet_rows(
+        x: np.ndarray, order: int, eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The functions amplitude (1 + eps x . nu), eps and amplitude (k,), nu (k, d)."""
+        xnu = np.matmul(x, nu[..., :, None])[..., 0]
+        u = amplitude[..., None] * (1.0 + eps[..., None] * xnu)
         if order == 0:
             return (u,)
-        n = x.shape[0]
-        grad = np.array(np.broadcast_to(self.amplitude * self.eps * self.nu, (n, self.d)))
+        slope = (amplitude * eps)[..., None] * nu
+        grad = np.empty(slope.shape + u.shape[-1:])
+        grad[...] = slope[..., None]
         if order == 1:
             return u, grad
-        return u, grad, np.zeros((n, self.d, self.d))
+        return u, grad, np.zeros(u.shape + nu.shape[-1:] * 2)
 
     def with_scale(self, c: float) -> "Affine":
         return replace(self, amplitude=self.amplitude * c)
@@ -348,6 +388,7 @@ class GaussianProfile(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "gaussian"
+    jet = _row_jet
 
     def __post_init__(self) -> None:
         s2 = _vector("sigma2", self.sigma2)
@@ -360,47 +401,63 @@ class GaussianProfile(TestFunction):
         if mean.shape != (self.d,):
             raise LabError(f"mean must have shape ({self.d},)")
         object.__setattr__(self, "mean", mean)
-        if not np.all((s2 > 0) & (s2 <= 1.0)):
+        if not self.admits(s2, mean, self.amplitude):
             raise LabError(f"variances must lie in (0, 1], got {s2}")
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        x = _points(x, self.d)
-        n, s2, b = x.shape[0], self.sigma2, self.mean
-        # axis by axis, summed in axis order, with at most two length-n
-        # temporaries besides u and the (d, n) rows that become grad log u:
+    def _row(self) -> dict:
+        return {"sigma2": self.sigma2, "mean": self.mean, "amplitude": np.asarray(self.amplitude)}
+
+    @staticmethod
+    def admits(sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+        return np.all((sigma2 > 0) & (sigma2 <= 1.0), axis=-1)
+
+    @staticmethod
+    def jet_rows(
+        x: np.ndarray, order: int, sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The profiles of variances sigma2 (k, d), means mean (k, d) and
+        amplitudes amplitude (k,)."""
+        members, d, n = sigma2.shape[:-1], sigma2.shape[-1], x.shape[0]
+        # axis by axis, summed in axis order, with at most two (k, n)
+        # temporaries besides u and the (k, d, n) rows that become grad log u:
         # log u = sum_i (-(x_i - b_i)^2 / (4 s2_i) + x_i^2 / 4) - sum_i log(s2_i) / 4
-        rows = np.empty((self.d, n)) if order else None
+        s2 = sigma2[..., None]
+        rows = np.empty(members + (d, n)) if order else None
         u = None
-        for i in range(self.d):
-            z = np.subtract(x[:, i], b[i], out=None if rows is None else rows[i])
+        for i in range(d):
+            z = np.subtract(x[:, i], mean[..., i, None], out=None if rows is None else rows[..., i, :])
             term = np.square(z)
             term *= -0.25
-            term /= s2[i]
+            term /= s2[..., i, :]
             term += 0.25 * np.square(x[:, i])
             if u is None:
                 u = term
             else:
                 u += term
-        u -= 0.25 * np.log(s2).sum()
+        u -= 0.25 * np.log(sigma2).sum(axis=-1, keepdims=True)
         np.exp(u, out=u)
-        u *= self.amplitude
+        u *= amplitude[..., None]
         if order == 0:
             return (u,)
         # grad log u, row i = -(x_i - b_i) / (2 s2_i) + x_i / 2, in place of x_i - b_i
-        for i, row in enumerate(rows):
+        for i in range(d):
+            row = rows[..., i, :]
             row *= -0.5
-            row /= s2[i]
+            row /= s2[..., i, :]
             row += 0.5 * x[:, i]
         if order == 1:
-            rows *= u
-            return u, rows.T
-        grad = (u * rows).T
-        grad_log = rows.T
-        curv = np.diag(0.5 - 0.5 / s2)
-        outer = grad_log[:, :, None] * grad_log[:, None, :]
-        return u, grad, u[:, None, None] * (outer + curv[None, :, :])
+            rows *= u[..., None, :]
+            return u, rows
+        grad = u[..., None, :] * rows
+        grad_log = np.swapaxes(rows, -1, -2)
+        # diag(0.5 - 0.5 / sigma2): every (d + 1)-th entry of the flattened matrix
+        curv = np.zeros(members + (d * d,))
+        curv[..., :: d + 1] = 0.5 - 0.5 / sigma2
+        curv = curv.reshape(members + (d, d))
+        outer = grad_log[..., :, None] * grad_log[..., None, :]
+        return u, grad, u[..., None, None] * (outer + curv[..., None, :, :])
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point
@@ -493,6 +550,7 @@ class HermiteExpansion(TestFunction):
     terms: tuple[tuple[tuple[int, ...], float], ...]
     d: int = 1
     family = "hermite"
+    jet = _row_jet
 
     def __post_init__(self) -> None:
         terms = []
@@ -506,48 +564,61 @@ class HermiteExpansion(TestFunction):
                 raise LabError(f"total degree {sum(alpha)} exceeds {MAX_HERMITE_DEGREE}")
             terms.append((alpha, float(coeff)))
         object.__setattr__(self, "terms", tuple(terms))
-        probes = _hull_probes(self.d)
-        if not self.value(probes).min() > 0:
+        if not self.admits(**self._row(), d=self.d):
             raise PositivityError(
                 f"expansion vanishes on |x|_inf <= {POSITIVITY_HULL}; adjust coefficients"
             )
 
-    @property
-    def _kmax(self) -> int:
-        return max((max(alpha) for alpha, _ in self.terms), default=0)
+    def _row(self) -> dict:
+        return {
+            "alphas": tuple(alpha for alpha, _ in self.terms),
+            "coeffs": np.array([coeff for _, coeff in self.terms], dtype=float),
+        }
 
-    def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        x = _points(x, self.d)
-        n = x.shape[0]
-        # (k, d, n): each table[k, axis] is one contiguous row
-        table = _hermite_table(np.ascontiguousarray(x.T), self._kmax)
+    @staticmethod
+    def admits(alphas: tuple, coeffs: np.ndarray, d: int = 1) -> np.ndarray:
+        # positive at every probe of the hull |x|_inf <= POSITIVITY_HULL in d dimensions
+        u = HermiteExpansion.jet_rows(_hull_probes(d), 0, alphas, coeffs)[0]
+        return u.min(axis=-1) > 0
 
-        def product(factor: float, ks) -> np.ndarray:
-            # factor prod_axis He_{ks[axis]}(x_axis), multiplied in axis order
-            term = factor * table[ks[0], 0]
-            for axis in range(1, self.d):
+    @staticmethod
+    def jet_rows(
+        x: np.ndarray, order: int, alphas: tuple, coeffs: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The expansions sum_t coeffs[:, t] He_{alphas[t]}, coeffs (k, len(alphas)),
+        over the multi-indices alphas that every member shares."""
+        (n, d), members = x.shape, coeffs.shape[:-1]
+        # (kmax + 1, d, n): each table[j, axis] is one contiguous row
+        kmax = max((max(alpha) for alpha in alphas), default=0)
+        table = _hermite_table(np.ascontiguousarray(x.T), kmax)
+
+        def product(factor: np.ndarray, ks) -> np.ndarray:
+            # factor (k,) times prod_axis He_{ks[axis]}(x_axis), multiplied in axis order
+            term = factor[..., None] * table[ks[0], 0]
+            for axis in range(1, d):
                 term = term * table[ks[axis], axis]
             return term
 
-        u = np.zeros(n)
-        for alpha, coeff in self.terms:
+        terms = [(alpha, coeffs[..., t]) for t, alpha in enumerate(alphas)]
+        u = np.zeros(members + (n,))
+        for alpha, coeff in terms:
             u += product(coeff, alpha)
         if order == 0:
             return (u,)
-        grad = np.zeros((n, self.d))
-        for alpha, coeff in self.terms:
+        grad = np.zeros(members + (d, n))
+        for alpha, coeff in terms:
             for j, kj in enumerate(alpha):
                 if kj == 0:
                     continue
                 # He_k' = k He_{k-1}
                 ks = [k - 1 if axis == j else k for axis, k in enumerate(alpha)]
-                grad[:, j] += product(coeff * kj, ks)
+                grad[..., j, :] += product(coeff * kj, ks)
         if order == 1:
             return u, grad
-        hess = np.zeros((n, self.d, self.d))
-        for alpha, coeff in self.terms:
-            for j in range(self.d):
-                for l in range(j, self.d):
+        hess = np.zeros(members + (n, d, d))
+        for alpha, coeff in terms:
+            for j in range(d):
+                for l in range(j, d):
                     kj, kl = alpha[j], alpha[l]
                     if j == l:
                         if kj < 2:
@@ -560,9 +631,9 @@ class HermiteExpansion(TestFunction):
                         factor = coeff * kj * kl
                         drop = {j: 1, l: 1}
                     term = product(factor, [k - drop.get(axis, 0) for axis, k in enumerate(alpha)])
-                    hess[:, j, l] += term
+                    hess[..., j, l] += term
                     if j != l:
-                        hess[:, l, j] += term
+                        hess[..., l, j] += term
         return u, grad, hess
 
     def with_scale(self, c: float) -> "HermiteExpansion":
@@ -731,48 +802,60 @@ def _construct(tag: str, params: dict, d: int) -> TestFunction:
     raise LabError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
 
 
-def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
-    # an overflow gives inf, which normalize turns into a NormalizationError
+def l2_norms(grid: QuadratureGrid, value) -> np.ndarray:
+    """||u|| of each row of value(grid.nodes), u on the nodes, (n_points,) or
+    (k, n_points); an overflow gives inf, which normalizable rejects."""
     with np.errstate(over="ignore"):
-        values = u.value(grid.nodes)
-        return math.sqrt(float(grid.weights @ values**2))
+        return np.sqrt(row_sums(value(grid.nodes) ** 2, grid.weights))
+
+
+def normalizable(norm):
+    """Whether a norm, or each of an array of them, can be scaled to 1."""
+    return (1e-150 <= norm) & (norm < math.inf)
+
+
+def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
+    return float(l2_norms(grid, u.value))
 
 
 def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:
     """Rescale within the family so that ||u||_{L2(dgamma)} = 1."""
     norm = l2_norm(u, grid)
-    if not 1e-150 <= norm < math.inf:
+    if not normalizable(norm):
         raise NormalizationError(f"cannot normalize a function with L2 norm {norm!r}")
     return u.with_scale(1.0 / norm)
 
 
-def _moments(grid: QuadratureGrid, h: np.ndarray) -> tuple[np.ndarray, float]:
+def _moments(grid: QuadratureGrid, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first moment sum_i w_i h_i x_i and the second moment gap
-    sum_i w_i h_i (|x_i|^2 - d) of h, given on grid.nodes."""
+    sum_i w_i h_i (|x_i|^2 - d) of h, given on grid.nodes, (n,) or one row
+    per member (k, n): shapes (d,) and () or (k, d) and (k,)."""
     x, wh = grid.nodes, grid.weights * h
     # one pairwise sum per axis keeps m1 within rounding_floor; (w h) @ x through
     # BLAS does not at d = 3, order 64
-    m1 = np.array([np.add.reduce(wh * x[:, i]) for i in range(grid.d)])
-    return m1, float(grid.weights @ (h * (_rowdot(x, x) - grid.d)))
+    m1 = np.array([np.add.reduce(wh * x[:, i], axis=-1) for i in range(grid.d)]).T
+    return m1, row_sums(h * (_rowdot(x, x) - grid.d), grid.weights)
 
 
 def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     return _moments(grid, u.density(grid.nodes))[0]
 
 
-def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray) -> float:
-    """||u|| from h = u^2 on grid.nodes; NormalizationError unless 1 within 1e-8."""
-    norm = math.sqrt(float(grid.weights @ h))
-    if not abs(norm - 1.0) <= 1e-8:
-        raise NormalizationError(f"expected unit L2 norm, got {norm!r}; normalize first")
-    return norm
+def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray):
+    """||u|| from h = u^2 on grid.nodes, a float, or a list of one per row of
+    h (k, n); NormalizationError unless each is 1 within 1e-8."""
+    norms = np.sqrt(row_sums(h, grid.weights))
+    for norm in np.atleast_1d(norms).tolist():
+        if not abs(norm - 1.0) <= 1e-8:
+            raise NormalizationError(f"expected unit L2 norm, got {norm!r}; normalize first")
+    return norms.tolist()
 
 
 def second_moment_gap(u: TestFunction, grid: QuadratureGrid) -> float:
     """A = integral of u^2 (|x|^2 - d) dgamma for normalized u."""
     h = u.density(grid.nodes)
     _require_unit_norm(grid, h)
-    return _moments(grid, h)[1]
+    return float(_moments(grid, h)[1])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ underflow to 0.  Multi-dimensional rules are full tensor products
 partner.  A grid holds its nodes and its partner's in one array,
 grid.points, so that an integrand is evaluated once per grid, on
 grid.points, and embedded takes the fine and the coarse sum from the two
-slices of that one array of values.
+slices of that one array of values.  embedded also takes the values of k
+integrands at once, one row each (a leading member axis), and sums each
+row with one dot product (row_sums), bit for bit the sum of that row alone.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -180,26 +182,38 @@ def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> fl
 
 
 def _check(values: np.ndarray, points: np.ndarray) -> None:
-    """IntegrationError unless values holds one finite value per point."""
-    if values.shape != (points.shape[0],):
+    """IntegrationError unless values holds one finite value per point, in
+    each of its rows if it has a leading member axis."""
+    if values.ndim not in (1, 2) or values.shape[-1] != points.shape[0]:
         raise IntegrationError(
             f"integrand returned shape {values.shape}, expected ({points.shape[0]},)"
         )
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(values).all():
+        row = next(r for r in np.atleast_2d(values) if not np.isfinite(r).all())
+        i = int(np.argmin(np.isfinite(row)))
         raise IntegrationError(
-            f"non-finite integrand value {values[i]!r} at point {i}, x = {points[i]}"
+            f"non-finite integrand value {row[i]!r} at point {i}, x = {points[i]}"
         )
 
 
-def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
+def row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights @ row for each row of values (..., n), as one dot product per
+    row: bit for bit the 1-d weights @ row.  values @ weights would run one
+    matrix-vector product, which rounds differently."""
+    return np.matmul(values[..., None, :], weights)[..., 0]
+
+
+def embedded(
+    grid: QuadratureGrid, values: np.ndarray
+) -> tuple[float, float] | tuple[list[float], list[float]]:
     """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
 
-    values is the integrand on grid.points: the fine sum reads the first
-    n_points of them, the coarse sum the rest.  The floor is
+    values is the integrand on grid.points, (n_points + n_coarse,), or one
+    such row per member, (k, n_points + n_coarse): the fine sum reads the
+    first n_points entries of a row, the coarse sum the rest.  The floor is
     rounding_floor(sum_i w_i |f(x_i)|, n_points) over the fine values; it is
-    never 0 unless f vanishes on the grid.
+    never 0 unless f vanishes on the grid.  One row gives two floats, k rows
+    two lists of k floats.
     """
     coarse_grid = grid.coarse
     if coarse_grid is None:
@@ -207,11 +221,11 @@ def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     _check(values, grid.points)
     n = grid.n_points
-    fine_values = values[:n]
-    fine = float(grid.weights @ fine_values)
-    coarse = float(coarse_grid.weights @ values[n:])
-    floor = rounding_floor(float(grid.weights @ np.abs(fine_values)), n)
-    return fine, max(abs(fine - coarse), floor)
+    fine_values = values[..., :n]
+    fine = row_sums(fine_values, grid.weights)
+    coarse = row_sums(values[..., n:], coarse_grid.weights)
+    floor = rounding_floor(row_sums(np.abs(fine_values), grid.weights), n)
+    return fine.tolist(), np.maximum(np.abs(fine - coarse), floor).tolist()
 
 
 def integrate_with_error(

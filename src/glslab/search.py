@@ -8,10 +8,19 @@ so late restarts cannot trade constraint violation for objective value.
 Construction failures (sign changes, capacity) are charged a large value
 instead of raising, which keeps the simplex inside the feasible set.
 
-The Nelder-Mead itself (minimize_callable; Nelder & Mead, Comput. J. 7,
-1965) is written in numpy.  It takes the steps of scipy.optimize's
-non-adaptive method and evaluates the same points in the same order, so
-the search needs no scipy at run time.
+The Nelder-Mead itself (nelder_mead; Nelder & Mead, Comput. J. 7, 1965)
+is written in numpy as a generator: it yields each point to evaluate and
+receives its value.  It takes the steps of scipy.optimize's non-adaptive
+method and evaluates the same points in the same order, so the search
+needs no scipy at run time; minimize_callable drives it with a function,
+one point at a time.  The restarts draw their starting points before any
+value is known, so run_search runs them in lockstep: each round evaluates
+the pending point of every restart still running as one batch, the
+members checked, normalized and reported as rows of one array (see
+functions.TestFunction.jet_rows and functionals.report_rows).  The trace
+still lists restart 0's evaluations first, then restart 1's, and so on,
+and every figure is bit for bit that of the restarts run one after
+another with raw_objective, which is the one-row case of the batch.
 
 The module also fits the small-amplitude scaling of the deficit along the
 affine family and evaluates the closed-form squared distance from that
@@ -36,12 +45,20 @@ from .functions import (
     Record,
     TestFunction,
     Tilt,
+    l2_norms,
+    normalizable,
     normalize,
 )
-from .functionals import report
+from .functionals import report, report_rows
 from .stability import BOUND_NAMES, verify_bounds
 
 BIG_VALUE = 1e6
+# grid points (fine and coarse) of the members one batch evaluates, which
+# bounds the size of its arrays: the order-64 grids have 112 points at d = 1
+# and 6,400 at d = 2, so a batch holds every restart of the default 3 (at
+# d = 2 three members take 0.8 of the time of three batches of one); at
+# d = 3 they have 372,736, so a batch holds one member
+_BATCH_POINTS = 1 << 16
 OBJECTIVES = ("deficit", "ratio_q", "stab_margin")
 FAMILIES = ("hermite", "affine", "tilt", "gaussian")
 
@@ -145,29 +162,91 @@ def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
     return GaussianProfile(sigma2=per_axis)
 
 
-def raw_objective(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:
-    """Objective without penalties; BIG_VALUE for infeasible parameters."""
+def _member_rows(
+    problem: SearchProblem, thetas: np.ndarray, scale: np.ndarray
+) -> tuple[type[TestFunction], dict]:
+    """The family and its jet_rows keywords for the members instantiate
+    builds of the rows of thetas (k, n_params), each multiplied by scale (k,)
+    where with_scale multiplies it."""
+    k, d = thetas.shape[0], problem.d
+    if problem.family == "hermite":
+        # zero coefficients stay: they can only flip the sign of an exact
+        # zero of u, which neither u^2 nor |grad u|^2 sees
+        coeffs = np.concatenate([np.ones((k, 1)), thetas], axis=1) * scale[:, None]
+        return HermiteExpansion, {
+            "alphas": tuple((j,) for j in range(coeffs.shape[1])),
+            "coeffs": coeffs,
+        }
+    if problem.family == "affine":
+        nu = np.broadcast_to(np.eye(d)[0], (k, d))
+        return Affine, {"eps": thetas[:, 0], "nu": nu, "amplitude": scale}
+    per_axis = np.repeat(thetas, d, axis=1) if thetas.shape[1] == 1 else thetas
+    if problem.family == "tilt":
+        return Tilt, {"a": per_axis, "c": scale}
+    return GaussianProfile, {"sigma2": per_axis, "mean": np.zeros_like(per_axis), "amplitude": scale}
+
+
+def _objectives(problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid) -> list[float]:
+    """raw_objective of each row of thetas (k, n_params), in batches of at
+    most _BATCH_POINTS grid points (one member at least)."""
+    size = max(1, _BATCH_POINTS // grid.points.shape[0])
+    return [
+        value
+        for start in range(0, thetas.shape[0], size)
+        for value in _batch_objectives(problem, thetas[start : start + size], grid)
+    ]
+
+
+def _margin(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:
+    # the verifiers take one member at a time
     try:
         u = normalize(instantiate(problem, theta), grid)
     except LabError:
         return BIG_VALUE
-    if problem.objective == "stab_margin":
-        bound = verify_bounds(u, grid, names=(problem.bound,))[0]
-        if bound.status == "skipped" or not math.isfinite(bound.margin):
-            return BIG_VALUE
-        return bound.margin
-    rep = report(u, grid)
-    if problem.objective == "deficit":
-        return rep.deficit
-    if rep.entropy < 1e-10 or rep.ratio_q is None:
+    bound = verify_bounds(u, grid, names=(problem.bound,))[0]
+    if bound.status == "skipped" or not math.isfinite(bound.margin):
         return BIG_VALUE
-    return rep.ratio_q
+    return bound.margin
 
 
-def box_violation(theta: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+def _batch_objectives(
+    problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid
+) -> list[float]:
+    if problem.objective == "stab_margin":
+        return [_margin(problem, theta, grid) for theta in thetas]
+    k = thetas.shape[0]
+    values = [BIG_VALUE] * k
+    # a row the family's constructor would reject, or that normalize would,
+    # keeps BIG_VALUE and is evaluated no further
+    family, rows = _member_rows(problem, thetas, np.ones(k))
+    live = np.flatnonzero(family.admits(**rows))
+    if live.size < k:
+        family, rows = _member_rows(problem, thetas[live], np.ones(live.size))
+    norms = l2_norms(grid, lambda x: family.jet_rows(x, 0, **rows)[0])
+    kept = normalizable(norms)
+    live, scale = live[kept], 1.0 / norms[kept]
+    family, rows = _member_rows(problem, thetas[live], scale)
+    u, grad = family.jet_rows(grid.points, 1, **rows)
+    for i, rep in zip(live.tolist(), report_rows(grid, u**2, grad.transpose(0, 2, 1))):
+        if problem.objective == "deficit":
+            values[i] = rep.deficit
+        elif not (rep.entropy < 1e-10 or rep.ratio_q is None):
+            values[i] = rep.ratio_q
+    return values
+
+
+def raw_objective(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:
+    """Objective without penalties; BIG_VALUE for infeasible parameters.
+    The one-row case of the batches run_search evaluates."""
+    return _objectives(problem, np.asarray(theta, dtype=float)[None], grid)[0]
+
+
+def box_violation(theta: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Squared distance from the box of theta, a float, or of each row of
+    theta (k, n_params), a list."""
     below = np.maximum(lower - theta, 0.0)
     above = np.maximum(theta - upper, 0.0)
-    return float((below**2 + above**2).sum())
+    return (below**2 + above**2).sum(axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -188,13 +267,11 @@ class SearchResult(Record):
     trace: tuple[TracePoint, ...] = field(repr=False)
 
 
-def minimize_callable(
-    f,
-    x0: np.ndarray,
-    maxiter: int = 200,
-) -> tuple[np.ndarray, float, int]:
-    """Nelder-Mead from x0; returns the best vertex, the least value and the
-    number of evaluations.
+def nelder_mead(x0: np.ndarray, maxiter: int = 200):
+    """Nelder-Mead from x0 as a generator: it yields each point to evaluate,
+    a copy the caller may keep or change, takes the point's value by send()
+    and returns (best vertex, least value, number of evaluations) as the
+    value of its StopIteration.
 
     Step for step the non-adaptive method of scipy.optimize.minimize
     (scipy 1.17) with xatol 1e-9 and fatol 1e-13: the same initial simplex,
@@ -206,16 +283,18 @@ def minimize_callable(
     n = x0.size
     nfev = 0
 
-    def call(x: np.ndarray) -> float:
+    def call(x: np.ndarray):
+        # fx = yield from call(x): one evaluation
         nonlocal nfev
         nfev += 1
-        # a copy: f may keep or change its argument
-        return f(x.copy())
+        return (yield x.copy())
 
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([call(x) for x in sim], dtype=float)
+    fsim = np.empty(n + 1)
+    for j in range(n + 1):
+        fsim[j] = yield from call(sim[j])
 
     def order() -> None:
         nonlocal sim, fsim
@@ -234,65 +313,102 @@ def minimize_callable(
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = call(xr)
+        fxr = yield from call(xr)
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = call(xe)
+            fxe = yield from call(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = call(xc)
+                fxc = yield from call(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = call(xc)
+                fxc = yield from call(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = call(sim[j])
+                    fsim[j] = yield from call(sim[j])
         order()
     return sim[0], float(np.min(fsim)), nfev
 
 
+def minimize_callable(
+    f,
+    x0: np.ndarray,
+    maxiter: int = 200,
+) -> tuple[np.ndarray, float, int]:
+    """Nelder-Mead from x0; returns the best vertex, the least value and the
+    number of evaluations.
+
+    Drives the generator nelder_mead with f, one point at a time; run_search
+    drives one generator per restart in lockstep instead.
+    """
+    search = nelder_mead(x0, maxiter)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
 def run_search(problem: SearchProblem, grid: QuadratureGrid | None = None) -> SearchResult:
+    """Restarted Nelder-Mead on problem; grid must be the problem's, of
+    order grid_order in d dimensions, and is built when None.
+
+    The restarts run in lockstep: each round sends every running restart
+    the penalized value of its pending point, and the raw objectives of
+    those points are evaluated as one batch.  The trace lists restart 0's
+    evaluations first, then restart 1's, and so on.
+    """
     if grid is None:
         grid = build_grid(GaussianMeasureSpec(d=problem.d), problem.grid_order)
+    elif (grid.d, grid.order) != (problem.d, problem.grid_order):
+        raise ConstraintError(
+            f"problem {problem.name!r} needs the order-{problem.grid_order} grid in d = "
+            f"{problem.d}, got the order-{grid.order} grid in d = {grid.d}"
+        )
     lower = np.asarray(problem.lower)
     upper = np.asarray(problem.upper)
     rng = np.random.default_rng(problem.seed)
-    trace: list[TracePoint] = []
+    searches = [nelder_mead(rng.uniform(lower, upper), problem.maxiter)
+                for _ in range(problem.restarts)]
+    evaluated: list[list[tuple[np.ndarray, float, float]]] = [[] for _ in searches]
+    pending = {restart: next(search) for restart, search in enumerate(searches)}
+    ends: list[np.ndarray | None] = [None] * problem.restarts
+    while pending:
+        running = list(pending)
+        thetas = np.array([pending[r] for r in running])
+        raws = _objectives(problem, thetas, grid)
+        violations = box_violation(thetas, lower, upper)
+        for restart, raw, violation in zip(running, raws, violations):
+            theta = pending[restart]
+            # the penalty weight doubles on every restart
+            pen = 1e3 * 2.0**restart * violation
+            evaluated[restart].append((theta, raw, pen))
+            try:
+                pending[restart] = searches[restart].send(raw + pen)
+            except StopIteration as done:
+                del pending[restart]
+                ends[restart] = np.clip(done.value[0], lower, upper)
     best_theta: np.ndarray | None = None
     best_val = math.inf
-    for restart in range(problem.restarts):
-        weight = 1e3 * 2.0**restart
-
-        def penalized(theta: np.ndarray) -> float:
-            raw = raw_objective(problem, theta, grid)
-            pen = weight * box_violation(theta, lower, upper)
-            trace.append(
-                TracePoint(
-                    evaluation=len(trace),
-                    params=tuple(float(v) for v in theta),
-                    objective=raw,
-                    penalty=pen,
-                )
-            )
-            return raw + pen
-
-        x0 = rng.uniform(lower, upper)
-        x, _, _ = minimize_callable(penalized, x0, maxiter=problem.maxiter)
-        x = np.clip(x, lower, upper)
-        val = raw_objective(problem, x, grid)
+    for x, val in zip(ends, _objectives(problem, np.array(ends), grid)):
         if val < best_val:
             best_val = val
             best_theta = x
     assert best_theta is not None
+    trace = tuple(
+        TracePoint(evaluation=i, params=tuple(theta.tolist()), objective=raw, penalty=pen)
+        for i, (theta, raw, pen) in enumerate(p for points in evaluated for p in points)
+    )
     try:
         best_fn = instantiate(problem, best_theta).to_json()
     except LabError:
@@ -303,7 +419,7 @@ def run_search(problem: SearchProblem, grid: QuadratureGrid | None = None) -> Se
         best_value=float(best_val),
         best_function=best_fn,
         n_evaluations=len(trace),
-        trace=tuple(trace),
+        trace=trace,
     )
 
 

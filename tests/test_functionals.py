@@ -28,7 +28,9 @@ from glslab import (
     pressure_integrals,
     report,
 )
-from glslab.functions import Bump
+from glslab.errors import IntegrationError
+from glslab.functionals import report_rows
+from glslab.functions import Bump, l2_norm
 
 
 def gaussian_entropy(s2, mean):
@@ -277,3 +279,43 @@ class TestPressure:
         u = corpus.get("hermite_even").normalized(grid1)
         data = pressure_integrals(u, grid1)
         assert not data.moment_ok
+
+
+class _SpikedGradient:
+    """What report reads of u = 1, normalized on any grid, with an infinite
+    gradient at point 5 (not a TestFunction subclass, so the families'
+    tests do not see it)."""
+
+    def density_and_gradient(self, x):
+        grad = np.zeros((x.shape[0], 1))
+        grad[5] = np.inf
+        return np.ones(x.shape[0]), grad
+
+
+class TestReportRows:
+    def test_each_row_is_the_report_of_its_member(self, grid1, grid2):
+        for grid, members in (
+            (grid1, [Tilt(a=[0.4]), GaussianProfile(sigma2=[0.6], mean=[0.2]), Bump(radius=2.0)]),
+            (grid2, [Affine(eps=0.1, nu=[1.0, 1.0]), Tilt(a=[0.2, -0.3])]),
+        ):
+            members = [normalize(u, grid) for u in members]
+            jets = [u.density_and_gradient(grid.points) for u in members]
+            rows = report_rows(grid, np.array([h for h, _ in jets]), np.array([g for _, g in jets]))
+            for got, u in zip(rows, members):
+                want = report(u, grid)
+                assert got.to_json() == want.to_json()
+                floats = ("entropy", "fisher", "deficit", "entropy_error", "quadrature_error")
+                assert np.array([getattr(got, f) for f in floats]).tobytes() == np.array(
+                    [getattr(want, f) for f in floats]
+                ).tobytes()
+
+    def test_report_keeps_its_error_messages(self, grid1):
+        u = Tilt(a=[0.3])
+        with pytest.raises(NormalizationError) as exc:
+            report(u, grid1)
+        assert str(exc.value) == f"expected unit L2 norm, got {l2_norm(u, grid1)!r}; normalize first"
+        with pytest.raises(IntegrationError) as exc:
+            report(_SpikedGradient(), grid1)
+        assert str(exc.value) == (
+            f"non-finite integrand value {np.float64(np.inf)!r} at point 5, x = {grid1.points[5]}"
+        )

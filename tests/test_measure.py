@@ -12,7 +12,7 @@ from glslab import (
     normalize,
     report,
 )
-from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, tensor_rule
+from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, row_sums, tensor_rule
 
 
 def double_factorial(n: int) -> int:
@@ -244,3 +244,30 @@ def test_quadratic_polynomials_integrate_exactly(a, b, c):
     grid = build_grid(GaussianMeasureSpec(d=1), 12)
     value = integrate(grid, lambda x: a * x[:, 0] ** 2 + b * x[:, 0] + c)
     assert value == pytest.approx(a + c, abs=1e-10 * (1 + abs(a) + abs(c)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_sums_are_the_dot_product_of_each_row_bit_for_bit(d):
+    # a batch of search members is summed row by row; its figures equal those
+    # of each member alone only while this holds for the numpy and BLAS in use
+    grid = build_grid(GaussianMeasureSpec(d), 64)
+    n, total = grid.n_points, grid.points.shape[0]
+    wide = np.random.default_rng(d).standard_normal((3, total + 7)) ** 3
+    for k in (1, 2, 3):
+        rows = wide[:k, 3 : 3 + total]
+        for weights, part in ((grid.weights, rows[:, :n]), (grid.coarse.weights, rows[:, n:])):
+            got = row_sums(part, weights)
+            want = [weights @ row for row in part]
+            assert got.shape == (k,)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert row_sums(part[0], weights).tobytes() == np.float64(want[0]).tobytes()
+
+
+def test_embedded_takes_one_row_per_member(grid1):
+    values = np.random.default_rng(2).standard_normal((3, grid1.points.shape[0]))
+    sums, errors = embedded(grid1, values)
+    assert (sums, errors) == tuple(map(list, zip(*(embedded(grid1, row) for row in values))))
+    broken = values.copy()
+    broken[1, 4] = np.nan
+    with pytest.raises(IntegrationError, match="at point 4, x = "):
+        embedded(grid1, broken)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 import glslab
 from glslab import (
     ConstraintError,
+    LabError,
     SearchProblem,
     affine_manifold_distance_sq,
     epsilon_expansion,
@@ -166,41 +168,147 @@ _LOOP_PROBLEMS = [
 ]
 
 
+def _sequential_reference(problem, grid):
+    """The search with its restarts run one after another through scipy's
+    Nelder-Mead: x0 drawn from the seeded generator, the raw objective plus
+    the box penalty, the end point clipped to the box and its raw objective.
+    Returns the evaluations (params, objective, penalty) in order, the best
+    end point and its value."""
+    lower, upper = np.asarray(problem.lower), np.asarray(problem.upper)
+    rng = np.random.default_rng(problem.seed)
+    evaluations, best_theta, best_val = [], None, math.inf
+    for restart in range(problem.restarts):
+        weight = 1e3 * 2.0**restart
+
+        def penalized(theta):
+            raw = raw_objective(problem, theta, grid)
+            below, above = np.maximum(lower - theta, 0.0), np.maximum(theta - upper, 0.0)
+            pen = weight * float((below**2 + above**2).sum())
+            evaluations.append((tuple(float(v) for v in theta), raw, pen))
+            return raw + pen
+
+        x0 = rng.uniform(lower, upper)
+        x = np.clip(_scipy_nelder_mead(penalized, x0, problem.maxiter)[0], lower, upper)
+        val = raw_objective(problem, x, grid)
+        if val < best_val:
+            best_theta, best_val = x, val
+    return evaluations, best_theta, best_val
+
+
 @pytest.mark.parametrize(
     "objective, family, d, lower, upper, bound",
     _LOOP_PROBLEMS,
     ids=[f"{o}_{f}_d{d}" for o, f, d, *_ in _LOOP_PROBLEMS],
 )
-def test_run_search_matches_the_scipy_reference(
-    monkeypatch, objective, family, d, lower, upper, bound
-):
+def test_run_search_matches_the_scipy_reference(objective, family, d, lower, upper, bound):
+    # the restarts run in lockstep, their points evaluated in batches; the
+    # trace is the sequential one, restart 0's evaluations first
     problem = SearchProblem(
         name="oracle", objective=objective, family=family, d=d,
         lower=lower, upper=upper, bound=bound, grid_order=16, seed=5,
     )
     grid = build_grid(GaussianMeasureSpec(d), problem.grid_order)
-
-    def run(minimize):
-        calls = []
-
-        def recorded(f, x0, maxiter=200):
-            out = minimize(f, x0, maxiter)
-            calls.append(out)
-            return out
-
-        monkeypatch.setattr(search, "minimize_callable", recorded)
-        return run_search(problem, grid), calls
-
-    want, want_calls = run(_scipy_nelder_mead)
-    got, got_calls = run(minimize_callable)
-    assert got.n_evaluations == want.n_evaluations
-    for field in ("params", "objective", "penalty"):
+    got = run_search(problem, grid)
+    evaluations, best_theta, best_val = _sequential_reference(problem, grid)
+    assert got.n_evaluations == len(got.trace) == len(evaluations)
+    assert [point.evaluation for point in got.trace] == list(range(len(evaluations)))
+    for i, field in enumerate(("params", "objective", "penalty")):
         values = [getattr(point, field) for point in got.trace]
-        assert _bits(values) == _bits([getattr(point, field) for point in want.trace])
-    assert _bits(got.best_params) == _bits(want.best_params)
-    assert _bits(got.best_value) == _bits(want.best_value)
-    for (x, fun, nfev), (want_x, want_fun, want_nfev) in zip(got_calls, want_calls, strict=True):
-        assert (_bits(x), _bits(fun), nfev) == (_bits(want_x), _bits(want_fun), want_nfev)
+        assert _bits(values) == _bits([e[i] for e in evaluations]), field
+    assert _bits(got.best_params) == _bits(best_theta)
+    assert _bits(got.best_value) == _bits(best_val)
+    assert got.best_function == instantiate(problem, best_theta).to_json()
+
+
+# rows of every searchable family, admitted ones mixed with ones the family's
+# constructor or normalize rejects: affine beyond the hull (|eps| >= 1/3),
+# hermite negative on the hull, sigma2 outside (0, 1], tilts whose norm
+# overflows; sigma2 = 1 and a = 0 have zero entropy, which ratio_q charges
+_BATCH_ROWS = {
+    "affine": (1, [[0.12], [0.5], [-0.08], [-1.0 / 3.0], [0.3]]),
+    "hermite": (1, [[0.1, 0.0, -0.05], [0.0, -0.2, 0.0], [0.02, 0.04, 0.0], [-0.6, 0.0, 0.1]]),
+    "gaussian": (1, [[0.55], [-0.2], [1.0], [0.0], [1.3], [0.9]]),
+    "tilt": (1, [[0.4], [80.0], [0.0], [-0.3], [-200.0]]),
+    "gaussian_d2": (2, [[0.5, 0.9], [0.7, -0.1], [1.2, 0.4], [0.35, 0.8]]),
+    "tilt_d2": (2, [[0.3, -0.6], [90.0, 0.1], [0.0, 0.2]]),
+}
+
+
+def _member_objective(problem, theta, grid):
+    """raw_objective as each member computes it alone: the family's
+    constructor, normalize and report."""
+    try:
+        u = normalize(instantiate(problem, theta), grid)
+    except LabError:
+        return BIG_VALUE
+    rep = report(u, grid)
+    if problem.objective == "deficit":
+        return rep.deficit
+    return BIG_VALUE if rep.entropy < 1e-10 or rep.ratio_q is None else rep.ratio_q
+
+
+@pytest.mark.parametrize("objective", ["deficit", "ratio_q"])
+@pytest.mark.parametrize("case", list(_BATCH_ROWS))
+def test_a_batch_equals_its_members_alone(case, objective):
+    d, rows = _BATCH_ROWS[case]
+    family = case.split("_")[0]
+    thetas = np.array(rows)
+    problem = SearchProblem(
+        name="batch", objective=objective, family=family, d=d,
+        lower=thetas.min(axis=0), upper=thetas.max(axis=0),
+    )
+    # d = 2 at order 16: 400 points a member, so one batch holds every row
+    grid = build_grid(GaussianMeasureSpec(d), 64 if d == 1 else 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = search._objectives(problem, thetas, grid)
+        alone = [raw_objective(problem, theta, grid) for theta in thetas]
+        members = [_member_objective(problem, theta, grid) for theta in thetas]
+    assert _bits(batch) == _bits(alone) == _bits(members)
+    assert BIG_VALUE in batch and min(batch) < BIG_VALUE
+
+
+def test_searchable_batch_cases_cover_every_family():
+    assert {case.split("_")[0] for case in _BATCH_ROWS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "d, budget, most",
+    [(1, None, 3), (2, None, 3), (1, 250, 2), (1, 100, 1)],
+)
+def test_lockstep_rounds_batch_the_running_restarts(monkeypatch, d, budget, most):
+    # every running restart's point in one batch, as long as the batch stays
+    # within _BATCH_POINTS grid points (112 a member at d = 1, order 64),
+    # and one member at least
+    sizes = []
+    batch = search._batch_objectives
+
+    def recorded(problem, thetas, grid):
+        sizes.append(thetas.shape[0])
+        return batch(problem, thetas, grid)
+
+    monkeypatch.setattr(search, "_batch_objectives", recorded)
+    if budget is not None:
+        monkeypatch.setattr(search, "_BATCH_POINTS", budget)
+    problem = SearchProblem(
+        name="lockstep", objective="deficit", family="tilt", d=d,
+        lower=(0.1,) * d, upper=(0.4,) * d, maxiter=30,
+    )
+    result = run_search(problem, build_grid(GaussianMeasureSpec(d), 64))
+    assert max(sizes) == most
+    # the last round evaluates the restarts' clipped end points
+    assert sum(sizes) == result.n_evaluations + problem.restarts
+
+
+def test_run_search_rejects_a_grid_that_does_not_fit_the_problem():
+    problem = SearchProblem(
+        name="fit", objective="deficit", family="tilt", d=2,
+        lower=(0.1, 0.1), upper=(0.3, 0.3), grid_order=16, maxiter=20,
+    )
+    for d, order in ((1, 16), (2, 8)):
+        with pytest.raises(ConstraintError, match="needs the order-16 grid in d = 2"):
+            run_search(problem, build_grid(GaussianMeasureSpec(d), order))
+    assert run_search(problem, build_grid(GaussianMeasureSpec(2), 16)).best_value < BIG_VALUE
 
 
 class TestProblemConfig:
