@@ -16,8 +16,8 @@ needs no scipy at run time; minimize_callable drives it with a function,
 one point at a time.  The restarts draw their starting points before any
 value is known, so run_search runs them in lockstep: each round evaluates
 the pending point of every restart still running as one batch, the
-members checked, normalized and reported as rows of one array (see
-functions.TestFunction.jet_rows and functionals.report_rows).  The trace
+members checked, normalized and reported as rows of one array (the
+families' jet_rows and admits, functionals.report_rows).  The trace
 still lists restart 0's evaluations first, then restart 1's, and so on,
 and every figure is bit for bit that of the restarts run one after
 another with raw_objective, which is the one-row case of the batch.
