@@ -19,9 +19,9 @@ d(h log h)/dh = 1 + log h, so at the Gaussian equality case (h = 1, E = 0)
 the entropy is pure rounding.
 
 report_rows takes the values of k members with a leading member axis, h
-(k, N) and grad (k, N, d), and runs every integral and moment once over
-the k rows; report is its one-row case, and a row's figures are bit for
-bit those of report on that member alone.
+(k, N) and grad (k, N, d), and runs every integral (measure.embedded_rows)
+and moment once over the k rows; report is its one-row case, and a row's
+figures are bit for bit those of report on that member alone.
 
 The module also checks two exact integral identities satisfied by smooth v
 under the generator L = Laplacian - x . grad:
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PositivityError
-from .measure import QuadratureGrid, embedded, rounding_floor
+from .measure import QuadratureGrid, embedded, embedded_rows, rounding_floor
 from .functions import (
     SUPPORT_FLOOR,
     Record,
@@ -99,8 +99,8 @@ def report_rows(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> list[F
     n = grid.n_points
     fine_h = h[:, :n]
     norms = _require_unit_norm(grid, fine_h)
-    entropy, ent_errors = embedded(grid, _xlogx(h))
-    fisher, fis_errors = embedded(grid, _rowdot(grad, grad))
+    entropy, ent_errors = embedded_rows(grid, _xlogx(h))
+    fisher, fis_errors = embedded_rows(grid, _rowdot(grad, grad))
     m1, gap = _moments(grid, fine_h)
     reports = []
     for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
@@ -163,7 +163,7 @@ def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     The entropy error has report's floor rounding_floor(||u||^2, n_points).
     """
     h = u.density(grid.points)
-    norm = _require_unit_norm(grid, h[: grid.n_points])
+    (norm,) = _require_unit_norm(grid, h[None, : grid.n_points])
     entropy, ent_err = embedded(grid, _xlogx(h))
     tv, tv_err = embedded(grid, np.abs(h - 1.0))
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
@@ -255,7 +255,7 @@ def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
 
     h, *integrands = terms(grid.points)
     h = h[: grid.n_points]
-    _require_unit_norm(grid, h)
+    _require_unit_norm(grid, h[None])
     gap = float(_moments(grid, h)[1])
     (f4, f4_err), (lap, lap_err), (frob, frob_err) = [embedded(grid, f) for f in integrands]
     return PressureData(

@@ -146,10 +146,13 @@ class TestFunction:
     jet_rows(x, order, **rows) over an optional leading member axis: each
     keyword holds one row per member, (k,) or (k, d) (the Hermite
     multi-indices are shared), and it returns shapes (k, n), (k, d, n) and
-    (k, n, d, d).  Their jet is _row_jet, jet_rows on _row(), the member's
-    own keywords without that axis; admits(**rows) tells which rows pass
-    the constructor's check of the parameters, and the constructor calls it
-    on its own parameters.
+    (k, n, d, d).  Their jet is _row_jet, jet_rows on _row, the member's
+    own keywords without that axis, which its constructor keeps;
+    from_row(**row) builds the member of one row.  admits(**rows) tells
+    which rows pass the constructor's check of the parameters, and the
+    constructor calls it on its own row.  with_scale multiplies one
+    keyword, named by scaled (the tilt's c, the amplitude, every Hermite
+    coefficient).
     """
 
     d: int
@@ -211,11 +214,16 @@ class TestFunction:
 
 def _row_jet(u: TestFunction, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """The jet of a family with a formula over members: jet_rows on u's own row."""
-    value, *derivs = u.jet_rows(_points(x, u.d), order, **u._row())
+    value, *derivs = u.jet_rows(_points(x, u.d), order, **u._row)
     if not derivs:
         return (value,)
     # the gradient is built axis-major, (d, n), and read transposed
     return (value, derivs[0].T) + tuple(derivs[1:])
+
+
+def _scale_row(u: TestFunction, c: float) -> TestFunction:
+    """with_scale of a family whose scale is the one parameter u.scaled."""
+    return replace(u, **{u.scaled: getattr(u, u.scaled) * c})
 
 
 def check_envelope(n_outer: int, n_inner: int) -> None:
@@ -271,17 +279,21 @@ class Tilt(TestFunction):
     c: float = 1.0
     d: int = field(init=False, default=0)
     family = "tilt"
+    scaled = "c"
     jet = _row_jet
+    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         a = _vector("a", self.a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", a.shape[0])
-        if not self.admits(a, self.c):
+        object.__setattr__(self, "_row", {"a": a, "c": np.asarray(self.c)})
+        if not self.admits(**self._row):
             raise PositivityError(f"tilt amplitude must be positive, got {self.c}")
 
-    def _row(self) -> dict:
-        return {"a": self.a, "c": np.asarray(self.c)}
+    @classmethod
+    def from_row(cls, a: np.ndarray, c: np.ndarray) -> "Tilt":
+        return cls(a=a, c=float(c))
 
     @staticmethod
     def admits(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -305,9 +317,6 @@ class Tilt(TestFunction):
         h = self.density(x)
         return h, _support(h, SUPPORT_THRESHOLD), np.zeros((1, self.d, self.d))
 
-    def with_scale(self, c: float) -> "Tilt":
-        return replace(self, a=self.a, c=self.c * c)
-
     def evolved(self, t: float) -> "Tilt":
         # P_t c^2 e^{-2a.x} = c^2 e^{2(1 - e^{-2t})|a|^2} e^{-2 e^{-t} a.x}
         growth = math.exp(-math.expm1(-2.0 * t) * float(self.a @ self.a))
@@ -327,7 +336,9 @@ class Affine(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "affine"
+    scaled = "amplitude"
     jet = _row_jet
+    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         nu = _vector("nu", self.nu)
@@ -336,15 +347,18 @@ class Affine(TestFunction):
             raise LabError("direction nu must be nonzero")
         object.__setattr__(self, "nu", nu / norm)
         object.__setattr__(self, "d", nu.shape[0])
-        if not self.admits(self.eps, self.nu, self.amplitude):
+        row = {"eps": np.asarray(self.eps), "nu": self.nu, "amplitude": np.asarray(self.amplitude)}
+        object.__setattr__(self, "_row", row)
+        if not self.admits(**self._row):
             raise PositivityError(
                 f"affine function vanishes on |x|_inf <= {POSITIVITY_HULL}: eps = {self.eps}"
             )
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def _row(self) -> dict:
-        return {"eps": np.asarray(self.eps), "nu": self.nu, "amplitude": np.asarray(self.amplitude)}
+    @classmethod
+    def from_row(cls, eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray) -> "Affine":
+        return cls(eps=float(eps), nu=nu, amplitude=float(amplitude))
 
     @staticmethod
     def admits(eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
@@ -367,9 +381,6 @@ class Affine(TestFunction):
             return u, grad
         return u, grad, np.zeros(u.shape + nu.shape[-1:] * 2)
 
-    def with_scale(self, c: float) -> "Affine":
-        return replace(self, amplitude=self.amplitude * c)
-
     def ou_average(self, x, t, order):
         # u^2 is quadratic per axis: the order-2 rule averages it exactly
         return inner_average(self, x, t, order, *tensor_rule((2,) * self.d))
@@ -388,7 +399,9 @@ class GaussianProfile(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "gaussian"
+    scaled = "amplitude"
     jet = _row_jet
+    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         s2 = _vector("sigma2", self.sigma2)
@@ -401,13 +414,16 @@ class GaussianProfile(TestFunction):
         if mean.shape != (self.d,):
             raise LabError(f"mean must have shape ({self.d},)")
         object.__setattr__(self, "mean", mean)
-        if not self.admits(s2, mean, self.amplitude):
+        row = {"sigma2": s2, "mean": mean, "amplitude": np.asarray(self.amplitude)}
+        object.__setattr__(self, "_row", row)
+        if not self.admits(**self._row):
             raise LabError(f"variances must lie in (0, 1], got {s2}")
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    def _row(self) -> dict:
-        return {"sigma2": self.sigma2, "mean": self.mean, "amplitude": np.asarray(self.amplitude)}
+    @classmethod
+    def from_row(cls, sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray) -> "GaussianProfile":
+        return cls(sigma2=sigma2, mean=mean, amplitude=float(amplitude))
 
     @staticmethod
     def admits(sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
@@ -463,9 +479,6 @@ class GaussianProfile(TestFunction):
         # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point
         h = self.density(x)
         return h, _support(h, SUPPORT_THRESHOLD), np.diag(1.0 - 1.0 / self.sigma2)[None]
-
-    def with_scale(self, c: float) -> "GaussianProfile":
-        return replace(self, amplitude=self.amplitude * c)
 
     def evolved(self, t: float) -> "GaussianProfile":
         # N(b, s2) flows to N(e^{-t} b, e^{-2t} s2 + 1 - e^{-2t}) with its mass;
@@ -550,6 +563,7 @@ class HermiteExpansion(TestFunction):
     terms: tuple[tuple[tuple[int, ...], float], ...]
     d: int = 1
     family = "hermite"
+    scaled = "coeffs"
     jet = _row_jet
 
     def __post_init__(self) -> None:
@@ -564,16 +578,24 @@ class HermiteExpansion(TestFunction):
                 raise LabError(f"total degree {sum(alpha)} exceeds {MAX_HERMITE_DEGREE}")
             terms.append((alpha, float(coeff)))
         object.__setattr__(self, "terms", tuple(terms))
-        if not self.admits(**self._row(), d=self.d):
+        self._keep_row()
+        if not self.admits(**self._row, d=self.d):
             raise PositivityError(
                 f"expansion vanishes on |x|_inf <= {POSITIVITY_HULL}; adjust coefficients"
             )
 
-    def _row(self) -> dict:
-        return {
+    def _keep_row(self) -> None:
+        row = {
             "alphas": tuple(alpha for alpha, _ in self.terms),
             "coeffs": np.array([coeff for _, coeff in self.terms], dtype=float),
         }
+        object.__setattr__(self, "_row", row)
+
+    @classmethod
+    def from_row(cls, alphas: tuple, coeffs: np.ndarray) -> "HermiteExpansion":
+        # a term whose coefficient is 0 is left out
+        terms = tuple((alpha, c) for alpha, c in zip(alphas, coeffs.tolist()) if c != 0.0)
+        return cls(terms=terms, d=len(alphas[0]))
 
     @staticmethod
     def admits(alphas: tuple, coeffs: np.ndarray, d: int = 1) -> np.ndarray:
@@ -644,6 +666,7 @@ class HermiteExpansion(TestFunction):
         terms = tuple((alpha, float(coeff * c)) for alpha, coeff in self.terms)
         object.__setattr__(scaled, "terms", terms)
         object.__setattr__(scaled, "d", self.d)
+        scaled._keep_row()
         return scaled
 
     def params(self) -> dict:
@@ -841,20 +864,20 @@ def first_moment(u: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     return _moments(grid, u.density(grid.nodes))[0]
 
 
-def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray):
-    """||u|| from h = u^2 on grid.nodes, a float, or a list of one per row of
-    h (k, n); NormalizationError unless each is 1 within 1e-8."""
-    norms = np.sqrt(row_sums(h, grid.weights))
-    for norm in np.atleast_1d(norms).tolist():
+def _require_unit_norm(grid: QuadratureGrid, h: np.ndarray) -> list[float]:
+    """||u|| from h = u^2 on grid.nodes for each row of h (k, n);
+    NormalizationError unless each is 1 within 1e-8."""
+    norms = [math.sqrt(s) for s in row_sums(h, grid.weights).tolist()]
+    for norm in norms:
         if not abs(norm - 1.0) <= 1e-8:
             raise NormalizationError(f"expected unit L2 norm, got {norm!r}; normalize first")
-    return norms.tolist()
+    return norms
 
 
 def second_moment_gap(u: TestFunction, grid: QuadratureGrid) -> float:
     """A = integral of u^2 (|x|^2 - d) dgamma for normalized u."""
     h = u.density(grid.nodes)
-    _require_unit_norm(grid, h)
+    _require_unit_norm(grid, h[None])
     return float(_moments(grid, h)[1])
 
 
@@ -870,7 +893,7 @@ def center_mass(u: TestFunction, grid: QuadratureGrid, tol: float = 1e-10) -> Ce
     family supports exact recentring (gaussian mean, bump center); otherwise
     report the measured moment with recentred = False."""
     h = u.density(grid.nodes)
-    _require_unit_norm(grid, h)
+    _require_unit_norm(grid, h[None])
     m1 = _moments(grid, h)[0]
     if np.linalg.norm(m1) <= tol:
         return CenteredResult(function=u, shift=np.zeros(u.d), recentred=True)

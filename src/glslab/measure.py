@@ -16,7 +16,7 @@ underflow to 0.  Multi-dimensional rules are full tensor products
 partner.  A grid holds its nodes and its partner's in one array,
 grid.points, so that an integrand is evaluated once per grid, on
 grid.points, and embedded takes the fine and the coarse sum from the two
-slices of that one array of values.  embedded also takes the values of k
+slices of that one array of values.  embedded_rows takes the values of k
 integrands at once, one row each (a leading member axis), and sums each
 row with one dot product (row_sums), bit for bit the sum of that row alone.
 
@@ -181,13 +181,12 @@ def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> fl
     return float(grid.weights @ values)
 
 
-def _check(values: np.ndarray, points: np.ndarray) -> None:
-    """IntegrationError unless values holds one finite value per point, in
-    each of its rows if it has a leading member axis."""
-    if values.ndim not in (1, 2) or values.shape[-1] != points.shape[0]:
-        raise IntegrationError(
-            f"integrand returned shape {values.shape}, expected ({points.shape[0]},)"
-        )
+def _check(values: np.ndarray, points: np.ndarray, rows: bool = False) -> None:
+    """IntegrationError unless values holds one finite value per point, or
+    with rows one such row per member, (k, n)."""
+    if values.ndim != (2 if rows else 1) or values.shape[-1] != points.shape[0]:
+        expected = f"(k, {points.shape[0]})" if rows else f"({points.shape[0]},)"
+        raise IntegrationError(f"integrand returned shape {values.shape}, expected {expected}")
     if not np.isfinite(values).all():
         row = next(r for r in np.atleast_2d(values) if not np.isfinite(r).all())
         i = int(np.argmin(np.isfinite(row)))
@@ -203,29 +202,40 @@ def row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.matmul(values[..., None, :], weights)[..., 0]
 
 
-def embedded(
-    grid: QuadratureGrid, values: np.ndarray
-) -> tuple[float, float] | tuple[list[float], list[float]]:
+def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
     """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
 
-    values is the integrand on grid.points, (n_points + n_coarse,), or one
-    such row per member, (k, n_points + n_coarse): the fine sum reads the
-    first n_points entries of a row, the coarse sum the rest.  The floor is
+    values is the integrand on grid.points: the fine sum reads the first
+    n_points of them, the coarse sum the rest.  The floor is
     rounding_floor(sum_i w_i |f(x_i)|, n_points) over the fine values; it is
-    never 0 unless f vanishes on the grid.  One row gives two floats, k rows
-    two lists of k floats.
+    never 0 unless f vanishes on the grid.  The one-row case of embedded_rows.
     """
+    (fine,), (error,) = _embedded(grid, values, rows=False)
+    return fine, error
+
+
+def embedded_rows(grid: QuadratureGrid, values: np.ndarray) -> tuple[list[float], list[float]]:
+    """embedded of k integrands at once, one row each (a leading member
+    axis), values (k, n_points + n_coarse): the k integrals and the k error
+    estimates, each bit for bit what embedded gives of its row alone."""
+    return _embedded(grid, values, rows=True)
+
+
+def _embedded(grid: QuadratureGrid, values, rows: bool) -> tuple[list[float], list[float]]:
     coarse_grid = grid.coarse
     if coarse_grid is None:
         raise IntegrationError(f"the order-{grid.order} grid has no embedded partner")
     values = np.asarray(values, dtype=float)
-    _check(values, grid.points)
+    _check(values, grid.points, rows)
+    values = values if rows else values[None]
     n = grid.n_points
-    fine_values = values[..., :n]
-    fine = row_sums(fine_values, grid.weights)
-    coarse = row_sums(values[..., n:], coarse_grid.weights)
-    floor = rounding_floor(row_sums(np.abs(fine_values), grid.weights), n)
-    return fine.tolist(), np.maximum(np.abs(fine - coarse), floor).tolist()
+    fine_values = values[:, :n]
+    fine = row_sums(fine_values, grid.weights).tolist()
+    coarse = row_sums(values[:, n:], coarse_grid.weights).tolist()
+    scales = row_sums(np.abs(fine_values), grid.weights).tolist()
+    # one row per member of a batch, which has few: floats are cheaper
+    errors = [max(abs(f - c), rounding_floor(s, n)) for f, c, s in zip(fine, coarse, scales)]
+    return fine, errors
 
 
 def integrate_with_error(

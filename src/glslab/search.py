@@ -53,12 +53,6 @@ from .functionals import report, report_rows
 from .stability import BOUND_NAMES, verify_bounds
 
 BIG_VALUE = 1e6
-# grid points (fine and coarse) of the members one batch evaluates, which
-# bounds the size of its arrays: the order-64 grids have 112 points at d = 1
-# and 6,400 at d = 2, so a batch holds every restart of the default 3 (at
-# d = 2 three members take 0.8 of the time of three batches of one); at
-# d = 3 they have 372,736, so a batch holds one member
-_BATCH_POINTS = 1 << 16
 OBJECTIVES = ("deficit", "ratio_q", "stab_margin")
 FAMILIES = ("hermite", "affine", "tilt", "gaussian")
 
@@ -143,58 +137,35 @@ class SearchProblem(Record):
 
 def instantiate(problem: SearchProblem, theta: np.ndarray) -> TestFunction:
     """Map a parameter vector into the problem's family: the member
-    build_function makes of the same parameters, constructed directly."""
+    build_function makes of the same parameters, constructed directly from
+    its one row of _member_rows."""
     # a copy: the family keeps the array, the optimizer may reuse theta
-    theta = np.array(theta, dtype=float)
-    d = problem.d
-    if problem.family == "hermite":
-        # u = He_0 + sum_k theta_k He_k in d = 1, zero coefficients dropped
-        terms = (((0,), 1.0),) + tuple(
-            ((k,), c) for k, c in enumerate(theta.tolist(), start=1) if c != 0.0
-        )
-        return HermiteExpansion(terms=terms, d=1)
-    if problem.family == "affine":
-        return Affine(eps=float(theta[0]), nu=np.eye(d)[0])
-    # one box entry stands for all d axes
-    per_axis = np.full(d, theta[0]) if theta.shape == (1,) and d > 1 else theta
-    if problem.family == "tilt":
-        return Tilt(a=per_axis)
-    return GaussianProfile(sigma2=per_axis)
+    family, rows = _member_rows(problem, np.array(theta, dtype=float)[None])
+    return family.from_row(**_take(rows, 0))
 
 
-def _member_rows(
-    problem: SearchProblem, thetas: np.ndarray, scale: np.ndarray
-) -> tuple[type[TestFunction], dict]:
-    """The family and its jet_rows keywords for the members instantiate
-    builds of the rows of thetas (k, n_params), each multiplied by scale (k,)
-    where with_scale multiplies it."""
+def _member_rows(problem: SearchProblem, thetas: np.ndarray) -> tuple[type[TestFunction], dict]:
+    """The family and its jet_rows keywords for the members of the rows of
+    thetas (k, n_params), at scale 1."""
     k, d = thetas.shape[0], problem.d
+    ones = np.ones(k)
     if problem.family == "hermite":
-        # zero coefficients stay: they can only flip the sign of an exact
-        # zero of u, which neither u^2 nor |grad u|^2 sees
-        coeffs = np.concatenate([np.ones((k, 1)), thetas], axis=1) * scale[:, None]
-        return HermiteExpansion, {
-            "alphas": tuple((j,) for j in range(coeffs.shape[1])),
-            "coeffs": coeffs,
-        }
+        # u = He_0 + sum_j theta_j He_j in d = 1
+        coeffs = np.concatenate([ones[:, None], thetas], axis=1)
+        return HermiteExpansion, {"alphas": tuple((j,) for j in range(coeffs.shape[1])), "coeffs": coeffs}
     if problem.family == "affine":
-        nu = np.broadcast_to(np.eye(d)[0], (k, d))
-        return Affine, {"eps": thetas[:, 0], "nu": nu, "amplitude": scale}
+        return Affine, {"eps": thetas[:, 0], "nu": np.broadcast_to(np.eye(d)[0], (k, d)), "amplitude": ones}
+    # one box entry stands for all d axes
     per_axis = np.repeat(thetas, d, axis=1) if thetas.shape[1] == 1 else thetas
     if problem.family == "tilt":
-        return Tilt, {"a": per_axis, "c": scale}
-    return GaussianProfile, {"sigma2": per_axis, "mean": np.zeros_like(per_axis), "amplitude": scale}
+        return Tilt, {"a": per_axis, "c": ones}
+    return GaussianProfile, {"sigma2": per_axis, "mean": np.zeros_like(per_axis), "amplitude": ones}
 
 
-def _objectives(problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid) -> list[float]:
-    """raw_objective of each row of thetas (k, n_params), in batches of at
-    most _BATCH_POINTS grid points (one member at least)."""
-    size = max(1, _BATCH_POINTS // grid.points.shape[0])
-    return [
-        value
-        for start in range(0, thetas.shape[0], size)
-        for value in _batch_objectives(problem, thetas[start : start + size], grid)
-    ]
+def _take(rows: dict, index) -> dict:
+    """The members at index of a family's jet_rows keywords; a keyword that
+    every member shares (the Hermite multi-indices, a tuple) stays whole."""
+    return {key: value[index] if isinstance(value, np.ndarray) else value for key, value in rows.items()}
 
 
 def _margin(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> float:
@@ -209,23 +180,21 @@ def _margin(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGrid) -> 
     return bound.margin
 
 
-def _batch_objectives(
-    problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid
-) -> list[float]:
+def _objectives(problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid) -> list[float]:
+    """raw_objective of each row of thetas (k, n_params), evaluated as one batch."""
     if problem.objective == "stab_margin":
         return [_margin(problem, theta, grid) for theta in thetas]
-    k = thetas.shape[0]
-    values = [BIG_VALUE] * k
+    values = [BIG_VALUE] * thetas.shape[0]
     # a row the family's constructor would reject, or that normalize would,
     # keeps BIG_VALUE and is evaluated no further
-    family, rows = _member_rows(problem, thetas, np.ones(k))
+    family, rows = _member_rows(problem, thetas)
     live = np.flatnonzero(family.admits(**rows))
-    if live.size < k:
-        family, rows = _member_rows(problem, thetas[live], np.ones(live.size))
+    rows = _take(rows, live)
     norms = l2_norms(grid, lambda x: family.jet_rows(x, 0, **rows)[0])
     kept = normalizable(norms)
-    live, scale = live[kept], 1.0 / norms[kept]
-    family, rows = _member_rows(problem, thetas[live], scale)
+    live, rows = live[kept], _take(rows, kept)
+    # normalize's with_scale(1 / norm), on the one keyword it multiplies
+    rows[family.scaled] = (rows[family.scaled].T * (1.0 / norms[kept])).T
     u, grad = family.jet_rows(grid.points, 1, **rows)
     for i, rep in zip(live.tolist(), report_rows(grid, u**2, grad.transpose(0, 2, 1))):
         if problem.objective == "deficit":
@@ -241,12 +210,11 @@ def raw_objective(problem: SearchProblem, theta: np.ndarray, grid: QuadratureGri
     return _objectives(problem, np.asarray(theta, dtype=float)[None], grid)[0]
 
 
-def box_violation(theta: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """Squared distance from the box of theta, a float, or of each row of
-    theta (k, n_params), a list."""
-    below = np.maximum(lower - theta, 0.0)
-    above = np.maximum(theta - upper, 0.0)
-    return (below**2 + above**2).sum(axis=-1).tolist()
+def box_violation(thetas: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> list[float]:
+    """Squared distance from the box of each row of thetas (k, n_params)."""
+    below = np.maximum(lower - thetas, 0.0)
+    above = np.maximum(thetas - upper, 0.0)
+    return (below**2 + above**2).sum(axis=1).tolist()
 
 
 @dataclass(frozen=True)

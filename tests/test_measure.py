@@ -12,7 +12,14 @@ from glslab import (
     normalize,
     report,
 )
-from glslab.measure import embedded, gauss_hermite_1d, integrate_with_error, row_sums, tensor_rule
+from glslab.measure import (
+    embedded,
+    embedded_rows,
+    gauss_hermite_1d,
+    integrate_with_error,
+    row_sums,
+    tensor_rule,
+)
 
 
 def double_factorial(n: int) -> int:
@@ -263,11 +270,25 @@ def test_row_sums_are_the_dot_product_of_each_row_bit_for_bit(d):
             assert row_sums(part[0], weights).tobytes() == np.float64(want[0]).tobytes()
 
 
-def test_embedded_takes_one_row_per_member(grid1):
+def test_embedded_rows_takes_one_row_per_member(grid1):
     values = np.random.default_rng(2).standard_normal((3, grid1.points.shape[0]))
-    sums, errors = embedded(grid1, values)
+    sums, errors = embedded_rows(grid1, values)
     assert (sums, errors) == tuple(map(list, zip(*(embedded(grid1, row) for row in values))))
     broken = values.copy()
     broken[1, 4] = np.nan
     with pytest.raises(IntegrationError, match="at point 4, x = "):
-        embedded(grid1, broken)
+        embedded_rows(grid1, broken)
+    with pytest.raises(IntegrationError, match=r"expected \(k, "):
+        embedded_rows(grid1, values[0])
+
+
+def test_one_integrand_takes_no_member_axis(grid1):
+    # only embedded_rows reads rows: the one-integrand readers reject them
+    total = grid1.points.shape[0]
+    for f in (lambda x: np.ones((1, len(x))), lambda x: np.ones((len(x), len(x)))):
+        with pytest.raises(IntegrationError, match="integrand returned shape"):
+            integrate(grid1, f)
+        with pytest.raises(IntegrationError, match="integrand returned shape"):
+            integrate_with_error(grid1, f)
+    with pytest.raises(IntegrationError, match=rf"expected \({total},\)"):
+        embedded(grid1, np.ones((1, total)))

@@ -257,7 +257,6 @@ def test_a_batch_equals_its_members_alone(case, objective):
         name="batch", objective=objective, family=family, d=d,
         lower=thetas.min(axis=0), upper=thetas.max(axis=0),
     )
-    # d = 2 at order 16: 400 points a member, so one batch holds every row
     grid = build_grid(GaussianMeasureSpec(d), 64 if d == 1 else 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -272,30 +271,23 @@ def test_searchable_batch_cases_cover_every_family():
     assert {case.split("_")[0] for case in _BATCH_ROWS} == set(FAMILIES)
 
 
-@pytest.mark.parametrize(
-    "d, budget, most",
-    [(1, None, 3), (2, None, 3), (1, 250, 2), (1, 100, 1)],
-)
-def test_lockstep_rounds_batch_the_running_restarts(monkeypatch, d, budget, most):
-    # every running restart's point in one batch, as long as the batch stays
-    # within _BATCH_POINTS grid points (112 a member at d = 1, order 64),
-    # and one member at least
+@pytest.mark.parametrize("d", [1, 2])
+def test_lockstep_rounds_batch_the_running_restarts(monkeypatch, d):
+    # every running restart's point in one batch
     sizes = []
-    batch = search._batch_objectives
+    batch = search._objectives
 
     def recorded(problem, thetas, grid):
         sizes.append(thetas.shape[0])
         return batch(problem, thetas, grid)
 
-    monkeypatch.setattr(search, "_batch_objectives", recorded)
-    if budget is not None:
-        monkeypatch.setattr(search, "_BATCH_POINTS", budget)
+    monkeypatch.setattr(search, "_objectives", recorded)
     problem = SearchProblem(
         name="lockstep", objective="deficit", family="tilt", d=d,
         lower=(0.1,) * d, upper=(0.4,) * d, maxiter=30,
     )
     result = run_search(problem, build_grid(GaussianMeasureSpec(d), 64))
-    assert max(sizes) == most
+    assert sizes[0] == max(sizes) == problem.restarts
     # the last round evaluates the restarts' clipped end points
     assert sum(sizes) == result.n_evaluations + problem.restarts
 
