@@ -18,10 +18,10 @@ for the n grid points: h = u^2 is itself only known to a few ulps, and
 d(h log h)/dh = 1 + log h, so at the Gaussian equality case (h = 1, E = 0)
 the entropy is pure rounding.
 
-report_rows takes the values of k members with a leading member axis, h
-(k, N) and grad (k, N, d), and runs every integral (measure.embedded_rows)
-and moment once over the k rows; report is its one-row case, and a row's
-figures are bit for bit those of report on that member alone.
+report_rows takes k members with a leading member axis, h (k, N) and grad
+(k, N, d), and writes their entropy and Fisher integrands in place as the 2k
+rows of one array for one measure.embedded call (every reader here makes
+one); report is its one-row case, bit for bit.
 
 The module also checks two exact integral identities satisfied by smooth v
 under the generator L = Laplacian - x . grad:
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PositivityError
-from .measure import QuadratureGrid, embedded, embedded_rows, rounding_floor
+from .measure import QuadratureGrid, embedded, rounding_floor
 from .functions import (
     SUPPORT_FLOOR,
     Record,
@@ -62,11 +62,11 @@ def second_moment_floor(gap: float, d: int, mass: float) -> float:
     return rounding_floor(gap + 2.0 * d * mass)
 
 
-def _xlogx(h: np.ndarray) -> np.ndarray:
-    # log only where h > 0 and 0 elsewhere, without masked copies
-    out = np.log(h, out=np.zeros_like(h), where=h > 0)
+def _xlogx(h: np.ndarray, out: np.ndarray) -> None:
+    """h log h (0 log 0 = 0) into out: log only where h > 0, without masked copies."""
+    out.fill(0.0)
+    np.log(h, out=out, where=h > 0)
     out *= h
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +96,19 @@ def report_rows(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> list[F
     """The report of each of k normalized members, given its density h
     (k, N) and its gradient grad (k, N, d) on the N grid.points; every
     integral and moment is taken over all rows at once."""
-    n = grid.n_points
+    k, n = h.shape[0], grid.n_points
     fine_h = h[:, :n]
     norms = _require_unit_norm(grid, fine_h)
-    entropy, ent_errors = embedded_rows(grid, _xlogx(h))
-    fisher, fis_errors = embedded_rows(grid, _rowdot(grad, grad))
     m1, gap = _moments(grid, fine_h)
+    # k entropy rows, then k Fisher rows, whose terms the entropy rows hold first
+    rows = np.empty((2 * k,) + h.shape[1:])
+    _rowdot(grad, grad, out=rows[k:], scratch=rows[:k])
+    _xlogx(h, rows[:k])
+    integrals, errors = embedded(grid, rows)
     reports = []
     for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
-        e, f, f_err = entropy[i], fisher[i], fis_errors[i]
-        e_err = max(ent_errors[i], rounding_floor(norm**2, n))
+        e, f, f_err = integrals[i], integrals[k + i], errors[k + i]
+        e_err = max(errors[i], rounding_floor(norm**2, n))
         reports.append(
             FunctionalReport(
                 d=grid.d,
@@ -146,14 +149,15 @@ class IdentityResult:
 _Terms = Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
-def _integrals(grid: QuadratureGrid, terms: _Terms) -> list[tuple[float, float]]:
-    """embedded() of each integrand terms(x) returns, with one call on grid.points."""
-    return [embedded(grid, f) for f in terms(grid.points)]
+def _integrals(grid: QuadratureGrid, terms: _Terms) -> tuple[list[float], list[float]]:
+    """embedded() of the integrands terms(x) returns, evaluated once on
+    grid.points and stacked as rows."""
+    return embedded(grid, np.stack(terms(grid.points)))
 
 
 def _identity(name: str, grid: QuadratureGrid, terms: _Terms) -> IdentityResult:
     """lhs = rhs for terms(x) = (lhs integrand, rhs integrand)."""
-    (lhs, lhs_err), (rhs, rhs_err) = _integrals(grid, terms)
+    (lhs, rhs), (lhs_err, rhs_err) = _integrals(grid, terms)
     return IdentityResult.of(name, lhs, rhs, lhs_err + rhs_err)
 
 
@@ -164,8 +168,10 @@ def pinsker_gap(u: TestFunction, grid: QuadratureGrid) -> IdentityResult:
     """
     h = u.density(grid.points)
     (norm,) = _require_unit_norm(grid, h[None, : grid.n_points])
-    entropy, ent_err = embedded(grid, _xlogx(h))
-    tv, tv_err = embedded(grid, np.abs(h - 1.0))
+    rows = np.empty((2,) + h.shape)
+    _xlogx(h, rows[0])
+    np.abs(h - 1.0, out=rows[1])
+    (entropy, tv), (ent_err, tv_err) = embedded(grid, rows)
     ent_err = max(ent_err, rounding_floor(norm**2, grid.n_points))
     rhs = 0.25 * tv**2
     return IdentityResult.of("pinsker_gap", entropy, rhs, ent_err + 0.5 * tv * tv_err)
@@ -240,30 +246,27 @@ class PressureData:
 def pressure_integrals(u: TestFunction, grid: QuadratureGrid) -> PressureData:
     """PressureData of normalized u; h, its unit-norm check and the moment gap
     come from the fine nodes' share of the values the integrands read."""
-
-    def terms(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        vals, grad, hess = u.jet(x)
-        mask = _positive_mask(x, vals)
-        gp = np.zeros_like(grad)
-        gp[mask] = -2.0 * grad[mask] / vals[mask, None]
-        hp = np.zeros_like(hess)
-        gu = grad[mask] / vals[mask, None]
-        hp[mask] = 2.0 * gu[:, :, None] * gu[:, None, :] - 2.0 * hess[mask] / vals[mask, None, None]
-        h = vals**2
-        hp2 = (hp**2).sum(axis=(1, 2))
-        return h, h * _rowdot(gp, gp), h * np.trace(hp, axis1=1, axis2=2), h * hp2
-
-    h, *integrands = terms(grid.points)
+    x = grid.points
+    vals, grad, hess = u.jet(x)
+    mask = _positive_mask(x, vals)
+    gp = np.zeros_like(grad)
+    gp[mask] = -2.0 * grad[mask] / vals[mask, None]
+    hp = np.zeros_like(hess)
+    gu = grad[mask] / vals[mask, None]
+    hp[mask] = 2.0 * gu[:, :, None] * gu[:, None, :] - 2.0 * hess[mask] / vals[mask, None, None]
+    h = vals**2
+    hp2 = (hp**2).sum(axis=(1, 2))
+    rows = np.stack([h * _rowdot(gp, gp), h * np.trace(hp, axis1=1, axis2=2), h * hp2])
     h = h[: grid.n_points]
     _require_unit_norm(grid, h[None])
     gap = float(_moments(grid, h)[1])
-    (f4, f4_err), (lap, lap_err), (frob, frob_err) = [embedded(grid, f) for f in integrands]
+    (f4, lap, frob), (f4_err, lap_err, frob_err) = embedded(grid, rows)
     return PressureData(
         d=u.d,
-        fisher4=float(f4),
-        laplacian_p=float(lap),
-        hess_p2=float(frob),
+        fisher4=f4,
+        laplacian_p=lap,
+        hess_p2=frob,
         second_moment_gap=gap,
         moment_ok=gap <= second_moment_floor(gap, u.d, 1.0),
-        quadrature_error=float(f4_err + lap_err + frob_err),
+        quadrature_error=f4_err + lap_err + frob_err,
     )

@@ -110,12 +110,13 @@ def _vector(name: str, value) -> np.ndarray:
     return v
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rowdot(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """sum_j a_ij b_ij for each row i of two (..., n, d) arrays, one column at
-    a time in axis order, which is the order of (a * b).sum(axis=-1)."""
-    out = a[..., 0] * b[..., 0]
+    a time in axis order, which is the order of (a * b).sum(axis=-1); into
+    out, with each column's product in scratch, when given."""
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
     for j in range(1, a.shape[-1]):
-        out += a[..., j] * b[..., j]
+        out += np.multiply(a[..., j], b[..., j], out=scratch)
     return out
 
 
@@ -148,11 +149,11 @@ class TestFunction:
     multi-indices are shared), and it returns shapes (k, n), (k, d, n) and
     (k, n, d, d).  Their jet is _row_jet, jet_rows on _row, the member's
     own keywords without that axis, which its constructor keeps;
-    from_row(**row) builds the member of one row.  admits(**rows) tells
-    which rows pass the constructor's check of the parameters, and the
-    constructor calls it on its own row.  with_scale multiplies one
-    keyword, named by scaled (the tilt's c, the amplitude, every Hermite
-    coefficient).
+    from_row(**row) builds the member of one row, by default the
+    constructor on its keywords.  admits(**rows) tells which rows pass the
+    constructor's check of the parameters, and the constructor calls it on
+    its own row.  with_scale multiplies one keyword, named by scaled (the
+    tilt's c, the amplitude, every Hermite coefficient).
     """
 
     d: int
@@ -166,6 +167,11 @@ class TestFunction:
 
     def with_scale(self, c: float) -> "TestFunction":
         raise NotImplementedError
+
+    @classmethod
+    def from_row(cls, **row) -> "TestFunction":
+        """The member of one row of jet_rows keywords (a scalar one an np.float64)."""
+        return cls(**row)
 
     def evolved(self, t: float) -> "TestFunction | None":
         """The member v with v^2 = P_t(u^2) under the OU semigroup, None without
@@ -291,10 +297,6 @@ class Tilt(TestFunction):
         if not self.admits(**self._row):
             raise PositivityError(f"tilt amplitude must be positive, got {self.c}")
 
-    @classmethod
-    def from_row(cls, a: np.ndarray, c: np.ndarray) -> "Tilt":
-        return cls(a=a, c=float(c))
-
     @staticmethod
     def admits(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         return c > 0
@@ -356,10 +358,6 @@ class Affine(TestFunction):
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
 
-    @classmethod
-    def from_row(cls, eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray) -> "Affine":
-        return cls(eps=float(eps), nu=nu, amplitude=float(amplitude))
-
     @staticmethod
     def admits(eps: np.ndarray, nu: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
         # 1 + eps x . nu at its least on the hull
@@ -420,10 +418,6 @@ class GaussianProfile(TestFunction):
             raise LabError(f"variances must lie in (0, 1], got {s2}")
         if not self.amplitude > 0:
             raise PositivityError("amplitude must be positive")
-
-    @classmethod
-    def from_row(cls, sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray) -> "GaussianProfile":
-        return cls(sigma2=sigma2, mean=mean, amplitude=float(amplitude))
 
     @staticmethod
     def admits(sigma2: np.ndarray, mean: np.ndarray, amplitude: np.ndarray) -> np.ndarray:

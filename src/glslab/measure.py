@@ -16,9 +16,10 @@ underflow to 0.  Multi-dimensional rules are full tensor products
 partner.  A grid holds its nodes and its partner's in one array,
 grid.points, so that an integrand is evaluated once per grid, on
 grid.points, and embedded takes the fine and the coarse sum from the two
-slices of that one array of values.  embedded_rows takes the values of k
-integrands at once, one row each (a leading member axis), and sums each
-row with one dot product (row_sums), bit for bit the sum of that row alone.
+slices of that one array of values.  embedded is the one integral reader
+with an error: it takes k integrands as the rows of one (k, N) array and
+sums each row with one dot product (row_sums), bit for bit the sum of that
+row alone, so every reader writes its integrands as rows and makes one call.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -167,31 +168,41 @@ def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     return _grid(spec.d, order)
 
 
-def rounding_floor(scale: float, n_points: int = 1) -> float:
+def rounding_floor(scale, n_points: int = 1):
     """max(ROUNDING_ULPS, ceil(log2 n_points)) ulps of ``scale``: the least
-    error claimed for a sum of n_points terms whose absolute values sum to scale."""
+    error claimed for a sum of n_points terms whose absolute values sum to
+    scale, a float or an array of them."""
     return max(ROUNDING_ULPS, math.ceil(math.log2(n_points))) * EPS * scale
 
 
 def integrate(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f against dgamma.  f maps (n, d) arrays to (n,) arrays."""
-    nodes = grid.nodes
-    values = np.asarray(f(nodes), dtype=float)
-    _check(values, nodes)
-    return float(grid.weights @ values)
+    values = _one_integrand(f, grid.nodes)
+    _check(values, grid.nodes)
+    return float(grid.weights @ values[0])
 
 
-def _check(values: np.ndarray, points: np.ndarray, rows: bool = False) -> None:
-    """IntegrationError unless values holds one finite value per point, or
-    with rows one such row per member, (k, n)."""
-    if values.ndim != (2 if rows else 1) or values.shape[-1] != points.shape[0]:
-        expected = f"(k, {points.shape[0]})" if rows else f"({points.shape[0]},)"
-        raise IntegrationError(f"integrand returned shape {values.shape}, expected {expected}")
-    if not np.isfinite(values).all():
-        row = next(r for r in np.atleast_2d(values) if not np.isfinite(r).all())
-        i = int(np.argmin(np.isfinite(row)))
+def _one_integrand(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """f on points as one row, (1, n); IntegrationError unless f returns (n,)."""
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != points.shape[:1]:
         raise IntegrationError(
-            f"non-finite integrand value {row[i]!r} at point {i}, x = {points[i]}"
+            f"integrand returned shape {values.shape}, expected ({points.shape[0]},)"
+        )
+    return values[None]
+
+
+def _check(values: np.ndarray, points: np.ndarray) -> None:
+    """IntegrationError unless values holds k rows of one finite value per
+    point, (k, n)."""
+    if values.ndim != 2 or values.shape[1] != points.shape[0]:
+        raise IntegrationError(
+            f"integrand returned shape {values.shape}, expected (k, {points.shape[0]})"
+        )
+    if not np.isfinite(values).all():
+        r, i = np.argwhere(~np.isfinite(values))[0]
+        raise IntegrationError(
+            f"non-finite integrand value {values[r, i]!r} at point {i}, x = {points[i]}"
         )
 
 
@@ -202,44 +213,33 @@ def row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.matmul(values[..., None, :], weights)[..., 0]
 
 
-def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
-    """Integral plus its error estimate max(|I(n) - I(ceil(3n/4))|, floor).
+def embedded(grid: QuadratureGrid, values: np.ndarray) -> tuple[list[float], list[float]]:
+    """The integrals of k integrands, one row each of values (k, N) on the N
+    grid.points, and their error estimates max(|I(n) - I(ceil(3n/4))|, floor).
 
-    values is the integrand on grid.points: the fine sum reads the first
-    n_points of them, the coarse sum the rest.  The floor is
-    rounding_floor(sum_i w_i |f(x_i)|, n_points) over the fine values; it is
-    never 0 unless f vanishes on the grid.  The one-row case of embedded_rows.
+    The fine sum of a row reads its first n_points values, the coarse sum
+    the rest.  The floor is rounding_floor(sum_i w_i |f(x_i)|, n_points) over
+    the fine values; it is never 0 unless f vanishes on the grid.  Each
+    row's figures are bit for bit those of that row alone.
     """
-    (fine,), (error,) = _embedded(grid, values, rows=False)
-    return fine, error
-
-
-def embedded_rows(grid: QuadratureGrid, values: np.ndarray) -> tuple[list[float], list[float]]:
-    """embedded of k integrands at once, one row each (a leading member
-    axis), values (k, n_points + n_coarse): the k integrals and the k error
-    estimates, each bit for bit what embedded gives of its row alone."""
-    return _embedded(grid, values, rows=True)
-
-
-def _embedded(grid: QuadratureGrid, values, rows: bool) -> tuple[list[float], list[float]]:
     coarse_grid = grid.coarse
     if coarse_grid is None:
         raise IntegrationError(f"the order-{grid.order} grid has no embedded partner")
     values = np.asarray(values, dtype=float)
-    _check(values, grid.points, rows)
-    values = values if rows else values[None]
+    _check(values, grid.points)
     n = grid.n_points
     fine_values = values[:, :n]
-    fine = row_sums(fine_values, grid.weights).tolist()
-    coarse = row_sums(values[:, n:], coarse_grid.weights).tolist()
-    scales = row_sums(np.abs(fine_values), grid.weights).tolist()
-    # one row per member of a batch, which has few: floats are cheaper
-    errors = [max(abs(f - c), rounding_floor(s, n)) for f, c, s in zip(fine, coarse, scales)]
-    return fine, errors
+    fine = row_sums(fine_values, grid.weights)
+    coarse = row_sums(values[:, n:], coarse_grid.weights)
+    # |values| one row at a time: a (k, n) copy would raise a d = 3 report's peak
+    scales = [grid.weights @ np.abs(row) for row in fine_values]
+    errors = np.maximum(np.abs(fine - coarse), rounding_floor(np.array(scales), n))
+    return fine.tolist(), errors.tolist()
 
 
 def integrate_with_error(
     grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
     """embedded() of f, evaluated once on grid.points."""
-    return embedded(grid, f(grid.points))
+    (value,), (error,) = embedded(grid, _one_integrand(f, grid.points))
+    return value, error

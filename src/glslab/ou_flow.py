@@ -326,7 +326,8 @@ def _hessian_defect_integral(v: TestFunction, grid: QuadratureGrid) -> tuple[flo
         ]
         return (-2.0 * (defect**2).sum(axis=(1, 2)),)
 
-    return _integrals(grid, terms)[0]
+    (value,), (error,) = _integrals(grid, terms)
+    return value, error
 
 
 def fisher_dissipation_check(u0: TestFunction, t: float, grid: QuadratureGrid) -> IdentityResult:

@@ -87,8 +87,9 @@ class SearchProblem(Record):
         upper = tuple(float(v) for v in self.upper)
         if len(lower) != len(upper) or not lower:
             raise ConstraintError("lower and upper must be nonempty and equally long")
-        if any(lo > hi for lo, hi in zip(lower, upper)):
-            raise ConstraintError(f"empty box: lower {lower} exceeds upper {upper}")
+        # the restarts draw their starting points uniformly from the box
+        if not all(0.0 <= hi - lo < math.inf for lo, hi in zip(lower, upper)):
+            raise ConstraintError(f"the box needs lower <= upper and a finite span: {lower}, {upper}")
         if self.family not in FAMILIES:
             raise ConstraintError(
                 f"family {self.family!r} is not searchable; searchable: {FAMILIES}"

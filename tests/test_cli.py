@@ -459,6 +459,25 @@ class TestSearch:
         assert message in captured.err
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"lower": [NaN], "upper": [0.2]}',
+            '{"lower": [0.01], "upper": [Infinity]}',
+            '{"lower": [-1e308], "upper": [1e308]}',
+        ],
+        ids=["nan", "infinity", "span_overflows"],
+    )
+    def test_box_without_a_finite_span_is_a_lab_error(self, capsys, tmp_path, text):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**_AFFINE_PROBLEM, **json.loads(text)}))
+        code = main(["search", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "finite span" in captured.err
+
+    @pytest.mark.parametrize(
         "override, message",
         [
             ({"family": "bump"}, "not searchable"),

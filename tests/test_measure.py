@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,9 @@ from glslab import (
 )
 from glslab.measure import (
     embedded,
-    embedded_rows,
     gauss_hermite_1d,
     integrate_with_error,
+    rounding_floor,
     row_sums,
     tensor_rule,
 )
@@ -181,29 +183,29 @@ class TestIntegration:
             return np.exp(-x.sum(axis=1)) + np.abs(x[:, 0])
 
         for grid in (grid1, build_grid(GaussianMeasureSpec(d=2), 20)):
-            got = embedded(grid, f(grid.points))
-            assert got == integrate_with_error(grid, f)
+            (value,), (error,) = embedded(grid, f(grid.points)[None])
+            assert (value, error) == integrate_with_error(grid, f)
             # the fine and the coarse sum are the dot products of each rule alone
             fine = integrate(grid, f)
-            assert got == (fine, abs(fine - integrate(grid.coarse, f)))
+            assert (value, error) == (fine, abs(fine - integrate(grid.coarse, f)))
 
     def test_embedded_rejects_nonfinite_and_misshapen_values(self, grid1):
         n, n_c = grid1.n_points, grid1.coarse.n_points
-        values = np.ones(n + n_c)
+        values = np.ones((2, n + n_c))
         for i in (3, n + 3):
             for bad in (np.nan, np.inf, -np.inf):
                 broken = values.copy()
-                broken[i] = bad
+                broken[1, i] = bad
                 # the message names the index and the point
                 with pytest.raises(IntegrationError, match=f"at point {i}, x = "):
                     embedded(grid1, broken)
-        for wrong in (values[:n], values[:n_c], values[:5], np.ones((n + n_c, 1))):
+        for wrong in (values[:, :n], values[:, :n_c], values[:, :5], values[0], values[..., None]):
             with pytest.raises(IntegrationError, match="shape"):
                 embedded(grid1, wrong)
 
     def test_embedded_needs_a_grid_with_a_partner(self, grid1):
         with pytest.raises(IntegrationError, match="no embedded partner"):
-            embedded(grid1.coarse, np.ones(grid1.coarse.n_points))
+            embedded(grid1.coarse, np.ones((1, grid1.coarse.n_points)))
 
 
 class TestGridLayout:
@@ -256,11 +258,12 @@ def test_quadratic_polynomials_integrate_exactly(a, b, c):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_sums_are_the_dot_product_of_each_row_bit_for_bit(d):
     # a batch of search members is summed row by row; its figures equal those
-    # of each member alone only while this holds for the numpy and BLAS in use
+    # of each member alone only while this holds for the numpy and BLAS in use.
+    # k runs to 6, the entropy and Fisher rows of a batch of three members
     grid = build_grid(GaussianMeasureSpec(d), 64)
     n, total = grid.n_points, grid.points.shape[0]
-    wide = np.random.default_rng(d).standard_normal((3, total + 7)) ** 3
-    for k in (1, 2, 3):
+    wide = np.random.default_rng(d).standard_normal((6, total + 7)) ** 3
+    for k in range(1, 7):
         rows = wide[:k, 3 : 3 + total]
         for weights, part in ((grid.weights, rows[:, :n]), (grid.coarse.weights, rows[:, n:])):
             got = row_sums(part, weights)
@@ -270,25 +273,36 @@ def test_row_sums_are_the_dot_product_of_each_row_bit_for_bit(d):
             assert row_sums(part[0], weights).tobytes() == np.float64(want[0]).tobytes()
 
 
-def test_embedded_rows_takes_one_row_per_member(grid1):
-    values = np.random.default_rng(2).standard_normal((3, grid1.points.shape[0]))
-    sums, errors = embedded_rows(grid1, values)
-    assert (sums, errors) == tuple(map(list, zip(*(embedded(grid1, row) for row in values))))
+@pytest.mark.parametrize("d, order", [(1, 64), (2, 20)])
+def test_embedded_takes_one_row_per_integrand(d, order):
+    grid = build_grid(GaussianMeasureSpec(d), order)
+    n, total = grid.n_points, grid.points.shape[0]
+    values = np.random.default_rng(2).standard_normal((6, total))
+    # a constant row, whose error is its rounding floor, and a zero row
+    values[2], values[3] = 1.0, 0.0
+    sums, errors = embedded(grid, values)
+    assert len(sums) == len(errors) == 6
+    for row, got, error in zip(values, sums, errors):
+        fine, coarse = grid.weights @ row[:n], grid.coarse.weights @ row[n:]
+        floor = rounding_floor(grid.weights @ np.abs(row[:n]), n)
+        assert got == fine
+        assert error == max(abs(fine - coarse), floor)
+        assert embedded(grid, row[None]) == ([got], [error])
+    assert errors[2] == rounding_floor(sums[2], n) > 0
+    assert (sums[3], errors[3]) == (0.0, 0.0)
     broken = values.copy()
     broken[1, 4] = np.nan
-    with pytest.raises(IntegrationError, match="at point 4, x = "):
-        embedded_rows(grid1, broken)
-    with pytest.raises(IntegrationError, match=r"expected \(k, "):
-        embedded_rows(grid1, values[0])
+    with pytest.raises(IntegrationError, match=re.escape(f"at point 4, x = {grid.points[4]}")):
+        embedded(grid, broken)
+    with pytest.raises(IntegrationError, match=rf"shape \({total},\), expected \(k, {total}\)"):
+        embedded(grid, values[0])
 
 
 def test_one_integrand_takes_no_member_axis(grid1):
-    # only embedded_rows reads rows: the one-integrand readers reject them
-    total = grid1.points.shape[0]
-    for f in (lambda x: np.ones((1, len(x))), lambda x: np.ones((len(x), len(x)))):
-        with pytest.raises(IntegrationError, match="integrand returned shape"):
-            integrate(grid1, f)
-        with pytest.raises(IntegrationError, match="integrand returned shape"):
-            integrate_with_error(grid1, f)
-    with pytest.raises(IntegrationError, match=rf"expected \({total},\)"):
-        embedded(grid1, np.ones((1, total)))
+    # integrate and integrate_with_error read one integrand: a (1, n) or (n, n)
+    # integrand is rejected, and the message names its own shape
+    for reader, m in ((integrate, grid1.n_points), (integrate_with_error, grid1.points.shape[0])):
+        for shape in ((1, m), (m, m)):
+            message = f"integrand returned shape {shape}, expected ({m},)"
+            with pytest.raises(IntegrationError, match=re.escape(message)):
+                reader(grid1, lambda x: np.ones(shape))

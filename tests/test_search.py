@@ -344,6 +344,17 @@ class TestProblemConfig:
             self._problem(lower=(1.0,), upper=(-1.0,))
 
     @pytest.mark.parametrize(
+        "lower, upper",
+        [([float("nan")], [0.05]), ([-0.05], [float("inf")]), ([-1e308], [1e308])],
+        ids=["nan", "infinity", "span_overflows"],
+    )
+    def test_rejects_a_box_without_a_finite_span(self, lower, upper):
+        # the restarts draw their starting points uniformly from the box
+        payload = {**self._problem().to_json(), "lower": lower, "upper": upper}
+        with pytest.raises(ConstraintError, match="finite span"):
+            SearchProblem.from_json(payload)
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"family": "bump", "lower": (0.5,), "upper": (1.0,)},
