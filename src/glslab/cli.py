@@ -32,8 +32,8 @@ from .errors import LabError
 from .measure import GaussianMeasureSpec, build_grid
 from .functions import build_function, normalize
 from .functionals import report as functional_report
-from .ou_flow import flow_csv_rows, flow_curve, evolve
-from .logconcavity import certify
+from .ou_flow import flow_csv_rows, flow_curve
+from .logconcavity import certify, certify_along_flow
 from .stability import (
     StabilityBound,
     constants_table,
@@ -187,10 +187,9 @@ def cmd_logcc(args: argparse.Namespace) -> int:
     u, source = _load_function(args)
     grid = _grid_for(u, args.grid_order)
     if args.time == 0:
-        cert = certify(normalize(u, grid), grid, n_probes=args.probes)
+        cert = certify(normalize(u, grid), grid, args.probes)
     else:
-        state = evolve(normalize(u, grid), args.time, grid)
-        cert = certify(state.v, grid, n_probes=args.probes)
+        ((_, cert),) = certify_along_flow(normalize(u, grid), [args.time], grid, args.probes)
     config = {
         "command": "logcc",
         "grid_order": args.grid_order,

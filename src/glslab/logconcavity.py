@@ -13,7 +13,8 @@ Masked probes are not examined, so neither the convexity of {h > 0} nor
 the curvature where h is below the mask is checked.  One
 density_and_hess_log call reads each probe once: it returns h on every
 probe and Hess log h on the active ones only (one broadcast row where it
-is constant), from which M is formed in place.  Verdicts:
+is constant), from which M is formed in place.  certify_along_flow forms
+these arrays from the OU average its state reads, where it has one.  Verdicts:
 
     certified     min eig >= -tol        with tol = 1e-8 max(1, scale)
     refuted       min eig <  -10 tol
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import QuadratureGrid
 from .functions import SUPPORT_THRESHOLD, Record, TestFunction
-from .ou_flow import FlowState, evolve
+from .ou_flow import FlowState, _evolve, _hess_log
 
 PROBE_RADIUS = 6.0
 BASE_TOLERANCE = 1e-8
@@ -106,50 +107,49 @@ def _extreme_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[:, 0], np.abs(eigs).max(axis=1)
 
 
+def _cloud(d: int, n_probes: int | None) -> np.ndarray:
+    """The probe cloud of n_probes points, 512 d by default."""
+    if n_probes is not None and n_probes < 0:
+        raise DomainError(f"number of probes must be nonnegative, got {n_probes}")
+    return _probe_cloud(d, 512 * d if n_probes is None else n_probes)
+
+
 def certify(
     u: TestFunction, grid: QuadratureGrid, n_probes: int | None = None
 ) -> LogConcavityCertificate:
-    d = u.d
-    if n_probes is None:
-        n_probes = 512 * d
-    elif n_probes < 0:
-        raise DomainError(f"number of probes must be nonnegative, got {n_probes}")
-    probes = np.vstack([grid.nodes, _probe_cloud(d, n_probes)])
-    h, active, hess_log = u.density_and_hess_log(probes)
-    threshold = SUPPORT_THRESHOLD * max(float(h.max()), 1e-300)
-    if not active.any():
-        return LogConcavityCertificate(
-            status="inconclusive",
-            min_eigenvalue=float("nan"),
-            worst_point=np.full(d, float("nan")),
-            n_probes=probes.shape[0],
-            n_active=0,
-            threshold=threshold,
-            tolerance=BASE_TOLERANCE,
-        )
-    # M = I - Hess log h, formed in place as -Hess log h + I; on the one row
-    # of a constant Hess log h the argmin is the first active probe
-    curv = np.negative(hess_log, out=hess_log)
-    for i in range(d):
-        curv[:, i, i] += 1.0
-    mins, magnitudes = _extreme_eigenvalues(curv)
-    scale = max(1.0, float(magnitudes.max()))
-    tol = BASE_TOLERANCE * scale
-    worst = int(mins.argmin())
-    min_eig = float(mins[worst])
-    if min_eig >= -tol:
-        status = "certified"
-    elif min_eig < -10.0 * tol:
-        status = "refuted"
-    else:
-        status = "inconclusive"
+    probes = np.vstack([grid.nodes, _cloud(u.d, n_probes)])
+    return _certificate(probes, *u.density_and_hess_log(probes))
+
+
+def _certificate(
+    probes: np.ndarray, h: np.ndarray, active: np.ndarray, hess_log: np.ndarray
+) -> LogConcavityCertificate:
+    """The verdict on probes from density_and_hess_log there; writes into hess_log."""
+    d = probes.shape[1]
+    status, min_eig, tol = "inconclusive", float("nan"), BASE_TOLERANCE
+    worst_point = np.full(d, float("nan"))
+    if active.any():
+        # M = I - Hess log h, formed in place as -Hess log h + I; on the one row
+        # of a constant Hess log h the argmin is the first active probe
+        curv = np.negative(hess_log, out=hess_log)
+        for i in range(d):
+            curv[:, i, i] += 1.0
+        mins, magnitudes = _extreme_eigenvalues(curv)
+        tol = BASE_TOLERANCE * max(1.0, float(magnitudes.max()))
+        worst = int(mins.argmin())
+        min_eig = float(mins[worst])
+        worst_point = probes[np.flatnonzero(active)[worst]].copy()
+        if min_eig >= -tol:
+            status = "certified"
+        elif min_eig < -10.0 * tol:
+            status = "refuted"
     return LogConcavityCertificate(
         status=status,
         min_eigenvalue=min_eig,
-        worst_point=probes[np.flatnonzero(active)[worst]].copy(),
+        worst_point=worst_point,
         n_probes=probes.shape[0],
         n_active=int(active.sum()),
-        threshold=threshold,
+        threshold=SUPPORT_THRESHOLD * max(float(h.max()), 1e-300),
         tolerance=tol,
     )
 
@@ -160,9 +160,18 @@ def certify_along_flow(
     grid: QuadratureGrid,
     n_probes: int | None = None,
 ) -> list[tuple[FlowState, LogConcavityCertificate]]:
-    """Certificates for the evolved density at each time; t = 0 is allowed."""
+    """Certificates for the evolved density at each time; t = 0 is allowed.
+    Where evolve takes its exact path, one order-2 average on grid.points
+    and the probe cloud gives the state and the certificate (its node and
+    cloud rows); elsewhere a time is evolve, then certify."""
+    x = np.vstack([grid.points, _cloud(u0.d, n_probes)])
+    rows = np.r_[: grid.n_points, grid.points.shape[0] : x.shape[0]]
     out = []
-    for t in np.asarray(times, dtype=float):
-        state = evolve(u0, float(t), grid)
-        out.append((state, certify(state.v, grid, n_probes=n_probes)))
+    for t in np.asarray(times, dtype=float).tolist():
+        state, avg = _evolve(u0, t, grid, x, 2)
+        if avg is None:
+            cert = certify(state.v, grid, n_probes=n_probes)
+        else:
+            cert = _certificate(x[rows], *_hess_log(*(a[rows] for a in avg)))
+        out.append((state, cert))
     return out

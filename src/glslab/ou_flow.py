@@ -23,8 +23,10 @@ On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
 TestFunction for v = sqrt(h), which plugs into every functional and
 certifier unchanged.  The inner rules of paths 2 and 3 go through one
 function, functions.inner_average, whose one pass over the inner points
-serves every average a call needs; nothing is kept between calls.  Like
-jet(x, order), every average takes an order and returns the first
+serves every average a call needs.  On path 2 a flow time takes one
+average, on grid.points, or with the probe cloud in certify_along_flow,
+which reads the certificate from it too; nothing is kept between calls.
+Like jet(x, order), every average takes an order and returns the first
 order + 1 of h, grad h and Hess h.
 
 On path 3 the inner (y) rule starts at the outer order and is doubled
@@ -59,7 +61,8 @@ from .functions import (
     check_envelope,
     inner_average,
 )
-from .functionals import FunctionalReport, IdentityResult, _integrals, _positive_mask, report
+from .functionals import FunctionalReport, IdentityResult, _integrals, _positive_mask
+from .functionals import report, report_rows
 
 INNER_TOL = 1e-9
 INNER_WARN = 1e-6
@@ -90,6 +93,21 @@ def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
         ) / (4.0 * hm**1.5)[:, None, None]
         out.append(hess)
     return tuple(out)
+
+
+def _scaled(avg: tuple[np.ndarray, ...], t: float, amplitude: float) -> tuple[np.ndarray, ...]:
+    """h, grad h and Hess h of amplitude^2 times the density evolved from u0^2,
+    from u0's averages avg: the average of order k carries e^{-k t}."""
+    scale = amplitude**2
+    return tuple(scale * math.exp(-k * t) * a for k, a in enumerate(avg))
+
+
+def _hess_log(h: np.ndarray, gh: np.ndarray, hh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """density_and_hess_log from h, grad h and Hess h: h, the support mask
+    h > SUPPORT_THRESHOLD max h and Hess h / h - grad log h (x) grad log h on it."""
+    mask = _support(h, SUPPORT_THRESHOLD)
+    gl = gh[mask] / h[mask, None]
+    return h, mask, hh[mask] / h[mask, None, None] - gl[:, :, None] * gl[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +142,7 @@ class EvolvedDensity(TestFunction):
                 raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
         else:
             avg = inner_average(self.u0, x, self.t, order, self.inner.nodes, self.inner.weights)
-        scale = self.amplitude**2
-        return tuple(scale * math.exp(-k * self.t) * a for k, a in enumerate(avg))
+        return _scaled(avg, self.t, self.amplitude)
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         return _root_jet(*self._average(x, order))
@@ -138,10 +155,7 @@ class EvolvedDensity(TestFunction):
         return h, _root_jet(h, gh)[1]
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h, gh, hh = self._average(x, 2)
-        mask = _support(h, SUPPORT_THRESHOLD)
-        gl = gh[mask] / h[mask, None]
-        return h, mask, hh[mask] / h[mask, None, None] - gl[:, :, None] * gl[:, None, :]
+        return _hess_log(*self._average(x, 2))
 
     def with_scale(self, c: float) -> "EvolvedDensity":
         return replace(self, amplitude=self.amplitude * c)
@@ -205,14 +219,23 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     inner_error between it and its embedded coarse rule is at most
     INNER_TOL; the state records the order used and that error.
     """
+    return _evolve(u0, t, grid, grid.points, 1)[0]
+
+
+def _evolve(u0: TestFunction, t: float, grid: QuadratureGrid, x: np.ndarray, avg_order: int):
+    """evolve, whose exact path takes one average of order avg_order >= 1 on
+    x, grid.points followed by any other rows: the mass reads its node rows
+    and the report its grid.points rows.  Also returns h, grad h, ... of the
+    state's v on every row of x from that average, None on the other paths."""
     _check_time(t)
     inner_err = 0.0
     order = 0
+    avg = None
     v_raw = u0 if t == 0 else u0.evolved(t)
     if v_raw is not None:
         h = v_raw.density(grid.nodes)
-    elif (exact := u0.ou_average(grid.nodes, t, 0)) is not None:
-        v_raw, h = EvolvedDensity(u0=u0, t=t), exact[0]
+    elif (avg := u0.ou_average(x, t, avg_order)) is not None:
+        v_raw, h = EvolvedDensity(u0=u0, t=t), avg[0][: grid.n_points]
     else:
         order = grid.order
         while True:
@@ -226,21 +249,28 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
         if inner_err > INNER_WARN:
             warnings.warn(
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
-                stacklevel=2,
+                stacklevel=3,
             )
     # ||sqrt h||^2 as l2_norm sums it, so that v is normalize(v_raw, grid) bit for bit
     mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
     if mass <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
     v = v_raw.with_scale(1.0 / math.sqrt(mass))
-    return FlowState(
-        **vars(report(v, grid)),
+    if avg is None:
+        rep = report(v, grid)
+    else:
+        avg = _scaled(avg, t, v.amplitude)
+        h, gh = (a[: grid.points.shape[0]] for a in avg[:2])
+        rep = report_rows(grid, h[None], _root_jet(h, gh)[1][None])[0]
+    state = FlowState(
+        **vars(rep),
         t=float(t),
         v=v,
         mass=float(mass),
         inner_error=float(inner_err),
         inner_order=order,
     )
+    return state, avg
 
 
 def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[FlowState]:

@@ -50,8 +50,8 @@ from .errors import ConstraintError, DomainError
 from .measure import QuadratureGrid, integrate_with_error
 from .functions import Record, TestFunction, _rowdot, second_moment_gap
 from .functionals import FunctionalReport, report, second_moment_floor
-from .logconcavity import LogConcavityCertificate, certify
-from .ou_flow import OdeSample, _ode_samples, evolve
+from .logconcavity import LogConcavityCertificate, certify, certify_along_flow
+from .ou_flow import OdeSample, _ode_samples
 
 C_STAR = 1.0 + 1.0 / 1728.0
 POINCARE_LOGCONCAVE = 1.0 / 432.0
@@ -548,7 +548,8 @@ class PipelineResult(Record):
 def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> PipelineResult:
     """Run the three stages behind the compact-support constant on one instance:
     evolve to t*(R), certify log-concavity there, check Q(t*) >= C*/2, and
-    compare the measured Q(0) with the pulled-back lower bound C(R)/2."""
+    compare the measured Q(0) with the pulled-back lower bound C(R)/2; the
+    first two read one OU average (certify_along_flow)."""
     if u.support_radius is None:
         raise ConstraintError(
             f"the pipeline needs a compactly supported family, got {u.family!r}"
@@ -557,8 +558,7 @@ def compact_improvement_pipeline(u: TestFunction, grid: QuadratureGrid) -> Pipel
     t_star = t_star_compact(radius)
     bound = q0_lower_bound(0.5 * C_STAR, t_star)
     rep = report(u, grid)
-    state = evolve(u, t_star, grid)
-    cert = certify(state.v, grid)
+    ((state, cert),) = certify_along_flow(u, [t_star], grid)
     if rep.entropy < 1e-12 or rep.ratio_q is None or state.ratio_q is None:
         status, message = "skipped", "entropy vanishes; the ratio Q is undefined"
     else:

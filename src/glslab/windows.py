@@ -55,7 +55,6 @@ JETS = {2: window_jets(_BUMP), 4: window_jets(np.polynomial.polynomial.polymul(_
 _FORWARD_MAX = 2.3
 _FRACTION_DEPTH = 32
 _LAM_MAX = 40.0
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _upper_moments(lam: np.ndarray) -> np.ndarray:
@@ -73,7 +72,7 @@ def _upper_moments(lam: np.ndarray) -> np.ndarray:
     near = lam <= _FORWARD_MAX
     if near.any():
         ln = lam[near]
-        u = [0.5 * _erfc(ln * math.sqrt(0.5)).astype(float)]
+        u = [0.5 * np.fromiter(map(math.erfc, (ln * math.sqrt(0.5)).tolist()), float, ln.size)]
         u.append(phi[near] - ln * u[0])
         for k in range(1, _DEGREE):
             u.append(k * u[k - 1] - ln * u[k])

@@ -359,6 +359,13 @@ class TestLogcc:
         assert captured.out == ""
         assert "probes" in captured.err
 
+    def test_negative_probe_count_fails_before_evolving(self, capsys):
+        code = main(["logcc", "--builtin", "bump_r2", "--time", "0.805", "--probes", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "number of probes must be nonnegative, got -1" in captured.err
+
     def test_negative_time_fails_cleanly(self, capsys):
         code = main(["logcc", "--builtin", "bump_r2", "--time", "-0.5"])
         captured = capsys.readouterr()

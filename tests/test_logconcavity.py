@@ -6,8 +6,10 @@ The symmetric double bump has log h convex near the saddle between the
 lobes, which the probe cloud must find and refute.
 """
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,16 @@ from glslab import (
     DomainError,
     GaussianMeasureSpec,
     GaussianProfile,
+    build_function,
     build_grid,
     certify,
     certify_along_flow,
     compact_improvement_pipeline,
     corpus,
+    evolve,
     normalize,
 )
-from glslab.functions import Bump
+from glslab.functions import Bump, TwoBumps
 from glslab.logconcavity import PROBE_RADIUS, _extreme_eigenvalues, _probe_cloud
 
 
@@ -255,3 +259,96 @@ class TestAlongTheFlow:
             result = compact_improvement_pipeline(u, grid1)
         assert result.t_star == pytest.approx(0.5 * math.log1p(radius**2), rel=1e-15)
         assert result.certificate.certified
+
+
+_FAMILIES = Path(__file__).with_name("golden") / "families"
+
+
+def _along_the_flow(name):
+    """(u, times, grid, n_probes) of one case: every path of evolve, and each
+    branch of the exact bump average (R = 0.5 at t = 3 has a window narrower
+    than the Gaussian).  The quadrature path (bump_d2, inner order 256) takes
+    16 probes, enough to run its certifier, in a second instead of nine."""
+    if name.endswith(".json"):
+        obj = json.loads((_FAMILIES / name).read_text())
+        grid = build_grid(GaussianMeasureSpec(d=obj["d"]), {3: 16, 2: 8}[obj["d"]])
+        return normalize(build_function(obj), grid), [0.3], grid, {3: None, 2: 16}[obj["d"]]
+    if name == "affine_d2":
+        u = build_function({"family": "affine", "params": {"eps": 0.1, "nu": [0.6, 0.8]}, "d": 2})
+    elif name == "two_bumps_overlap":
+        u = TwoBumps(height=1.0, radius=2.0, separation=1.9)
+    elif name.startswith("bump_r"):
+        u = Bump(radius=float(name[len("bump_r") :]))
+    else:
+        u = corpus.get(name).function()
+    grid = build_grid(GaussianMeasureSpec(d=u.d), 64)
+    return normalize(u, grid), [0.0, 0.01, 0.3, 3.0], grid, None
+
+
+def _json(pairs):
+    # every float as repr writes it, which round-trips: equal text is equal bits
+    return json.dumps([[state.to_json(), cert.to_json()] for state, cert in pairs])
+
+
+def _counted_averages(monkeypatch, cls):
+    """The (rows, order) of each cls.ou_average call from here on."""
+    calls = []
+    original = cls.ou_average
+
+    def counted(self, x, t, order):
+        calls.append((len(x), order))
+        return original(self, x, t, order)
+
+    monkeypatch.setattr(cls, "ou_average", counted)
+    return calls
+
+
+class TestOneAveragePerTime:
+    """certify_along_flow reads each state and its certificate from one OU
+    average on evolve's exact path, with evolve's and certify's bits.
+
+    BLAS rounds an average by row block, so equal bits need each row in the
+    same block in either layout: at order 64 (d = 1, 2) and 16 (d = 3) the
+    node, coarse and cloud sets are all multiples of 16 rows.  On small
+    grids (d = 1 below order 23) some figures move by rounding."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bump_r0.5",
+            "bump_r2",
+            "two_bumps_overlap",
+            "affine_d2",
+            "hermite_mixed",
+            "hermite_d3.json",
+            "tilt_half",
+            "gaussian_s05",
+            "bump_d2.json",
+        ],
+    )
+    def test_equals_evolve_then_certify(self, name):
+        u, times, grid, n_probes = _along_the_flow(name)
+        want = []
+        for t in times:
+            state = evolve(u, t, grid)
+            want.append((state, certify(state.v, grid, n_probes)))
+        assert _json(certify_along_flow(u, times, grid, n_probes)) == _json(want)
+
+    def test_one_average_per_nonzero_time(self, grid1, monkeypatch):
+        u = normalize(Bump(radius=2.0), grid1)
+        calls = _counted_averages(monkeypatch, Bump)
+        evolve(u, 0.3, grid1)
+        assert calls == [(grid1.points.shape[0], 1)]
+        calls.clear()
+        certify_along_flow(u, [0.0, 0.2, 0.5], grid1)
+        assert calls == 2 * [(grid1.points.shape[0] + 512, 2)]
+        calls.clear()
+        compact_improvement_pipeline(u, grid1)
+        assert len(calls) == 1
+
+    def test_negative_probe_count_fails_before_any_average(self, grid1, monkeypatch):
+        u = normalize(Bump(radius=2.0), grid1)
+        calls = _counted_averages(monkeypatch, Bump)
+        with pytest.raises(DomainError, match="probes"):
+            certify_along_flow(u, [0.3], grid1, n_probes=-1)
+        assert calls == []
