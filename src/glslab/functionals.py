@@ -36,6 +36,7 @@ and computes the pressure integrals for P = -log u^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -44,12 +45,14 @@ from .errors import PositivityError
 from .measure import QuadratureGrid, embedded, rounding_floor
 from .functions import (
     SUPPORT_FLOOR,
+    Envelope,
     Record,
     TestFunction,
     _moments,
     _require_unit_norm,
     _rowdot,
     _support,
+    pruned_read,
 )
 
 
@@ -87,15 +90,28 @@ class FunctionalReport(Record):
 
 
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
-    """Evaluate entropy, Fisher information and deficit; u must be normalized."""
+    """Evaluate entropy, Fisher information and deficit; u must be normalized.
+
+    At d = 3 a u with an envelope is read on grid's pruned twin when what it
+    leaves out of |h log h|, |grad u|^2 and the moments' h (|x|^2 + d) is at
+    most EPS each (functions.pruned_read); the entropy and the Fisher error
+    then carry their part of it.
+    """
+    grid, (entropy_out, fisher_out, _) = pruned_read(
+        u, grid, Envelope.entropy, Envelope.fisher, partial(Envelope.moments, d=grid.d)
+    )
     h, grad = u.density_and_gradient(grid.points)
-    return report_rows(grid, h[None], grad[None])[0]
+    return report_rows(grid, h[None], grad[None], dropped=(entropy_out, fisher_out))[0]
 
 
-def report_rows(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> list[FunctionalReport]:
+def report_rows(
+    grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray, dropped: tuple[float, float] = (0.0, 0.0)
+) -> list[FunctionalReport]:
     """The report of each of k normalized members, given its density h
     (k, N) and its gradient grad (k, N, d) on the N grid.points; every
-    integral and moment is taken over all rows at once."""
+    integral and moment is taken over all rows at once.  dropped holds what
+    a pruned grid leaves out of the entropy and of the Fisher integral, added
+    to their errors."""
     k, n = h.shape[0], grid.n_points
     fine_h = h[:, :n]
     norms = _require_unit_norm(grid, fine_h)
@@ -107,8 +123,8 @@ def report_rows(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> list[F
     integrals, errors = embedded(grid, rows)
     reports = []
     for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
-        e, f, f_err = integrals[i], integrals[k + i], errors[k + i]
-        e_err = max(errors[i], rounding_floor(norm**2, n))
+        e, f, f_err = integrals[i], integrals[k + i], errors[k + i] + dropped[1]
+        e_err = max(errors[i], rounding_floor(norm**2, n)) + dropped[0]
         reports.append(
             FunctionalReport(
                 d=grid.d,

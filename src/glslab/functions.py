@@ -29,6 +29,15 @@ module, imported on first use so that `import glslab` does not compile
 it.  inner_average is also every family's reference quadrature
 (ou_flow.EvolvedDensity), the only one of d >= 2 bumps and two_bumps.
 
+Tilts and Gaussian profiles state an Envelope, log h <= l0 + l1 |x| and
+|grad log u| <= g0 + g1 |x|; every other family states none.  From it the
+readers of a pruned d = 3 grid (QuadratureGrid.pruned) bound what its
+left-out nodes add to each integrand they form: h, |h log h|, |grad u|^2
+and h e^{eps |x|^2}.  pruned_read picks the twin when u states an envelope
+and every such bound is at most EPS x the integral's scale, and otherwise
+the full grid, read exactly as without a twin.  l2_norm, and so normalize,
+read the twin at the scale of the kept mass.
+
 Per-point kernels run along the point axis: an (n, d) batch is reduced or
 broadcast one length-n column at a time (_rowdot for row-wise dot
 products), never with numpy looping over the length-d axis, which costs
@@ -39,14 +48,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, LabError, NormalizationError, PositivityError
-from .measure import GaussianMeasureSpec, QuadratureGrid, row_sums, tensor_rule
+from .measure import (
+    EPS,
+    GaussianMeasureSpec,
+    QuadratureGrid,
+    dropped_bound,
+    row_sums,
+    tensor_rule,
+)
 
 POSITIVITY_HULL = 3.0
 MAX_HERMITE_DEGREE = 12
@@ -137,11 +153,65 @@ def _support(values: np.ndarray, floor: float) -> np.ndarray:
     return values > floor * max(float(values.max()), 1e-300)
 
 
+@dataclass(frozen=True)
+class Envelope:
+    """log h <= l0 + l1 |x| and |grad log u| <= g0 + g1 |x| at every x, with
+    l1, g0, g1 >= 0.  Each method is a bound on one integrand as a
+    nondecreasing function of r = |x|, in the form measure.dropped_bound reads."""
+
+    l0: float
+    l1: float
+    g0: float
+    g1: float
+
+    def density(self, r: np.ndarray) -> np.ndarray:
+        """h itself."""
+        return np.exp(self.l0 + self.l1 * r)
+
+    def moments(self, r: np.ndarray, d: int) -> np.ndarray:
+        """h (|x|^2 + d), which bounds h, h |x_i| and h ||x|^2 - d|."""
+        return self.density(r) * (r**2 + d)
+
+    def entropy(self, r: np.ndarray) -> np.ndarray:
+        """|h log h|: the largest s |log s| over 0 <= s <= H = e^{l0 + l1 r},
+        which is H |log H| up to H = 1/e and max(1/e, H log H) beyond."""
+        log_h = self.l0 + self.l1 * r
+        h = np.exp(log_h)
+        return np.where(log_h <= -1.0, -h * log_h, np.maximum(1.0 / math.e, h * log_h))
+
+    def fisher(self, r: np.ndarray) -> np.ndarray:
+        """|grad u|^2 = h |grad log u|^2."""
+        return self.density(r) * (self.g0 + self.g1 * r) ** 2
+
+    def tail(self, r: np.ndarray, eps: float) -> np.ndarray:
+        """h e^{eps |x|^2}."""
+        return np.exp(self.l0 + self.l1 * r + eps * r**2)
+
+
+def pruned_read(
+    u: "TestFunction", grid: QuadratureGrid, *integrands, scale: float = 1.0
+) -> tuple[QuadratureGrid, list[float]]:
+    """The grid a reader of u's integrands reads, and what it leaves out of each.
+
+    integrands are functions (envelope, r) -> a radial bound, such as the
+    Envelope methods.  The reader takes grid's pruned twin, with the
+    dropped_bound of each integrand, when u states an envelope, grid has a
+    twin, and every bound is at most EPS x scale; otherwise grid itself,
+    with 0.0 for each.
+    """
+    twin = grid.pruned
+    if twin is not grid and (envelope := u.envelope()) is not None:
+        bounds = [dropped_bound(twin, partial(f, envelope)) for f in integrands]
+        if all(b <= EPS * scale for b in bounds):
+            return twin, bounds
+    return grid, [0.0] * len(integrands)
+
+
 class TestFunction:
     """Base interface: jet(x, order) on (n, d) point batches.
 
-    A family implements jet and with_scale, and optionally evolved or
-    ou_average; value, density, density_and_gradient and
+    A family implements jet and with_scale, and optionally evolved,
+    ou_average or envelope; value, density, density_and_gradient and
     density_and_hess_log read one jet.  The searchable families (tilt,
     affine, gaussian, hermite) write their formula once, as
     jet_rows(x, order, **rows) over an optional leading member axis: each
@@ -172,6 +242,11 @@ class TestFunction:
     def from_row(cls, **row) -> "TestFunction":
         """The member of one row of jet_rows keywords (a scalar one an np.float64)."""
         return cls(**row)
+
+    def envelope(self) -> Envelope | None:
+        """The bounds log h <= l0 + l1 |x| and |grad log u| <= g0 + g1 |x| at
+        every x, None for a family that states none."""
+        return None
 
     def evolved(self, t: float) -> "TestFunction | None":
         """The member v with v^2 = P_t(u^2) under the OU semigroup, None without
@@ -318,6 +393,11 @@ class Tilt(TestFunction):
         # log u^2 = 2 log c - 2 a . x is affine: one zero matrix for every point
         h = self.density(x)
         return h, _support(h, SUPPORT_THRESHOLD), np.zeros((1, self.d, self.d))
+
+    def envelope(self) -> Envelope:
+        # log h = 2 log c - 2 a . x and grad log u = -a
+        norm_a = float(np.linalg.norm(self.a))
+        return Envelope(2.0 * math.log(self.c), 2.0 * norm_a, norm_a, 0.0)
 
     def evolved(self, t: float) -> "Tilt":
         # P_t c^2 e^{-2a.x} = c^2 e^{2(1 - e^{-2t})|a|^2} e^{-2 e^{-t} a.x}
@@ -473,6 +553,15 @@ class GaussianProfile(TestFunction):
         # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point
         h = self.density(x)
         return h, _support(h, SUPPORT_THRESHOLD), np.diag(1.0 - 1.0 / self.sigma2)[None]
+
+    def envelope(self) -> Envelope:
+        # log u = gamma + sum_k alpha_k x_k^2 + beta . x with alpha_k <= 0, and
+        # grad log u = 2 alpha x + beta
+        s2, b = self.sigma2, self.mean
+        alpha = 0.25 - 0.25 / s2
+        beta = float(np.linalg.norm(b / (2.0 * s2)))
+        gamma = math.log(self.amplitude) - 0.25 * float(np.log(s2).sum() + (b**2 / s2).sum())
+        return Envelope(2.0 * gamma, 2.0 * beta, beta, 2.0 * float(np.abs(alpha).max()))
 
     def evolved(self, t: float) -> "GaussianProfile":
         # N(b, s2) flows to N(e^{-t} b, e^{-2t} s2 + 1 - e^{-2t}) with its mass;
@@ -819,11 +908,15 @@ def _construct(tag: str, params: dict, d: int) -> TestFunction:
     raise LabError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
 
 
+def _masses(grid: QuadratureGrid, value) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return row_sums(value(grid.nodes) ** 2, grid.weights)
+
+
 def l2_norms(grid: QuadratureGrid, value) -> np.ndarray:
     """||u|| of each row of value(grid.nodes), u on the nodes, (n_points,) or
     (k, n_points); an overflow gives inf, which normalizable rejects."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(row_sums(value(grid.nodes) ** 2, grid.weights))
+    return np.sqrt(_masses(grid, value))
 
 
 def normalizable(norm):
@@ -831,8 +924,18 @@ def normalizable(norm):
     return (1e-150 <= norm) & (norm < math.inf)
 
 
+def l2_mass(u: TestFunction, grid: QuadratureGrid) -> float:
+    """||u||^2_{L2(dgamma)}, on grid's pruned twin when the mass it leaves out
+    is at most EPS x the kept mass (pruned_read), else on grid."""
+    twin, (dropped,) = pruned_read(u, grid, Envelope.density, scale=math.inf)
+    mass = float(_masses(twin, u.value))
+    if twin is grid or dropped <= EPS * mass:
+        return mass
+    return float(_masses(grid, u.value))
+
+
 def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
-    return float(l2_norms(grid, u.value))
+    return math.sqrt(l2_mass(u, grid))
 
 
 def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:

@@ -10,7 +10,7 @@ eigenvalues of the companion matrix polished by one Newton step, and its
 weights come from 1 / He_{n-1}(x_i)^2, so they are accurate relative to
 their own size down to the far tail (3e-211 at order 256), where squared
 Golub-Welsch eigenvector components are only accurate to about eps and
-underflow to 0.  Multi-dimensional rules are full tensor products
+underflow to 0.  Multi-dimensional rules are tensor products
 (tensor_rule), with an order of their own on each axis; a QuadratureGrid
 (build_grid) has one order on every axis, so it has an embedded coarse
 partner.  A grid holds its nodes and its partner's in one array,
@@ -20,6 +20,30 @@ slices of that one array of values.  embedded is the one integral reader
 with an error: it takes k integrands as the rows of one (k, N) array and
 sums each row with one dot product (row_sums), bit for bit the sum of that
 row alone, so every reader writes its integrands as rows and makes one call.
+
+A d = 3 grid has a pruned twin (grid.pruned), built on first use and not
+with the grid: the nodes of each of its two rules whose weight is at least
+PRUNE_CUT = 1e-30 x that rule's largest, in the grid's order and laid out
+as grid.points, with the nodes it leaves out summarized as N_SHELLS = 64
+equal-count shells in |x|, each the largest |x| and the summed weight of
+its nodes (Jaeckel 2005, "A note on multivariate Gauss-Hermite
+quadrature").  At order 64 it keeps 95,800 of 262,144 fine and 57,856 of
+110,592 coarse nodes; at order 16 it drops none and is the grid itself.
+For an integrand with |f(x)| <= F(|x|), F nondecreasing, dropped_bound
+sums weight x F(largest |x|) over the shells of both rules, at least what
+the twin leaves out of the fine and of the coarse sum.  F comes from the
+family's envelope, log h <= l0 + l1 |x| and |grad log u| <= g0 + g1 |x|
+(functions.Envelope; tilts and Gaussian profiles state one).  normalize,
+report and the tail weight read the twin when u states an envelope and
+each integrand's bound is at most EPS x that integral's scale
+(functions.pruned_read), and add the bound to the error they report;
+otherwise they read the full grid as before.  Every other reader keeps
+the full grid: the certifier's probes, the identities, the pressure,
+Pinsker, evolve's inner rule and search batches, so a d = 3 search
+batch's best_value may differ in the last bits from report of its best
+member.  A pruned report sums 95,800 terms, not 262,144, so its rounding
+floor is 17 ulps instead of 18.  The cut and the shell count are module
+constants, not options.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a
@@ -31,16 +55,17 @@ never judged against an error of exactly 0.  It grows like log2 n_points,
 not n_points x eps, which would widen every gate at d = 3 by orders of
 magnitude.  At the sigma^2 = 1 Gaussian (u = 1 after normalizing) the
 largest entropy residual measured was 2 ulps at d = 1 and 4 ulps at d = 2
-(orders 2..256 each), and 12 ulps at d = 3 (orders 2..96 and 128), the
-rounding of summing up to 10^6 tensor weights: above 8 ulps, below the
-20 ulps of log2 n_points there.
+(orders 2..256 each), and 12 ulps at d = 3 (orders 2..96 and 128) on
+the full grids and 10 on their pruned twins, the rounding of summing up to
+10^6 tensor weights: above 8 ulps, below the 17 to 21 ulps of
+log2 n_points there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,6 +76,10 @@ MAX_DIM = 3
 MAX_ORDER = 256
 ROUNDING_ULPS = 8
 EPS = float(np.finfo(float).eps)
+# a pruned rule keeps the nodes of weight >= PRUNE_CUT x the rule's largest
+PRUNE_CUT = 1e-30
+# and summarizes the others as N_SHELLS equal-count shells in |x|
+N_SHELLS = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +105,23 @@ def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class Shells:
+    """The nodes a pruned rule leaves out, as equal-count shells in |x|:
+    the largest |x| (radius) and the summed weight of each shell."""
+
+    radius: np.ndarray
+    weight: np.ndarray
+
+    def bound(self, envelope: Callable[[np.ndarray], np.ndarray]) -> float:
+        """sum_s weight_s envelope(radius_s): at least sum_i w_i |f(x_i)| over
+        the left-out nodes for |f(x)| <= envelope(|x|), envelope nondecreasing.
+        A shell of weight 0 adds 0 (its nodes add 0 x f to the full sum)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.weight * envelope(self.radius)
+        return float(np.where(self.weight > 0, terms, 0.0).sum())
+
+
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Tensor Gauss-Hermite grid of one order on every axis.
 
@@ -84,7 +130,8 @@ class QuadratureGrid:
     per grid; ``nodes`` and ``coarse.nodes`` are row slices of it, and
     ``weights`` (n_points,) belongs to the nodes.  The partner of a grid is
     itself a QuadratureGrid whose points are its nodes, with no partner of
-    its own (coarse = None).
+    its own (coarse = None).  The rules of a pruned twin (``pruned``) hold
+    the Shells of the nodes they leave out in ``dropped``; a full rule, None.
     """
 
     d: int
@@ -92,6 +139,7 @@ class QuadratureGrid:
     points: np.ndarray
     weights: np.ndarray
     coarse: "QuadratureGrid | None" = None
+    dropped: Shells | None = None
 
     @property
     def n_points(self) -> int:
@@ -100,6 +148,27 @@ class QuadratureGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self.points[: self.weights.shape[0]]
+
+    @cached_property
+    def pruned(self) -> "QuadratureGrid":
+        """The grid's pruned twin: at d = 3 the nodes of each rule with weight
+        >= PRUNE_CUT x that rule's largest, built on first use and kept with
+        the grid; the grid itself where no node falls below the cut, and at
+        d < 3."""
+        if self.d < MAX_DIM or self.coarse is None:
+            return self
+        (keep, dropped), (keep_c, dropped_c) = (
+            _prune(g.nodes, g.weights) for g in (self, self.coarse)
+        )
+        if dropped is None and dropped_c is None:
+            return self
+        points = np.concatenate([self.nodes[keep], self.coarse.nodes[keep_c]])
+        weights, coarse_weights = self.weights[keep], self.coarse.weights[keep_c]
+        for a in (points, weights, coarse_weights):
+            a.flags.writeable = False
+        n = weights.shape[0]
+        coarse = replace(self.coarse, points=points[n:], weights=coarse_weights, dropped=dropped_c)
+        return replace(self, points=points, weights=weights, coarse=coarse, dropped=dropped)
 
 
 def _coarse_order(order: int) -> int:
@@ -166,6 +235,28 @@ def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     if not (1 <= order <= MAX_ORDER):
         raise CapacityError(f"order {order} outside supported range 1..{MAX_ORDER}")
     return _grid(spec.d, order)
+
+
+def _prune(nodes: np.ndarray, weights: np.ndarray):
+    """The kept rows of one rule (a boolean mask, in rule order) and the
+    Shells of the others, None when it keeps every node."""
+    keep = weights >= PRUNE_CUT * weights.max()
+    if keep.all():
+        return keep, None
+    out = nodes[~keep]
+    radius = np.sqrt(np.einsum("ij,ij->i", out, out))
+    by_radius = np.argsort(radius, kind="stable")
+    radius, weight = radius[by_radius], weights[~keep][by_radius]
+    # equal-count shells: N_SHELLS consecutive runs of the nodes sorted by |x|
+    starts = np.linspace(0, radius.size, min(N_SHELLS, radius.size) + 1).astype(int)
+    return keep, Shells(radius=radius[starts[1:] - 1], weight=np.add.reduceat(weight, starts[:-1]))
+
+
+def dropped_bound(grid: QuadratureGrid, envelope: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The Shells bound of both of grid's rules on what they leave out of an
+    integrand with |f(x)| <= envelope(|x|); 0.0 on a full grid."""
+    rules = (grid, grid.coarse)
+    return sum((g.dropped.bound(envelope) for g in rules if g.dropped is not None), 0.0)
 
 
 def rounding_floor(scale, n_points: int = 1):

@@ -42,13 +42,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConstraintError, DomainError
 from .measure import QuadratureGrid, integrate_with_error
-from .functions import Record, TestFunction, _rowdot, second_moment_gap
+from .functions import (
+    Envelope,
+    Record,
+    TestFunction,
+    _rowdot,
+    pruned_read,
+    second_moment_gap,
+)
 from .functionals import FunctionalReport, report, second_moment_floor
 from .logconcavity import LogConcavityCertificate, certify, certify_along_flow
 from .ou_flow import OdeSample, _ode_samples
@@ -456,9 +463,13 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
     The integral converges against the quadrature only for eps < 1/4; the
     waiting time t0 = 2 t*(eps) = log(1 + 1/eps) keeps eps tau(t0) > 1.
     The Poincare constant of the evolved measure is assumed to obey the tail
-    estimate, which holds whenever the tail integral is finite.
+    estimate, which holds whenever the tail integral is finite.  At d = 3 a
+    u with an envelope is integrated on grid's pruned twin when what it
+    leaves out of h e^{eps |x|^2} is at most EPS (functions.pruned_read),
+    and the error carries that bound.
     """
     _check_tail_exponent(eps)
+    grid, (dropped,) = pruned_read(u, grid, partial(Envelope.tail, eps=eps))
     a_tail, a_err = integrate_with_error(
         grid,
         lambda pts: u.density(pts) * np.exp(eps * _rowdot(pts, pts)),
@@ -474,7 +485,7 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
         lambda1_lower=lam,
         c0=c0,
         constant=constant,
-        quadrature_error=float(a_err),
+        quadrature_error=float(a_err) + dropped,
     )
 
 
