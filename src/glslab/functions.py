@@ -80,6 +80,8 @@ _POINT_BUDGET = 1 << 22
 # order 32 with an order-32 inner rule (1.5e9) does not, nor at order 64
 # (9.8e10, hours)
 MAX_AVERAGE_POINTS = 1 << 30
+# points per block of an evaluation that runs block by block
+_BLOCK = 1 << 14
 
 
 def _points(x: np.ndarray, d: int) -> np.ndarray:
@@ -379,7 +381,8 @@ class Tilt(TestFunction):
     @staticmethod
     def jet_rows(x: np.ndarray, order: int, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
         """The tilts c exp(-a . x), a (k, d) and c (k,)."""
-        u = np.exp(np.matmul(-x, a[..., :, None])[..., 0])
+        u = np.matmul(x, -a[..., :, None])[..., 0]
+        np.exp(u, out=u)
         u *= c[..., None]
         if order == 0:
             return (u,)
@@ -390,8 +393,10 @@ class Tilt(TestFunction):
         return u, grad, u[..., None, None] * outer[..., None, :, :]
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # log u^2 = 2 log c - 2 a . x is affine: one zero matrix for every point
-        h = self.density(x)
+        # log u^2 = 2 log c - 2 a . x is affine: one zero matrix for every point;
+        # h = u^2 in place of the jet's u
+        u = self.value(x)
+        h = np.square(u, out=u)
         return h, _support(h, SUPPORT_THRESHOLD), np.zeros((1, self.d, self.d))
 
     def envelope(self) -> Envelope:
@@ -510,18 +515,21 @@ class GaussianProfile(TestFunction):
         """The profiles of variances sigma2 (k, d), means mean (k, d) and
         amplitudes amplitude (k,)."""
         members, d, n = sigma2.shape[:-1], sigma2.shape[-1], x.shape[0]
-        # axis by axis, summed in axis order, with at most two (k, n)
-        # temporaries besides u and the (k, d, n) rows that become grad log u:
+        # axis by axis, summed in axis order, with at most one (k, n) and one
+        # (n,) temporary besides u and the (k, d, n) rows that become grad log u:
         # log u = sum_i (-(x_i - b_i)^2 / (4 s2_i) + x_i^2 / 4) - sum_i log(s2_i) / 4
         s2 = sigma2[..., None]
         rows = np.empty(members + (d, n)) if order else None
         u = None
         for i in range(d):
             z = np.subtract(x[:, i], mean[..., i, None], out=None if rows is None else rows[..., i, :])
-            term = np.square(z)
+            # in place of z unless z is a row of grad log u
+            term = np.square(z, out=z if rows is None else None)
             term *= -0.25
             term /= s2[..., i, :]
-            term += 0.25 * np.square(x[:, i])
+            square = np.square(x[:, i])
+            square *= 0.25
+            term += square
             if u is None:
                 u = term
             else:
@@ -550,8 +558,13 @@ class GaussianProfile(TestFunction):
         return u, grad, u[..., None, None] * (outer + curv[..., None, :, :])
 
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point
-        h = self.density(x)
+        # log u^2 is quadratic: one matrix diag(1 - 1 / sigma2) for every point.
+        # u point by point, so block by block it is u on all of x bit for bit,
+        # with the jet's temporaries the size of a block; h = u^2 in place
+        h = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], _BLOCK):
+            h[start : start + _BLOCK] = self.value(x[start : start + _BLOCK])
+        np.square(h, out=h)
         return h, _support(h, SUPPORT_THRESHOLD), np.diag(1.0 - 1.0 / self.sigma2)[None]
 
     def envelope(self) -> Envelope:

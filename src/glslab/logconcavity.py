@@ -138,7 +138,9 @@ def _certificate(
         tol = BASE_TOLERANCE * max(1.0, float(magnitudes.max()))
         worst = int(mins.argmin())
         min_eig = float(mins[worst])
-        worst_point = probes[np.flatnonzero(active)[worst]].copy()
+        # the worst-th active probe; the first one without an index array
+        index = np.flatnonzero(active)[worst] if worst else active.argmax()
+        worst_point = probes[index].copy()
         if min_eig >= -tol:
             status = "certified"
         elif min_eig < -10.0 * tol:

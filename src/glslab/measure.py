@@ -157,16 +157,19 @@ class QuadratureGrid:
         d < 3."""
         if self.d < MAX_DIM or self.coarse is None:
             return self
-        (keep, dropped), (keep_c, dropped_c) = (
-            _prune(g.nodes, g.weights) for g in (self, self.coarse)
-        )
-        if dropped is None and dropped_c is None:
+        rules = (self, self.coarse)
+        keeps = [g.weights >= PRUNE_CUT * g.weights.max() for g in rules]
+        if all(keep.all() for keep in keeps):
             return self
-        points = np.concatenate([self.nodes[keep], self.coarse.nodes[keep_c]])
-        weights, coarse_weights = self.weights[keep], self.coarse.weights[keep_c]
+        # the kept rows go straight into the one points array, without copies
+        n = int(keeps[0].sum())
+        points = np.empty((n + int(keeps[1].sum()), self.d))
+        for g, keep, out in zip(rules, keeps, (points[:n], points[n:])):
+            np.compress(keep, g.nodes, axis=0, out=out)
+        weights, coarse_weights = (g.weights[keep] for g, keep in zip(rules, keeps))
         for a in (points, weights, coarse_weights):
             a.flags.writeable = False
-        n = weights.shape[0]
+        dropped, dropped_c = (_shells(g, keep) for g, keep in zip(rules, keeps))
         coarse = replace(self.coarse, points=points[n:], weights=coarse_weights, dropped=dropped_c)
         return replace(self, points=points, weights=weights, coarse=coarse, dropped=dropped)
 
@@ -237,19 +240,18 @@ def build_grid(spec: GaussianMeasureSpec, order: int) -> QuadratureGrid:
     return _grid(spec.d, order)
 
 
-def _prune(nodes: np.ndarray, weights: np.ndarray):
-    """The kept rows of one rule (a boolean mask, in rule order) and the
-    Shells of the others, None when it keeps every node."""
-    keep = weights >= PRUNE_CUT * weights.max()
-    if keep.all():
-        return keep, None
-    out = nodes[~keep]
-    radius = np.sqrt(np.einsum("ij,ij->i", out, out))
+def _shells(rule: QuadratureGrid, keep: np.ndarray) -> Shells | None:
+    """The Shells of the nodes of rule that keep leaves out, None for none."""
+    out = ~keep
+    if not out.any():
+        return None
+    radius = np.einsum("ij,ij->i", rule.nodes, rule.nodes)[out]
+    np.sqrt(radius, out=radius)
     by_radius = np.argsort(radius, kind="stable")
-    radius, weight = radius[by_radius], weights[~keep][by_radius]
+    radius, weight = radius[by_radius], rule.weights[out][by_radius]
     # equal-count shells: N_SHELLS consecutive runs of the nodes sorted by |x|
     starts = np.linspace(0, radius.size, min(N_SHELLS, radius.size) + 1).astype(int)
-    return keep, Shells(radius=radius[starts[1:] - 1], weight=np.add.reduceat(weight, starts[:-1]))
+    return Shells(radius=radius[starts[1:] - 1], weight=np.add.reduceat(weight, starts[:-1]))
 
 
 def dropped_bound(grid: QuadratureGrid, envelope: Callable[[np.ndarray], np.ndarray]) -> float:
