@@ -36,7 +36,6 @@ and computes the pressure integrals for P = -log u^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -93,12 +92,12 @@ def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized.
 
     At d = 3 a u with an envelope is read on grid's pruned twin when what it
-    leaves out of |h log h|, |grad u|^2 and the moments' h (|x|^2 + d) is at
+    leaves out of |h log h|, |grad u|^2 and the moments' h (|x|^2 + 3) is at
     most EPS each (functions.pruned_read); the entropy and the Fisher error
     then carry their part of it.
     """
     grid, (entropy_out, fisher_out, _) = pruned_read(
-        u, grid, Envelope.entropy, Envelope.fisher, partial(Envelope.moments, d=grid.d)
+        u, grid, Envelope.entropy, Envelope.fisher, Envelope.moments
     )
     h, grad = u.density_and_gradient(grid.points)
     return report_rows(grid, h[None], grad[None], dropped=(entropy_out, fisher_out))[0]

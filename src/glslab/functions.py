@@ -170,9 +170,9 @@ class Envelope:
         """h itself."""
         return np.exp(self.l0 + self.l1 * r)
 
-    def moments(self, r: np.ndarray, d: int) -> np.ndarray:
-        """h (|x|^2 + d), which bounds h, h |x_i| and h ||x|^2 - d|."""
-        return self.density(r) * (r**2 + d)
+    def moments(self, r: np.ndarray) -> np.ndarray:
+        """h (|x|^2 + 3), which bounds h, h |x_i| and h ||x|^2 - d| at d <= 3."""
+        return self.density(r) * (r**2 + 3.0)
 
     def entropy(self, r: np.ndarray) -> np.ndarray:
         """|h log h|: the largest s |log s| over 0 <= s <= H = e^{l0 + l1 r},
@@ -921,15 +921,11 @@ def _construct(tag: str, params: dict, d: int) -> TestFunction:
     raise LabError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
 
 
-def _masses(grid: QuadratureGrid, value) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return row_sums(value(grid.nodes) ** 2, grid.weights)
-
-
 def l2_norms(grid: QuadratureGrid, value) -> np.ndarray:
     """||u|| of each row of value(grid.nodes), u on the nodes, (n_points,) or
     (k, n_points); an overflow gives inf, which normalizable rejects."""
-    return np.sqrt(_masses(grid, value))
+    with np.errstate(over="ignore"):
+        return np.sqrt(row_sums(value(grid.nodes) ** 2, grid.weights))
 
 
 def normalizable(norm):
@@ -937,18 +933,14 @@ def normalizable(norm):
     return (1e-150 <= norm) & (norm < math.inf)
 
 
-def l2_mass(u: TestFunction, grid: QuadratureGrid) -> float:
-    """||u||^2_{L2(dgamma)}, on grid's pruned twin when the mass it leaves out
+def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
+    """||u||_{L2(dgamma)}, on grid's pruned twin when the mass it leaves out
     is at most EPS x the kept mass (pruned_read), else on grid."""
     twin, (dropped,) = pruned_read(u, grid, Envelope.density, scale=math.inf)
-    mass = float(_masses(twin, u.value))
-    if twin is grid or dropped <= EPS * mass:
-        return mass
-    return float(_masses(grid, u.value))
-
-
-def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
-    return math.sqrt(l2_mass(u, grid))
+    norm = float(l2_norms(twin, u.value))
+    if twin is grid or dropped <= EPS * norm**2:
+        return norm
+    return float(l2_norms(grid, u.value))
 
 
 def normalize(u: TestFunction, grid: QuadratureGrid) -> TestFunction:

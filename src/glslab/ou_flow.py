@@ -60,7 +60,6 @@ from .functions import (
     _support,
     check_envelope,
     inner_average,
-    l2_mass,
 )
 from .functionals import FunctionalReport, IdentityResult, _integrals, _positive_mask
 from .functionals import report, report_rows
@@ -232,11 +231,9 @@ def _evolve(u0: TestFunction, t: float, grid: QuadratureGrid, x: np.ndarray, avg
     inner_err = 0.0
     order = 0
     avg = None
-    mass = None
     v_raw = u0 if t == 0 else u0.evolved(t)
     if v_raw is not None:
-        # normalize's mass, which reads a pruned d = 3 twin where it may
-        mass = l2_mass(v_raw, grid)
+        h = v_raw.density(grid.nodes)
     elif (avg := u0.ou_average(x, t, avg_order)) is not None:
         v_raw, h = EvolvedDensity(u0=u0, t=t), avg[0][: grid.n_points]
     else:
@@ -254,12 +251,11 @@ def _evolve(u0: TestFunction, t: float, grid: QuadratureGrid, x: np.ndarray, avg
                 f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
                 stacklevel=3,
             )
-    if mass is None:
-        # ||sqrt h||^2 as l2_mass sums it on a grid without a twin read
-        mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
+    # ||sqrt h||^2 as l2_norm sums it on grid, so that v is normalize(v_raw, grid)
+    # bit for bit wherever normalize reads grid itself: not on a pruned d = 3 twin
+    mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
     if mass <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
-    # 1 / sqrt(mass) as normalize scales, so that v is normalize(v_raw, grid) bit for bit
     v = v_raw.with_scale(1.0 / math.sqrt(mass))
     if avg is None:
         rep = report(v, grid)

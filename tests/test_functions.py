@@ -26,7 +26,7 @@ from glslab import (
     second_moment_gap,
 )
 from glslab.functionals import second_moment_floor
-from glslab.functions import _hull_probes, _moments, _rowdot
+from glslab.functions import _BLOCK, _hull_probes, _moments, _rowdot
 from glslab.measure import rounding_floor
 
 
@@ -64,6 +64,15 @@ class TestTilt:
         x = np.array([[0.2, -0.3]])
         expect = u.value(x)[0] * np.outer(a, a)
         np.testing.assert_allclose(u.jet(x)[2][0], expect, rtol=1e-14)
+
+    @pytest.mark.parametrize("members", [(), (4,)])
+    def test_value_is_c_exp_of_the_negated_points_bit_for_bit(self, members):
+        # jet_rows negates a, not the (n, d) points; the products are the same
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(1000, 3))
+        a, c = rng.normal(size=members + (3,)), rng.uniform(0.5, 2.0, size=members)
+        want = np.exp(np.matmul(-x, a[..., :, None])[..., 0]) * c[..., None]
+        np.testing.assert_array_equal(Tilt.jet_rows(x, 0, a=a, c=c)[0], want)
 
     def test_log_density_hessian_is_zero(self):
         # log u^2 is affine; the base formula leaves rounding behind
@@ -114,6 +123,14 @@ class TestAffine:
 
 
 class TestGaussianProfile:
+    def test_log_density_hessian_reads_u_block_by_block_bit_for_bit(self):
+        # density_and_hess_log evaluates u in blocks of _BLOCK points
+        u = GaussianProfile(sigma2=np.array([0.3, 0.7, 1.0]), mean=np.array([0.5, -0.2, 0.0]))
+        x = np.random.default_rng(1).normal(size=(2 * _BLOCK + 5, 3))
+        h, mask, hess_log = u.density_and_hess_log(x)
+        np.testing.assert_array_equal(h, u.value(x) ** 2)
+        np.testing.assert_array_equal(hess_log, np.diag(1.0 - 1.0 / u.sigma2)[None])
+
     def test_unit_norm_by_construction(self, grid1):
         u = GaussianProfile(sigma2=np.array([0.5]), mean=np.array([0.4]))
         assert l2_norm(u, grid1) == pytest.approx(1.0, abs=1e-13)

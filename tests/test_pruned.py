@@ -24,7 +24,7 @@ from glslab import (
     tail_weight,
 )
 from glslab.functionals import _xlogx, report_rows
-from glslab.functions import Envelope, _rowdot, l2_mass, pruned_read
+from glslab.functions import Envelope, _rowdot, pruned_read
 from glslab.measure import EPS, N_SHELLS, PRUNE_CUT, dropped_bound, integrate_with_error
 
 _FAMILIES = Path(__file__).with_name("golden") / "families"
@@ -99,7 +99,7 @@ def _integrands(u, x):
         Envelope.density: h,
         Envelope.entropy: np.abs(hlogh),
         Envelope.fisher: _rowdot(grad, grad),
-        partial(Envelope.moments, d=3): h * (r2 + 3),
+        Envelope.moments: h * (r2 + 3),
         partial(Envelope.tail, eps=TAIL_EPS): h * np.exp(TAIL_EPS * r2),
     }
 
@@ -177,10 +177,3 @@ def test_certify_keeps_every_node_as_a_probe(grid3):
     u = normalize(corpus.get("tilt_d3").function(), grid3)
     assert certify(u, grid3).n_probes == 64**3 + 1536
 
-
-def test_a_closed_form_state_is_normalized_as_normalize_does(grid3):
-    # evolve's mass of a tilt is l2_mass, which reads the twin as normalize does
-    u = normalize(corpus.get("tilt_d3").function(), grid3)
-    state = evolve(u, 0.5, grid3)
-    assert state.v.to_json() == normalize(u.evolved(0.5), grid3).to_json()
-    assert state.mass == l2_mass(u.evolved(0.5), grid3)
