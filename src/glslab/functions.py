@@ -167,7 +167,7 @@ class Envelope:
     g1: float
 
     def density(self, r: np.ndarray) -> np.ndarray:
-        """h itself."""
+        """The bound on h itself."""
         return np.exp(self.l0 + self.l1 * r)
 
     def moments(self, r: np.ndarray) -> np.ndarray:
@@ -515,21 +515,18 @@ class GaussianProfile(TestFunction):
         """The profiles of variances sigma2 (k, d), means mean (k, d) and
         amplitudes amplitude (k,)."""
         members, d, n = sigma2.shape[:-1], sigma2.shape[-1], x.shape[0]
-        # axis by axis, summed in axis order, with at most one (k, n) and one
-        # (n,) temporary besides u and the (k, d, n) rows that become grad log u:
+        # axis by axis, summed in axis order, with at most two (k, n)
+        # temporaries besides u and the (k, d, n) rows that become grad log u:
         # log u = sum_i (-(x_i - b_i)^2 / (4 s2_i) + x_i^2 / 4) - sum_i log(s2_i) / 4
         s2 = sigma2[..., None]
         rows = np.empty(members + (d, n)) if order else None
         u = None
         for i in range(d):
             z = np.subtract(x[:, i], mean[..., i, None], out=None if rows is None else rows[..., i, :])
-            # in place of z unless z is a row of grad log u
-            term = np.square(z, out=z if rows is None else None)
+            term = np.square(z)
             term *= -0.25
             term /= s2[..., i, :]
-            square = np.square(x[:, i])
-            square *= 0.25
-            term += square
+            term += 0.25 * np.square(x[:, i])
             if u is None:
                 u = term
             else:

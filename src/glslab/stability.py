@@ -470,16 +470,10 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
     """
     _check_tail_exponent(eps)
     grid, (dropped,) = pruned_read(u, grid, partial(Envelope.tail, eps=eps))
-
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        # u^2 e^{eps |x|^2}, with its full-size temporaries reused in place
-        weight = _rowdot(pts, pts, scratch=np.empty(pts.shape[0]))
-        weight *= eps
-        np.exp(weight, out=weight)
-        weight *= u.density(pts)
-        return weight
-
-    a_tail, a_err = integrate_with_error(grid, integrand)
+    a_tail, a_err = integrate_with_error(
+        grid,
+        lambda pts: u.density(pts) * np.exp(eps * _rowdot(pts, pts)),
+    )
     t0 = 2.0 * t_star_tail(eps)
     lam = lambda1_tail_lower(eps, max(float(a_tail), 1.0), t0)
     c0 = 1.0 + 0.25 * lam
