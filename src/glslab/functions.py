@@ -933,6 +933,7 @@ def normalizable(norm):
 def l2_norm(u: TestFunction, grid: QuadratureGrid) -> float:
     """||u||_{L2(dgamma)}, on grid's pruned twin when the mass it leaves out
     is at most EPS x the kept mass (pruned_read), else on grid."""
+    # the scale is the kept mass, known only once the twin is read
     twin, (dropped,) = pruned_read(u, grid, Envelope.density, scale=math.inf)
     norm = float(l2_norms(twin, u.value))
     if twin is grid or dropped <= EPS * norm**2:
