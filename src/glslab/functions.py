@@ -1,12 +1,12 @@
 """Parametric test functions u with closed-form derivatives.
 
-Each family implements one evaluation method, jet(x, order), which returns
-u, grad u and Hess u on a batch of points up to the given order and
+Each family writes one evaluation formula, jet(x, order) or jet_rows over
+members, which returns u, grad u and Hess u up to the given order and
 computes nothing beyond it; value, density and density_and_gradient read
-it.  Each family also knows how to rescale itself, so normalization never
-leaves the family.  The associated probability density is h = u^2 dgamma
-(after normalization); the log-density Hessian used by the log-concavity
-certifier is
+it.  Each family rescales through the one parameter it names in scaled, so
+normalization never leaves the family.  The probability density is h = u^2
+dgamma (after normalization); the log-density Hessian used by the
+log-concavity certifier is
 
     Hess log(u^2) = 2 (Hess u / u - (grad u / u) (x) (grad u / u)),
 
@@ -212,33 +212,40 @@ def pruned_read(
 class TestFunction:
     """Base interface: jet(x, order) on (n, d) point batches.
 
-    A family implements jet and with_scale, and optionally evolved,
-    ou_average or envelope; value, density, density_and_gradient and
-    density_and_hess_log read one jet.  The searchable families (tilt,
-    affine, gaussian, hermite) write their formula once, as
-    jet_rows(x, order, **rows) over an optional leading member axis: each
-    keyword holds one row per member, (k,) or (k, d) (the Hermite
-    multi-indices are shared), and it returns shapes (k, n), (k, d, n) and
-    (k, n, d, d).  Their jet is _row_jet, jet_rows on _row, the member's
-    own keywords without that axis, which its constructor keeps;
-    from_row(**row) builds the member of one row, by default the
-    constructor on its keywords.  admits(**rows) tells which rows pass the
-    constructor's check of the parameters, and the constructor calls it on
-    its own row.  with_scale multiplies one keyword, named by scaled (the
-    tilt's c, the amplitude, every Hermite coefficient).
+    A family writes jet or jet_rows, and optionally evolved, ou_average or
+    envelope; value, density, density_and_gradient and density_and_hess_log
+    read one jet.  The searchable families (tilt, affine, gaussian, hermite)
+    write their formula once, as jet_rows(x, order, **rows) over an optional
+    leading member axis: each keyword holds one row per member, (k,) or
+    (k, d) (the Hermite multi-indices are shared), and it returns shapes
+    (k, n), (k, d, n) and (k, n, d, d).  Their jet is the default, jet_rows
+    on _row, the member's own keywords without that axis, which its
+    constructor keeps; from_row(**row) builds the member of one row, by
+    default the constructor on its keywords.  admits(**rows) tells which
+    rows pass the constructor's check of the parameters, and the
+    constructor calls it on its own row.  with_scale multiplies the field
+    named by scaled (the amplitude, the tilt's c); the Hermite expansion
+    writes its own, which scales every coefficient.
     """
 
     d: int
     family: str
+    scaled = "amplitude"
     support_radius: float | None = None
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         """The first order + 1 (order = 0, 1 or 2) of u, grad u and Hess u at x,
-        shapes (n,), (n, d) and (n, d, d); nothing beyond order is computed."""
-        raise NotImplementedError
+        shapes (n,), (n, d) and (n, d, d); nothing beyond order is computed.
+        By default jet_rows on the member's own row."""
+        value, *derivs = self.jet_rows(_points(x, self.d), order, **self._row)
+        if not derivs:
+            return (value,)
+        # the gradient is built axis-major, (d, n), and read transposed
+        return (value, derivs[0].T) + tuple(derivs[1:])
 
     def with_scale(self, c: float) -> "TestFunction":
-        raise NotImplementedError
+        """The member c u: by default the field named by scaled times c."""
+        return replace(self, **{self.scaled: getattr(self, self.scaled) * c})
 
     @classmethod
     def from_row(cls, **row) -> "TestFunction":
@@ -295,20 +302,6 @@ class TestFunction:
         return {"family": self.family, "params": self.params(), "d": self.d}
 
 
-def _row_jet(u: TestFunction, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """The jet of a family with a formula over members: jet_rows on u's own row."""
-    value, *derivs = u.jet_rows(_points(x, u.d), order, **u._row)
-    if not derivs:
-        return (value,)
-    # the gradient is built axis-major, (d, n), and read transposed
-    return (value, derivs[0].T) + tuple(derivs[1:])
-
-
-def _scale_row(u: TestFunction, c: float) -> TestFunction:
-    """with_scale of a family whose scale is the one parameter u.scaled."""
-    return replace(u, **{u.scaled: getattr(u, u.scaled) * c})
-
-
 def check_envelope(n_outer: int, n_inner: int) -> None:
     """CapacityError if an average over n_outer x n_inner points would exceed
     MAX_AVERAGE_POINTS."""
@@ -363,8 +356,6 @@ class Tilt(TestFunction):
     d: int = field(init=False, default=0)
     family = "tilt"
     scaled = "c"
-    jet = _row_jet
-    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         a = _vector("a", self.a)
@@ -423,9 +414,6 @@ class Affine(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "affine"
-    scaled = "amplitude"
-    jet = _row_jet
-    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         nu = _vector("nu", self.nu)
@@ -482,9 +470,6 @@ class GaussianProfile(TestFunction):
     amplitude: float = 1.0
     d: int = field(init=False, default=0)
     family = "gaussian"
-    scaled = "amplitude"
-    jet = _row_jet
-    with_scale = _scale_row
 
     def __post_init__(self) -> None:
         s2 = _vector("sigma2", self.sigma2)
@@ -619,9 +604,6 @@ class Bump(TestFunction):
         second = (8.0 / self.radius**4) * z[:, :, None] * z[:, None, :]
         return u, grad, self.amplitude * np.where(inside[:, None, None], first + second, 0.0)
 
-    def with_scale(self, c: float) -> "Bump":
-        return replace(self, amplitude=self.amplitude * c)
-
     def ou_average(self, x, t, order):
         if self.d != 1:
             return None
@@ -657,7 +639,6 @@ class HermiteExpansion(TestFunction):
     d: int = 1
     family = "hermite"
     scaled = "coeffs"
-    jet = _row_jet
 
     def __post_init__(self) -> None:
         terms = []
@@ -707,48 +688,36 @@ class HermiteExpansion(TestFunction):
         kmax = max((max(alpha) for alpha in alphas), default=0)
         table = _hermite_table(np.ascontiguousarray(x.T), kmax)
 
-        def product(factor: np.ndarray, ks) -> np.ndarray:
-            # factor (k,) times prod_axis He_{ks[axis]}(x_axis), multiplied in axis order
-            term = factor[..., None] * table[ks[0], 0]
-            for axis in range(1, d):
-                term = term * table[ks[axis], axis]
-            return term
+        def expansion(terms, out: np.ndarray) -> np.ndarray:
+            # out += factor (k,) times prod_axis He_{alpha[axis]}(x_axis), in axis order
+            for alpha, factor in terms:
+                term = factor[..., None] * table[alpha[0], 0]
+                for axis in range(1, d):
+                    term = term * table[alpha[axis], axis]
+                out += term
+            return out
+
+        def derivative(terms, axis: int) -> list:
+            # He_k' = k He_{k-1}: a term whose degree along axis is 0 drops out
+            return [(alpha[:axis] + (k - 1,) + alpha[axis + 1 :], factor * k)
+                    for alpha, factor in terms if (k := alpha[axis]) > 0]
 
         terms = [(alpha, coeffs[..., t]) for t, alpha in enumerate(alphas)]
-        u = np.zeros(members + (n,))
-        for alpha, coeff in terms:
-            u += product(coeff, alpha)
+        u = expansion(terms, np.zeros(members + (n,)))
         if order == 0:
             return (u,)
+        firsts = [derivative(terms, j) for j in range(d)]
         grad = np.zeros(members + (d, n))
-        for alpha, coeff in terms:
-            for j, kj in enumerate(alpha):
-                if kj == 0:
-                    continue
-                # He_k' = k He_{k-1}
-                ks = [k - 1 if axis == j else k for axis, k in enumerate(alpha)]
-                grad[..., j, :] += product(coeff * kj, ks)
+        for j, first in enumerate(firsts):
+            expansion(first, grad[..., j, :])
         if order == 1:
             return u, grad
         hess = np.zeros(members + (n, d, d))
-        for alpha, coeff in terms:
-            for j in range(d):
-                for l in range(j, d):
-                    kj, kl = alpha[j], alpha[l]
-                    if j == l:
-                        if kj < 2:
-                            continue
-                        factor = coeff * kj * (kj - 1)
-                        drop = {j: 2}
-                    else:
-                        if kj == 0 or kl == 0:
-                            continue
-                        factor = coeff * kj * kl
-                        drop = {j: 1, l: 1}
-                    term = product(factor, [k - drop.get(axis, 0) for axis, k in enumerate(alpha)])
-                    hess[..., j, l] += term
-                    if j != l:
-                        hess[..., l, j] += term
+        for j, first in enumerate(firsts):
+            for l in range(j, d):
+                expansion(derivative(first, l), hess[..., j, l])
+                if l != j:
+                    hess[..., l, j] = hess[..., j, l]
         return u, grad, hess
 
     def with_scale(self, c: float) -> "HermiteExpansion":
@@ -808,9 +777,6 @@ class TwoBumps(TestFunction):
         u = self.amplitude * (1.0 + right[0] + left[0])
         return (u,) + tuple(self.amplitude * (r + l) for r, l in zip(right[1:], left[1:]))
 
-    def with_scale(self, c: float) -> "TwoBumps":
-        return replace(self, amplitude=self.amplitude * c)
-
     def ou_average(self, x, t, order):
         # h0 = A^2 (1 + sum_i (2 b_i + b_i^2) + 2 b_+ b_-): each lobe on its own
         # window, and the cross term where the lobes overlap (separation < radius)
@@ -843,8 +809,8 @@ class TwoBumps(TestFunction):
 def build_function(obj: dict) -> TestFunction:
     """Construct a family member from {"family": tag, "params": {...}, "d": n}.
 
-    A d outside 1..MAX_DIM (default 1), missing or malformed parameters,
-    and parameters of another dimension than d raise LabError.
+    A d outside 1..MAX_DIM (default 1), missing, malformed or unknown
+    parameters, and parameters of another dimension than d raise LabError.
     """
     try:
         tag = obj["family"]
@@ -860,43 +826,42 @@ def build_function(obj: dict) -> TestFunction:
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"{type(exc).__name__}: {exc}"
         raise LabError(f"cannot build a {tag} from {params}: {problem}") from exc
+    unknown = [name for name in params if name not in u.params()]
+    if unknown:
+        raise LabError(f"unknown {tag} parameters {unknown}; known: {sorted(u.params())}")
     if u.d != d:
         raise LabError(f"the {tag} parameters have d = {u.d}, the description states d = {d}")
     return u
 
 
+def _per_axis(value, d: int) -> np.ndarray:
+    """value as a float vector; a one-entry value stands for all d axes."""
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    return np.full(d, v[0]) if v.shape == (1,) else v
+
+
 def _construct(tag: str, params: dict, d: int) -> TestFunction:
     if tag == "tilt":
-        a = np.atleast_1d(np.asarray(params.get("a", 0.0), dtype=float))
-        if a.shape == (1,) and d > 1:
-            a = np.full(d, a[0])
-        return Tilt(a=a, c=float(params.get("c", 1.0)))
+        return Tilt(a=_per_axis(params.get("a", 0.0), d), c=float(params.get("c", 1.0)))
     if tag == "affine":
         nu = params.get("nu")
-        if nu is None:
-            nu = np.eye(d)[0]
         return Affine(
             eps=float(params["eps"]),
-            nu=np.asarray(nu, dtype=float),
+            nu=np.eye(d)[0] if nu is None else nu,
             amplitude=float(params.get("amplitude", 1.0)),
         )
     if tag == "gaussian":
-        s2 = np.atleast_1d(np.asarray(params["sigma2"], dtype=float))
-        if s2.shape == (1,) and d > 1:
-            s2 = np.full(d, s2[0])
         return GaussianProfile(
-            sigma2=s2,
+            sigma2=_per_axis(params["sigma2"], d),
             mean=params.get("mean"),
             amplitude=float(params.get("amplitude", 1.0)),
         )
     if tag == "bump":
-        center = params.get("center")
-        if center is None:
-            center = np.zeros(d)
         return Bump(
             radius=float(params["radius"]),
-            center=np.asarray(center, dtype=float),
+            center=params.get("center"),
             amplitude=float(params.get("amplitude", 1.0)),
+            d=d,
         )
     if tag == "hermite":
         coeffs = params["coeffs"]

@@ -115,10 +115,13 @@ class Shells:
     def bound(self, envelope: Callable[[np.ndarray], np.ndarray]) -> float:
         """sum_s weight_s envelope(radius_s): at least sum_i w_i |f(x_i)| over
         the left-out nodes for |f(x)| <= envelope(|x|), envelope nondecreasing.
-        A shell of weight 0 adds 0 (its nodes add 0 x f to the full sum)."""
+        A shell of weight 0 adds 0 (its nodes add 0 x f to the full sum).
+        Where the envelope is tight (a constant h) the shell sum is the nodes'
+        own sum in another order, so it is rounded up by its rounding_floor."""
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.weight * envelope(self.radius)
-        return float(np.where(self.weight > 0, terms, 0.0).sum())
+        total = float(np.where(self.weight > 0, terms, 0.0).sum())
+        return total * (1.0 + rounding_floor(1.0, self.weight.size))
 
 
 @dataclass(frozen=True)

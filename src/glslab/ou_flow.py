@@ -157,9 +157,6 @@ class EvolvedDensity(TestFunction):
     def density_and_hess_log(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _hess_log(*self._average(x, 2))
 
-    def with_scale(self, c: float) -> "EvolvedDensity":
-        return replace(self, amplitude=self.amplitude * c)
-
     def params(self) -> dict:
         return {
             "t": self.t,

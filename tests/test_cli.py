@@ -138,6 +138,10 @@ class TestReport:
                 json.dumps({"family": "bump", "params": {"radius": 1.0, "center": [[0.1]]}}),
                 "center must be a vector",
             ),
+            (
+                json.dumps({"family": "bump", "params": {"radius": 1.0, "centre": [0.5]}, "d": 1}),
+                "unknown bump parameters ['centre']; known: ['amplitude', 'center', 'radius']",
+            ),
         ],
         ids=[
             "missing_file",
@@ -159,6 +163,7 @@ class TestReport:
             "gaussian_matrix",
             "gaussian_mean_matrix",
             "bump_center_matrix",
+            "unknown_parameter",
         ],
     )
     def test_malformed_family_file_is_a_lab_error(self, capsys, tmp_path, text, message):

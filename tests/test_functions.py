@@ -272,14 +272,19 @@ def test_lower_order_jets_are_the_leading_arrays_of_the_full_jet(u):
 def test_families_evaluate_through_jet_alone():
     evaluators = {
         "value", "gradient", "hessian", "density", "density_and_gradient",
-        "hess_log_density", "density_and_hess_log", "jet",
+        "hess_log_density", "density_and_hess_log", "jet", "jet_rows",
     }
     assert {type(u) for u in _jet_cases()} == set(TestFunction.__subclasses__())
     for cls in TestFunction.__subclasses__():
+        # every family but the Hermite expansion scales through its scaled field
+        assert ("with_scale" in vars(cls)) == (cls is HermiteExpansion), cls
         if cls is EvolvedDensity:
             continue
+        # one formula, as jet or as jet_rows, plus a closed-form Hess log h
         closed_form = {"density_and_hess_log"} if cls in (Tilt, GaussianProfile) else set()
-        assert evaluators & vars(cls).keys() == {"jet"} | closed_form, cls
+        defined = evaluators & vars(cls).keys()
+        assert len(defined & {"jet", "jet_rows"}) == 1, cls
+        assert defined - {"jet", "jet_rows"} == closed_form, cls
     for name in ("gradient", "hessian", "hess_log_density"):
         assert not hasattr(TestFunction, name)
         assert not hasattr(EvolvedDensity, name)
