@@ -36,7 +36,7 @@ and computes the pressure integrals for P = -log u^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,17 +100,20 @@ def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
         u, grid, Envelope.entropy, Envelope.fisher, Envelope.moments
     )
     h, grad = u.density_and_gradient(grid.points)
-    return report_rows(grid, h[None], grad[None], dropped=(entropy_out, fisher_out))[0]
+    return report_rows(grid, h[None], grad[None], dropped=[(entropy_out, fisher_out)])[0]
 
 
 def report_rows(
-    grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray, dropped: tuple[float, float] = (0.0, 0.0)
+    grid: QuadratureGrid,
+    h: np.ndarray,
+    grad: np.ndarray,
+    dropped: Sequence[tuple[float, float]] | None = None,
 ) -> list[FunctionalReport]:
     """The report of each of k normalized members, given its density h
     (k, N) and its gradient grad (k, N, d) on the N grid.points; every
-    integral and moment is taken over all rows at once.  dropped holds what
-    a pruned grid leaves out of the entropy and of the Fisher integral, added
-    to their errors."""
+    integral and moment is taken over all rows at once.  dropped holds, per
+    member, what a pruned grid leaves out of the entropy and of the Fisher
+    integral, added to their errors; None for nothing."""
     k, n = h.shape[0], grid.n_points
     fine_h = h[:, :n]
     norms = _require_unit_norm(grid, fine_h)
@@ -122,8 +125,9 @@ def report_rows(
     integrals, errors = embedded(grid, rows)
     reports = []
     for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
-        e, f, f_err = integrals[i], integrals[k + i], errors[k + i] + dropped[1]
-        e_err = max(errors[i], rounding_floor(norm**2, n)) + dropped[0]
+        e_out, f_out = (0.0, 0.0) if dropped is None else dropped[i]
+        e, f, f_err = integrals[i], integrals[k + i], errors[k + i] + f_out
+        e_err = max(errors[i], rounding_floor(norm**2, n)) + e_out
         reports.append(
             FunctionalReport(
                 d=grid.d,

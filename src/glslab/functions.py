@@ -21,12 +21,12 @@ compactly supported by design and reports its support radius.
 
 Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 (evolved: Gaussian profiles and tilts) or supply the exact Gaussian
-averages of u^2 and its derivatives (ou_average(x, t, order), whose order
-means what jet's does).  Affine and Hermite u of degree k_i along axis i
-take them from inner_average on measure.tensor_rule of the orders
-k_i + 1, exact for u^2; every d = 1 bump and two_bumps from the windows
-module, imported on first use so that `import glslab` does not compile
-it.  inner_average is also every family's reference quadrature
+averages of u^2 and its derivatives (ou_average(x, times, order), one
+tuple per time, whose order means what jet's does).  Affine and Hermite u
+of degree k_i along axis i take them from inner_average on
+measure.tensor_rule of the orders k_i + 1, exact for u^2; every d = 1
+bump and two_bumps from the windows module, imported on first use so that
+`import glslab` does not compile it.  inner_average is also every family's reference quadrature
 (ou_flow.EvolvedDensity), the only one of d >= 2 bumps and two_bumps.
 
 Tilts and Gaussian profiles state an Envelope, log h <= l0 + l1 |x| and
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from numbers import Real
 from typing import Sequence
 
@@ -70,7 +70,16 @@ MAX_HERMITE_DEGREE = 12
 SUPPORT_THRESHOLD = 1e-10
 # the support of the readers that divide by v or h: v > SUPPORT_FLOOR max v
 SUPPORT_FLOOR = 1e-12
-FAMILY_TAGS = ("tilt", "affine", "gaussian", "bump", "hermite", "two_bumps")
+# the parameter names build_function accepts, per family
+_PARAMETERS = {
+    "tilt": ("a", "c"),
+    "affine": ("eps", "nu", "amplitude"),
+    "gaussian": ("sigma2", "mean", "amplitude"),
+    "bump": ("radius", "center", "amplitude"),
+    "hermite": ("coeffs",),
+    "two_bumps": ("height", "radius", "separation", "amplitude"),
+}
+FAMILY_TAGS = tuple(_PARAMETERS)
 # outer x inner points x d^2 (a Hessian's entries) of one chunk of inner_average
 _POINT_BUDGET = 1 << 22
 # outer x inner points of one average, minutes of work.  An average on
@@ -80,7 +89,8 @@ _POINT_BUDGET = 1 << 22
 # order 32 with an order-32 inner rule (1.5e9) does not, nor at order 64
 # (9.8e10, hours)
 MAX_AVERAGE_POINTS = 1 << 30
-# points per block of an evaluation that runs block by block
+# points per block of an evaluation that runs block by block; also times x
+# rows of one batch of flow times (ou_flow._evolve)
 _BLOCK = 1 << 14
 
 
@@ -262,11 +272,12 @@ class TestFunction:
         a closed form; t is finite and positive."""
         return None
 
-    def ou_average(self, x: np.ndarray, t: float, order: int) -> "tuple[np.ndarray, ...] | None":
+    def ou_average(self, x: np.ndarray, times, order: int) -> "list[tuple[np.ndarray, ...]] | None":
         """Exact Gaussian averages int f(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y)
         of the first order + 1 of f = h0, grad h0 and Hess h0 (h0 = u^2), shapes
-        (n,), (n, d) and (n, d, d); None for a family without them.  t is
-        finite and positive."""
+        (n,), (n, d) and (n, d, d), one tuple for each t of the sequence times;
+        None for a family without them.  Every t is finite and positive.  The
+        families here also take one time t, and then return its one tuple."""
         return None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -312,39 +323,66 @@ def check_envelope(n_outer: int, n_inner: int) -> None:
         )
 
 
-def inner_average(
-    u0: TestFunction, x: np.ndarray, t: float, order: int, nodes: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """u0.ou_average(x, t, order) over the inner rule (nodes, weights) in y.
+def _per_time(stacked) -> list[tuple[np.ndarray, ...]]:
+    """One tuple per time from averages stacked along a leading time axis."""
+    return [tuple(a[i] for a in stacked) for i in range(stacked[0].shape[0])]
 
-    One jet of u0 to the given order per chunk of outer x inner points
-    serves every average; an average over more than MAX_AVERAGE_POINTS
-    points raises CapacityError before any work.
+
+def _over_times(average):
+    """An ou_average over a sequence of times that also takes one time t,
+    and then returns its one tuple (or None)."""
+
+    @wraps(average)
+    def over(self, x, times, order):
+        if np.ndim(times):
+            return average(self, x, times, order)
+        out = average(self, x, [times], order)
+        return None if out is None else out[0]
+
+    return over
+
+
+def inner_average(
+    u0: TestFunction, x: np.ndarray, times, order: int, nodes: np.ndarray, weights: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """u0.ou_average(x, times, order) over the inner rule (nodes, weights) in
+    y, one tuple per time.
+
+    The outer points go in chunks of _POINT_BUDGET outer x inner points x
+    d^2.  One jet of u0 to the given order serves every average of as many
+    times as fit in that budget with the chunk; each time is then contracted
+    on its own block of the chunk, so its bits are those of a call with that
+    time alone.  An average over more than MAX_AVERAGE_POINTS points raises
+    CapacityError before any work.
     """
     pts = _points(x, u0.d)
-    m = weights.shape[0]
-    check_envelope(pts.shape[0], m)
-    decay = math.exp(-t)
-    spread = math.sqrt(-math.expm1(-2.0 * t))
-    avg = tuple(np.empty((pts.shape[0],) + (u0.d,) * k) for k in range(order + 1))
-    chunk = max(1, _POINT_BUDGET // (m * u0.d**2))
-    for start in range(0, pts.shape[0], chunk):
+    (n, d), m = pts.shape, weights.shape[0]
+    check_envelope(n, m)
+    decay = np.array([math.exp(-t) for t in times])[:, None, None, None]
+    spread = np.array([math.sqrt(-math.expm1(-2.0 * t)) for t in times])[:, None, None, None]
+    avg = tuple(np.empty((len(times), n) + (d,) * k) for k in range(order + 1))
+    chunk = max(1, _POINT_BUDGET // (m * d**2))
+    for start in range(0, n, chunk):
         xb = pts[start : start + chunk]
-        z = decay * xb[:, None, :] + spread * nodes[None, :, :]
-        u, *derivs = u0.jet(z.reshape(-1, u0.d), order)
-        # one order at a time: h0 = u^2, grad h0 = 2 u grad u,
-        # Hess h0 = 2 (grad u (x) grad u + u Hess u)
-        for k, out in enumerate(avg):
-            if k == 0:
-                vals = u**2
-            elif k == 1:
-                vals = 2.0 * u[:, None] * derivs[0]
-            else:
-                g, hess = derivs
-                vals = 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
-            vals = vals.reshape((xb.shape[0], m) + vals.shape[1:])
-            out[start : start + chunk] = np.tensordot(vals, weights, axes=([1], [0]))
-    return avg
+        per = max(1, _POINT_BUDGET // (xb.shape[0] * m * d**2))
+        for first in range(0, len(times), per):
+            batch = slice(first, first + per)
+            z = decay[batch] * xb[:, None, :] + spread[batch] * nodes[None, :, :]
+            u, *derivs = u0.jet(z.reshape(-1, d), order)
+            # one order at a time: h0 = u^2, grad h0 = 2 u grad u,
+            # Hess h0 = 2 (grad u (x) grad u + u Hess u)
+            for k, out in enumerate(avg):
+                if k == 0:
+                    vals = u**2
+                elif k == 1:
+                    vals = 2.0 * u[:, None] * derivs[0]
+                else:
+                    g, hess = derivs
+                    vals = 2.0 * (g[:, :, None] * g[:, None, :] + u[:, None, None] * hess)
+                vals = vals.reshape((-1, xb.shape[0], m) + vals.shape[1:])
+                for i, block in enumerate(vals, first):
+                    out[i, start : start + chunk] = np.tensordot(block, weights, axes=([1], [0]))
+    return _per_time(avg)
 
 
 @dataclass(frozen=True)
@@ -452,9 +490,10 @@ class Affine(TestFunction):
             return u, grad
         return u, grad, np.zeros(u.shape + nu.shape[-1:] * 2)
 
-    def ou_average(self, x, t, order):
+    @_over_times
+    def ou_average(self, x, times, order):
         # u^2 is quadratic per axis: the order-2 rule averages it exactly
-        return inner_average(self, x, t, order, *tensor_rule((2,) * self.d))
+        return inner_average(self, x, times, order, *tensor_rule((2,) * self.d))
 
 
 @dataclass(frozen=True)
@@ -604,14 +643,15 @@ class Bump(TestFunction):
         second = (8.0 / self.radius**4) * z[:, :, None] * z[:, None, :]
         return u, grad, self.amplitude * np.where(inside[:, None, None], first + second, 0.0)
 
-    def ou_average(self, x, t, order):
+    @_over_times
+    def ou_average(self, x, times, order):
         if self.d != 1:
             return None
         from .windows import JETS, window_average
 
         x = _points(x, 1)[:, 0]
         jets = self.amplitude**2 * JETS[4]
-        return window_average(x, t, float(self.center[0]), self.radius, jets, order)
+        return _per_time(window_average(x, times, float(self.center[0]), self.radius, jets, order))
 
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
@@ -734,11 +774,12 @@ class HermiteExpansion(TestFunction):
     def params(self) -> dict:
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
 
-    def ou_average(self, x, t, order):
+    @_over_times
+    def ou_average(self, x, times, order):
         # u^2 has degree <= 2 k_i along axis i, k_i the largest degree there:
         # the order-(k_i + 1) rule on each axis averages it exactly
         degrees = (max(ks) for ks in zip(*(alpha for alpha, _ in self.terms)))
-        return inner_average(self, x, t, order, *tensor_rule(tuple(k + 1 for k in degrees)))
+        return inner_average(self, x, times, order, *tensor_rule(tuple(k + 1 for k in degrees)))
 
 
 @dataclass(frozen=True)
@@ -777,7 +818,8 @@ class TwoBumps(TestFunction):
         u = self.amplitude * (1.0 + right[0] + left[0])
         return (u,) + tuple(self.amplitude * (r + l) for r, l in zip(right[1:], left[1:]))
 
-    def ou_average(self, x, t, order):
+    @_over_times
+    def ou_average(self, x, times, order):
         # h0 = A^2 (1 + sum_i (2 b_i + b_i^2) + 2 b_+ b_-): each lobe on its own
         # window, and the cross term where the lobes overlap (separation < radius)
         if self.d != 1:
@@ -788,7 +830,7 @@ class TwoBumps(TestFunction):
         square = self.amplitude**2
         jets = square * (2.0 * self.height * JETS[2] + self.height**2 * JETS[4])
         right, left = (
-            window_average(x, t, center, self.radius, jets, order)
+            window_average(x, times, center, self.radius, jets, order)
             for center in (self.separation, -self.separation)
         )
         out = [r + l for r, l in zip(right, left)]
@@ -800,10 +842,10 @@ class TwoBumps(TestFunction):
             poly = np.polynomial.polynomial
             q = [[1.0 - sigma**2, sign * 2.0 * rho * sigma, -(rho**2)] for sign in (1.0, -1.0)]
             cross = 2.0 * square * self.height**2 * poly.polypow(poly.polymul(*q), 2)
-            for o, c in zip(out, window_average(x, t, 0.0, half, window_jets(cross), order)):
+            for o, c in zip(out, window_average(x, times, 0.0, half, window_jets(cross), order)):
                 o += c
         out[0] += square
-        return tuple(out)
+        return _per_time(out)
 
 
 def build_function(obj: dict) -> TestFunction:
@@ -821,14 +863,17 @@ def build_function(obj: dict) -> TestFunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise LabError(f"malformed function description: {exc}") from exc
     GaussianMeasureSpec(d)  # CapacityError outside 1 <= d <= MAX_DIM
+    known = _PARAMETERS.get(tag) if isinstance(tag, str) else None
+    if known is None:
+        raise LabError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
+    unknown = [name for name in params if name not in known]
+    if unknown:
+        raise LabError(f"unknown {tag} parameters {unknown}; known: {sorted(known)}")
     try:
         u = _construct(tag, params, d)
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"{type(exc).__name__}: {exc}"
         raise LabError(f"cannot build a {tag} from {params}: {problem}") from exc
-    unknown = [name for name in params if name not in u.params()]
-    if unknown:
-        raise LabError(f"unknown {tag} parameters {unknown}; known: {sorted(u.params())}")
     if u.d != d:
         raise LabError(f"the {tag} parameters have d = {u.d}, the description states d = {d}")
     return u
@@ -841,6 +886,7 @@ def _per_axis(value, d: int) -> np.ndarray:
 
 
 def _construct(tag: str, params: dict, d: int) -> TestFunction:
+    """The member of one of the tags in _PARAMETERS."""
     if tag == "tilt":
         return Tilt(a=_per_axis(params.get("a", 0.0), d), c=float(params.get("c", 1.0)))
     if tag == "affine":
@@ -872,15 +918,14 @@ def _construct(tag: str, params: dict, d: int) -> TestFunction:
             return HermiteExpansion(terms=terms, d=1)
         terms = tuple((tuple(alpha), float(c)) for alpha, c in coeffs)
         return HermiteExpansion(terms=terms, d=d)
-    if tag == "two_bumps":
-        return TwoBumps(
-            height=float(params["height"]),
-            radius=float(params["radius"]),
-            separation=float(params["separation"]),
-            amplitude=float(params.get("amplitude", 1.0)),
-            d=d,
-        )
-    raise LabError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
+    # two_bumps, the last of the tags build_function admits
+    return TwoBumps(
+        height=float(params["height"]),
+        radius=float(params["radius"]),
+        separation=float(params["separation"]),
+        amplitude=float(params.get("amplitude", 1.0)),
+        d=d,
+    )
 
 
 def l2_norms(grid: QuadratureGrid, value) -> np.ndarray:

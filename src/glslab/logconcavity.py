@@ -163,17 +163,17 @@ def certify_along_flow(
     n_probes: int | None = None,
 ) -> list[tuple[FlowState, LogConcavityCertificate]]:
     """Certificates for the evolved density at each time; t = 0 is allowed.
-    Where evolve takes its exact path, one order-2 average on grid.points
-    and the probe cloud gives the state and the certificate (its node and
-    cloud rows); elsewhere a time is evolve, then certify."""
+    One _evolve call evolves every time.  Where it takes the exact path,
+    one order-2 average on grid.points and the probe cloud per batch of
+    times gives each state and its certificate (the node and cloud rows of
+    its average); elsewhere a time's state is certified as certify does."""
     x = np.vstack([grid.points, _cloud(u0.d, n_probes)])
     rows = np.r_[: grid.n_points, grid.points.shape[0] : x.shape[0]]
-    out = []
-    for t in np.asarray(times, dtype=float).tolist():
-        state, avg = _evolve(u0, t, grid, x, 2)
-        if avg is None:
-            cert = certify(state.v, grid, n_probes=n_probes)
-        else:
-            cert = _certificate(x[rows], *_hess_log(*(a[rows] for a in avg)))
-        out.append((state, cert))
-    return out
+
+    def read(avg):
+        return _certificate(x[rows], *_hess_log(*(a[rows] for a in avg)))
+
+    return [
+        (state, certify(state.v, grid, n_probes=n_probes) if cert is None else cert)
+        for state, cert in _evolve(u0, times, grid, x, 2, read)
+    ]

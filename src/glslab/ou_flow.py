@@ -23,11 +23,19 @@ On paths 1 and 2 the FlowState carries inner_order = 0 and inner_error =
 TestFunction for v = sqrt(h), which plugs into every functional and
 certifier unchanged.  The inner rules of paths 2 and 3 go through one
 function, functions.inner_average, whose one pass over the inner points
-serves every average a call needs.  On path 2 a flow time takes one
-average, on grid.points, or with the probe cloud in certify_along_flow,
-which reads the certificate from it too; nothing is kept between calls.
-Like jet(x, order), every average takes an order and returns the first
-order + 1 of h, grad h and Hess h.
+serves every average a call needs.  Like jet(x, order), every average
+takes an order and returns the first order + 1 of h, grad h and Hess h.
+
+One function, _evolve, evolves a sequence of times; evolve is its one-time
+case, and flow_curve, stencil_states and certify_along_flow each make one
+call.  Consecutive times of one path go in batches whose times x rows stay
+within one block (functions._BLOCK): on path 1 one jet of the batch's
+members gives the masses, one their report rows and one report_rows reads
+them; on path 2 one average (u0.ou_average over the batch's times) on
+grid.points, or with the probe cloud in certify_along_flow, which reads the
+certificates from it too, gives every state, and one report_rows reads
+them; path 3 goes one time at a time.  Every state has the bits of a call
+with its time alone, and no average outlives its batch.
 
 On path 3 the inner (y) rule starts at the outer order and is doubled
 until its embedded error estimate inner_error drops below 1e-9, capped at
@@ -47,19 +55,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
 from .errors import FlowError
-from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid
+from .measure import MAX_ORDER, GaussianMeasureSpec, QuadratureGrid, build_grid, row_sums
 from .functions import (
+    _BLOCK,
     SUPPORT_FLOOR,
     SUPPORT_THRESHOLD,
+    Envelope,
     TestFunction,
     _support,
     check_envelope,
     inner_average,
+    pruned_read,
 )
 from .functionals import FunctionalReport, IdentityResult, _integrals, _positive_mask
 from .functionals import report, report_rows
@@ -137,12 +149,12 @@ class EvolvedDensity(TestFunction):
     def _average(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """The first order + 1 of h, grad h and Hess h of the evolved density at x."""
         if self.inner is None:
-            avg = self.u0.ou_average(x, self.t, order)
-            if avg is None:
+            avgs = self.u0.ou_average(x, [self.t], order)
+            if avgs is None:
                 raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
         else:
-            avg = inner_average(self.u0, x, self.t, order, self.inner.nodes, self.inner.weights)
-        return _scaled(avg, self.t, self.amplitude)
+            avgs = inner_average(self.u0, x, [self.t], order, self.inner.nodes, self.inner.weights)
+        return _scaled(avgs[0], self.t, self.amplitude)
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         return _root_jet(*self._average(x, order))
@@ -214,61 +226,143 @@ def evolve(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     Bumps and two_bumps at d >= 2 are averaged by quadrature: the inner rule
     starts at the grid order and doubles up to MAX_ORDER until the
     inner_error between it and its embedded coarse rule is at most
-    INNER_TOL; the state records the order used and that error.
+    INNER_TOL; the state records the order used and that error.  The
+    one-time case of _evolve.
     """
-    return _evolve(u0, t, grid, grid.points, 1)[0]
+    return next(_evolve(u0, [t], grid, grid.points, 1))[0]
 
 
-def _evolve(u0: TestFunction, t: float, grid: QuadratureGrid, x: np.ndarray, avg_order: int):
-    """evolve, whose exact path takes one average of order avg_order >= 1 on
-    x, grid.points followed by any other rows: the mass reads its node rows
-    and the report its grid.points rows.  Also returns h, grad h, ... of the
-    state's v on every row of x from that average, None on the other paths."""
-    _check_time(t)
-    inner_err = 0.0
-    order = 0
-    avg = None
-    v_raw = u0 if t == 0 else u0.evolved(t)
-    if v_raw is not None:
-        h = v_raw.density(grid.nodes)
-    elif (avg := u0.ou_average(x, t, avg_order)) is not None:
-        v_raw, h = EvolvedDensity(u0=u0, t=t), avg[0][: grid.n_points]
-    else:
-        order = grid.order
-        while True:
-            v_raw = mehler_density(u0, t, order)
-            # report averages on grid.points: fail before any average it could not finish
-            check_envelope(grid.points.shape[0], v_raw.inner.n_points)
-            inner_err, h = _inner_mismatch(v_raw, grid)
-            if inner_err <= INNER_TOL or order >= MAX_ORDER:
-                break
-            order = min(2 * order, MAX_ORDER)
-        if inner_err > INNER_WARN:
-            warnings.warn(
-                f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
-                stacklevel=3,
-            )
-    # ||sqrt h||^2 as l2_norm sums it on grid, so that v is normalize(v_raw, grid)
-    # bit for bit wherever normalize reads grid itself: not on a pruned d = 3 twin
-    mass = float(grid.weights @ np.sqrt(np.maximum(h, 0.0)) ** 2)
-    if mass <= 0:
+def _densities(members: list[TestFunction], x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """h = u^2 (k, n) and, for order 1, grad u (k, n, d) of k members of one
+    family at x: one jet_rows call on their stacked rows, or, for a family
+    without rows, each member's density or density_and_gradient."""
+    first = members[0]
+    if hasattr(first, "_row"):
+        rows = {
+            key: np.array([m._row[key] for m in members]) if isinstance(value, np.ndarray) else value
+            for key, value in first._row.items()
+        }
+        u, *grad = type(first).jet_rows(x, order, **rows)
+        return (u**2, *(np.swapaxes(g, -1, -2) for g in grad))
+    readers = (lambda m: (m.density(x),), lambda m: m.density_and_gradient(x))[order]
+    return tuple(np.array(rows) for rows in zip(*map(readers, members)))
+
+
+def _masses(grid: QuadratureGrid, h) -> list[float]:
+    """||sqrt h||^2 of each row of h, (k, n) or k rows (n,), on grid.nodes,
+    summed as l2_norm sums it, so that a member scaled by 1 / sqrt(mass) is
+    normalize(member, grid) bit for bit wherever normalize reads grid itself
+    (not on a pruned d = 3 twin); FlowError for a mass that vanishes."""
+    masses = [float(row_sums(np.sqrt(np.maximum(row, 0.0)) ** 2, grid.weights)) for row in h]
+    if min(masses) <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
-    v = v_raw.with_scale(1.0 / math.sqrt(mass))
-    if avg is None:
-        rep = report(v, grid)
-    else:
-        avg = _scaled(avg, t, v.amplitude)
-        h, gh = (a[: grid.points.shape[0]] for a in avg[:2])
-        rep = report_rows(grid, h[None], _root_jet(h, gh)[1][None])[0]
-    state = FlowState(
+    return masses
+
+
+def _state(t: float, v: TestFunction, mass: float, rep, inner_err: float = 0.0, inner_order: int = 0):
+    return FlowState(
         **vars(rep),
-        t=float(t),
+        t=t,
         v=v,
         mass=float(mass),
         inner_error=float(inner_err),
-        inner_order=order,
+        inner_order=inner_order,
     )
-    return state, avg
+
+
+def _closed_form(members: list[TestFunction], times: list[float], grid: QuadratureGrid) -> list:
+    """(state, None) of each member, normalized on grid: one jet on
+    grid.nodes for the masses, then, for the members that read the same
+    grid (pruned_read, decided member by member), one jet on its points and
+    one report_rows."""
+    masses = _masses(grid, _densities(members, grid.nodes, 0)[0])
+    vs = [m.with_scale(1.0 / math.sqrt(mass)) for m, mass in zip(members, masses)]
+    reads = [pruned_read(v, grid, Envelope.entropy, Envelope.fisher, Envelope.moments) for v in vs]
+    reports = [None] * len(vs)
+    for read in {id(g): g for g, _ in reads}.values():
+        index = [i for i, (g, _) in enumerate(reads) if g is read]
+        h, grad = _densities([vs[i] for i in index], read.points, 1)
+        dropped = [tuple(reads[i][1][:2]) for i in index]
+        for i, rep in zip(index, report_rows(read, h, grad, dropped=dropped)):
+            reports[i] = rep
+    return [(_state(*args), None) for args in zip(times, vs, masses, reports)]
+
+
+def _averaged(
+    u0: TestFunction, times: list[float], grid: QuadratureGrid, x: np.ndarray, order: int, read
+) -> list:
+    """(state, reading) at each time of u0 without a closed form.  The exact
+    path takes one average of the given order on x, grid.points followed by
+    any other rows, for every time, scaled to the state's v: the masses read
+    its node rows, one report_rows its grid.points rows, and read, if given,
+    all of it.  The quadrature path goes one time at a time, with None for
+    its reading."""
+    avgs = u0.ou_average(x, times, order)
+    if avgs is None:
+        return [(_quadrature(u0, t, grid), None) for t in times]
+    avgs, points = list(avgs), grid.points.shape[0]
+    masses = _masses(grid, [avg[0][: grid.n_points] for avg in avgs])
+    h, grad = np.empty((len(times), points)), np.empty((len(times), points, u0.d))
+    vs = []
+    for i, (t, mass) in enumerate(zip(times, masses)):
+        vs.append(EvolvedDensity(u0=u0, t=t).with_scale(1.0 / math.sqrt(mass)))
+        avgs[i] = avg = _scaled(avgs[i], t, vs[i].amplitude)
+        h[i] = avg[0][:points]
+        grad[i] = _root_jet(h[i], avg[1][:points])[1]
+    out = []
+    for t, v, mass, rep, avg in zip(times, vs, masses, report_rows(grid, h, grad), avgs):
+        out.append((_state(t, v, mass, rep), None if read is None else read(avg)))
+    return out
+
+
+def _quadrature(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
+    """The state of u0 evolved to t by the adaptive inner rule."""
+    order = grid.order
+    while True:
+        v_raw = mehler_density(u0, t, order)
+        # report averages on grid.points: fail before any average it could not finish
+        check_envelope(grid.points.shape[0], v_raw.inner.n_points)
+        inner_err, h = _inner_mismatch(v_raw, grid)
+        if inner_err <= INNER_TOL or order >= MAX_ORDER:
+            break
+        order = min(2 * order, MAX_ORDER)
+    if inner_err > INNER_WARN:
+        warnings.warn(
+            f"inner rule error {inner_err:.3e} above {INNER_WARN:.0e} at cap order {order}",
+            # the caller of evolve, past _averaged, its comprehension and _evolve
+            stacklevel=6,
+        )
+    (mass,) = _masses(grid, h[None])
+    v = v_raw.with_scale(1.0 / math.sqrt(mass))
+    return _state(t, v, mass, report(v, grid), inner_err, order)
+
+
+def _evolve(
+    u0: TestFunction, times, grid: QuadratureGrid, x: np.ndarray, avg_order: int, read=None
+):
+    """evolve at each of the times, yielded in order as (state, reading).
+
+    Consecutive times of one path go in batches of T with T x rows of x <=
+    _BLOCK, so that a batch holds at most one block of rows more than one
+    time does.  Closed forms (and t = 0) go through _closed_form, the other
+    times through _averaged, whose exact path takes one average of order
+    avg_order >= 1 on x per batch.  On that path the reading is read(h, grad
+    h, ... of the state's v on every row of x), if read is given; it is None
+    otherwise, so that no average outlives its batch.
+    """
+    times = np.asarray(times, dtype=float).tolist()
+    for t in times:
+        _check_time(t)
+    size = max(1, _BLOCK // x.shape[0])
+    members = [u0 if t == 0 else u0.evolved(t) for t in times]
+    for closed, run in groupby(range(len(times)), key=lambda i: members[i] is not None):
+        run = list(run)
+        for start in range(0, len(run), size):
+            ts = [times[i] for i in run[start : start + size]]
+            if closed:
+                yield from _closed_form([members[i] for i in run[start : start + size]], ts, grid)
+            else:
+                yield from _averaged(u0, ts, grid, x, avg_order, read)
 
 
 def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[FlowState]:
@@ -278,7 +372,7 @@ def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> lis
         raise FlowError("times must be a nonempty 1-d array")
     if np.any(np.diff(times) <= 0):
         raise FlowError("times must be strictly increasing")
-    states = [evolve(u0, t, grid) for t in times]
+    states = [state for state, _ in _evolve(u0, times, grid, grid.points, 1)]
     for prev, cur in zip(states, states[1:]):
         slack = 1e-8 + 2.0 * (prev.quadrature_error + cur.quadrature_error)
         for name, what in (("entropy", "entropy"), ("fisher", "fisher information")):
@@ -320,7 +414,8 @@ def stencil_states(u0: TestFunction, t: float, grid: QuadratureGrid) -> _Stencil
     """States at t - STENCIL_DT, t and t + STENCIL_DT for a centered difference."""
     if t <= STENCIL_DT:
         raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
-    lo, mid, hi = (evolve(u0, s, grid) for s in (t - STENCIL_DT, t, t + STENCIL_DT))
+    times = (t - STENCIL_DT, t, t + STENCIL_DT)
+    lo, mid, hi = (state for state, _ in _evolve(u0, times, grid, grid.points, 1))
     return lo, mid, hi
 
 

@@ -93,17 +93,22 @@ def _upper_moments(lam: np.ndarray) -> np.ndarray:
             if k <= _DEGREE:
                 ratios[k] = ratio
         ratios[0] = phi[far] / (lf + ratios[1])
-        out[:, far] = np.cumprod(ratios, axis=0)
+        # the running product U_k = r_0 ... r_k, row by row in place: the bits
+        # of np.cumprod along axis 0, without its strided pass
+        for k in range(1, _DEGREE + 1):
+            ratios[k] *= ratios[k - 1]
+        out[:, far] = ratios
     return out
 
 
 def window_average(
-    x: np.ndarray, t: float, center: float, radius: float, jets: np.ndarray, order: int
+    x: np.ndarray, times, center: float, radius: float, jets: np.ndarray, order: int
 ) -> tuple[np.ndarray, ...]:
-    """Exact averages of p(w), p'(w) / R and p''(w) / R^2 over |w| < 1, the
-    first order + 1 of them with shapes (n,), (n, 1) and (n, 1, 1), for the
-    polynomial p whose jets (order, point, coefficient) are laid out as JETS,
-    with w = (e^{-t} x + s y - center) / R, s = sqrt(1 - e^{-2t}) and y ~ gamma.
+    """Exact averages of p(w), p'(w) / R and p''(w) / R^2 over |w| < 1 at each
+    of the times t, the first order + 1 of them with shapes (T, n), (T, n, 1)
+    and (T, n, 1, 1) for T times, for the polynomial p whose jets (order,
+    point, coefficient) are laid out as JETS, with w = (e^{-t} x + s y -
+    center) / R, s = sqrt(1 - e^{-2t}) and y ~ gamma.
 
     In y the window is [a, b].  Each end e is integrated over the half line
     beyond it, away from 0, as T(e) = sum_k c_k (+-beta)^k U_k(|e|), with c
@@ -115,33 +120,50 @@ def window_average(
     _narrow_window instead.  Against scipy's adaptive quadrature, h and
     grad h agree to 1e-9 relative and Hess log h to 1e-8 wherever h > 1e-10
     max h, for t >= 1e-3.
+
+    The elementwise work (the ends, U_k and the moments of w) runs once on
+    every time's rows; each time is then contracted on its own contiguous
+    (9, n) blocks, so its bits are those of a call with that time alone.
     """
-    beta = math.sqrt(-math.expm1(-2.0 * t)) / radius
-    alpha = (math.exp(-t) * x - center) / radius
-    n = alpha.shape[0]
+    n = x.shape[0]
+    decay = [math.exp(-t) for t in times]
+    beta = [math.sqrt(-math.expm1(-2.0 * t)) / radius for t in times]
     coeffs = jets[: order + 1] / (radius ** np.arange(order + 1, dtype=float))[:, None, None]
-    if beta > 1.0:
-        return tuple(
-            _narrow_window(alpha, beta, c[0]).reshape((n,) + (1,) * k)
-            for k, c in enumerate(coeffs)
-        )
-    ends = np.concatenate([-1.0 - alpha, 1.0 - alpha]) / beta
+    out = [np.empty((len(times), n) + (1,) * k) for k in range(order + 1)]
+    wide = [i for i, beta_t in enumerate(beta) if beta_t <= 1.0]
+    for i in (i for i, beta_t in enumerate(beta) if beta_t > 1.0):
+        alpha = (decay[i] * x - center) / radius
+        for k, c in enumerate(coeffs):
+            out[k][i] = _narrow_window(alpha, beta[i], c[0]).reshape((n,) + (1,) * k)
+    if not wide:
+        return tuple(out)
+    b = [beta[i] for i in wide]
+    alpha = (np.array([decay[i] for i in wide])[:, None] * x - center) / radius
+    ends = np.concatenate([-1.0 - alpha, 1.0 - alpha], axis=1) / np.array(b)[:, None]
     side = np.where(ends < 0, -1.0, 1.0)
-    steps = _upper_moments(np.abs(ends)) * (beta ** np.arange(_DEGREE + 1))[:, None]
-    steps[1::2] *= side
+    # (time, k, end) blocks: U_k(|end|) beta^k, odd k signed by the end's side
+    powers = np.array([beta_t ** np.arange(_DEGREE + 1) for beta_t in b])[:, :, None]
+    steps = np.empty((len(wide), _DEGREE + 1, 2 * n))
+    np.multiply(_upper_moments(np.abs(ends)).transpose(1, 0, 2), powers, out=steps)
+    steps[:, 1::2] *= side[:, None, :]
     # moments of w ~ N(alpha, beta^2), used where 0 lies inside the window
-    central = (ends[:n] < 0) & (ends[n:] >= 0)
+    central = (ends[:, :n] < 0) & (ends[:, n:] >= 0)
     ac = np.where(central, alpha, 0.0)
-    moments = np.empty((_DEGREE + 1, n))
-    moments[0], moments[1] = 1.0, ac
+    # the recurrence's k beta^2, one column per k
+    spread = np.array([[k * beta_t**2 for k in range(_DEGREE)] for beta_t in b])
+    moments = np.empty((len(wide), _DEGREE + 1, n))
+    moments[:, 0], moments[:, 1] = 1.0, ac
     for k in range(1, _DEGREE):
-        moments[k + 1] = ac * moments[k] + k * beta**2 * moments[k - 1]
-    out = []
+        moments[:, k + 1] = ac * moments[:, k] + spread[:, k, None] * moments[:, k - 1]
     # one order at a time, so that its bits do not depend on the order asked for
     for k, (at0, at1, at_minus1) in enumerate(coeffs):
         avg = np.where(central, at0 @ moments, 0.0)
-        avg += side[:n] * (at_minus1 @ steps[:, :n]) - side[n:] * (at1 @ steps[:, n:])
-        out.append(avg.reshape((n,) + (1,) * k))
+        avg += side[:, :n] * (at_minus1 @ steps[:, :, :n]) - side[:, n:] * (at1 @ steps[:, :, n:])
+        avg = avg.reshape(avg.shape + (1,) * k)
+        if len(wide) == len(times):
+            out[k] = avg
+        else:
+            out[k][wide] = avg
     return tuple(out)
 
 

@@ -142,6 +142,10 @@ class TestReport:
                 json.dumps({"family": "bump", "params": {"radius": 1.0, "centre": [0.5]}, "d": 1}),
                 "unknown bump parameters ['centre']; known: ['amplitude', 'center', 'radius']",
             ),
+            (
+                json.dumps({"family": "bump", "params": {"radus": 1.0}, "d": 1}),
+                "unknown bump parameters ['radus']; known: ['amplitude', 'center', 'radius']",
+            ),
         ],
         ids=[
             "missing_file",
@@ -164,6 +168,7 @@ class TestReport:
             "gaussian_mean_matrix",
             "bump_center_matrix",
             "unknown_parameter",
+            "misspelt_required_parameter",
         ],
     )
     def test_malformed_family_file_is_a_lab_error(self, capsys, tmp_path, text, message):

@@ -25,6 +25,7 @@ from glslab import (
     compact_improvement_pipeline,
     corpus,
     evolve,
+    flow_curve,
     normalize,
 )
 from glslab.functions import Bump, TwoBumps
@@ -334,14 +335,18 @@ class TestOneAveragePerTime:
             want.append((state, certify(state.v, grid, n_probes)))
         assert _json(certify_along_flow(u, times, grid, n_probes)) == _json(want)
 
-    def test_one_average_per_nonzero_time(self, grid1, monkeypatch):
+    def test_one_average_per_op(self, grid1, monkeypatch):
+        # the nonzero times of one call share one average; t = 0 takes none
         u = normalize(Bump(radius=2.0), grid1)
         calls = _counted_averages(monkeypatch, Bump)
         evolve(u, 0.3, grid1)
         assert calls == [(grid1.points.shape[0], 1)]
         calls.clear()
         certify_along_flow(u, [0.0, 0.2, 0.5], grid1)
-        assert calls == 2 * [(grid1.points.shape[0] + 512, 2)]
+        assert calls == [(grid1.points.shape[0] + 512, 2)]
+        calls.clear()
+        flow_curve(u, [0.0, 0.1, 0.2, 0.5, 1.0], grid1)
+        assert calls == [(grid1.points.shape[0], 1)]
         calls.clear()
         compact_improvement_pipeline(u, grid1)
         assert len(calls) == 1

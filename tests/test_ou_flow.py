@@ -763,6 +763,90 @@ class TestFlowCurve:
         assert math.isnan(float(row.split(",")[4]))
 
 
+def _batch_case(name):
+    """(u, times, grid, n_probes) of one batched op.  The d = 3 tilt reads
+    the full grid at its first two times and the pruned twin at the last
+    two; the bump of radius 0.5 takes the Gauss-Legendre branch at t = 0.3
+    and 3 (beta = s / R > 1) and the half-line sums at t = 0.01; bump_d2
+    takes the quadrature path, whose certificates read 16 probes."""
+    d1 = (0.0, 0.05, 0.3, 1.0)
+    cases = {
+        "tilt_d1": (lambda: corpus.get("tilt_half").function(), d1, 1, 64),
+        "tilt_d3_twin": (lambda: Tilt(a=np.full(3, 0.8)), (0.0, 0.1, 0.3, 1.0), 3, 64),
+        "gaussian_d2": (lambda: corpus.get("gaussian_d2_aniso").function(), (0.0, 0.2, 1.0), 2, 64),
+        "affine_d3": (lambda: _fixture("affine_d3"), (0.0, 0.1, 0.5), 3, 16),
+        "hermite_mixed": (lambda: corpus.get("hermite_mixed").function(), d1, 1, 64),
+        "bump_narrow": (lambda: Bump(radius=0.5), (0.01, 0.3, 3.0), 1, 64),
+        "two_bumps_overlap": (lambda: _OVERLAPS[1], d1, 1, 64),
+        "bump_d2": (lambda: _fixture("bump_d2"), (0.0, 0.3), 2, 8),
+    }
+    build, times, d, order = cases[name]
+    grid = build_grid(GaussianMeasureSpec(d=d), order)
+    return normalize(build(), grid), list(times), grid, 16 if name == "bump_d2" else None
+
+
+def _records(items):
+    # every float as repr writes it, which round-trips: equal text is equal bits
+    return json.dumps([[r.to_json() for r in item] for item in items])
+
+
+class TestOneBatchPerOp:
+    """flow_curve and certify_along_flow evolve all their times in one
+    _evolve call, in batches; every state and certificate has the bits of
+    evolve and certify at its time alone."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "tilt_d1",
+            "tilt_d3_twin",
+            "gaussian_d2",
+            "affine_d3",
+            "hermite_mixed",
+            "bump_narrow",
+            "two_bumps_overlap",
+            "bump_d2",
+        ],
+    )
+    def test_equals_one_time_at_a_time(self, name):
+        u, times, grid, n_probes = _batch_case(name)
+        with warnings.catch_warnings():
+            # bump_d2's inner rule stops at its cap with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            states = [evolve(u, t, grid) for t in times]
+            certified = [(s, certify(s.v, grid, n_probes)) for s in states]
+            assert _records([s] for s in flow_curve(u, times, grid)) == _records([s] for s in states)
+            assert _records(certify_along_flow(u, times, grid, n_probes)) == _records(certified)
+        if name == "tilt_d3_twin":
+            envelope = functions.Envelope
+            integrands = (envelope.entropy, envelope.fisher, envelope.moments)
+            reads = [functions.pruned_read(s.v, grid, *integrands)[0] is grid for s in states]
+            assert reads == [True, True, False, False]
+        if name == "bump_narrow":
+            betas = [math.sqrt(-math.expm1(-2.0 * t)) / u.radius for t in times]
+            assert min(betas) < 1.0 < max(betas)
+
+    def test_batches_hold_one_block_of_rows(self, grid1, monkeypatch):
+        # every time of a d = 1 op shares one average, until times x rows
+        # passes functions._BLOCK
+        u = normalize(Bump(radius=2.0), grid1)
+        calls = []
+        original = Bump.ou_average
+
+        def counted(self, x, times, order):
+            calls.append(len(times))
+            return original(self, x, times, order)
+
+        monkeypatch.setattr(Bump, "ou_average", counted)
+        times = np.linspace(0.1, 1.0, 10)
+        want = flow_curve(u, times, grid1)
+        assert calls == [10]
+        calls.clear()
+        monkeypatch.setattr(ou_flow, "_BLOCK", 4 * grid1.points.shape[0])
+        assert _records([s] for s in flow_curve(u, times, grid1)) == _records([s] for s in want)
+        assert calls == [4, 4, 2]
+
+
 class TestFlowStateIsAReport:
     def test_fields_are_the_report_of_v(self, grid1):
         u = corpus.get("hermite_mixed").normalized(grid1)
