@@ -21,13 +21,14 @@ compactly supported by design and reports its support radius.
 
 Along the Ornstein-Uhlenbeck flow a family may evolve in closed form
 (evolved: Gaussian profiles and tilts) or supply the exact Gaussian
-averages of u^2 and its derivatives (ou_average(x, times, order), one
-tuple per time, whose order means what jet's does).  Affine and Hermite u
-of degree k_i along axis i take them from inner_average on
-measure.tensor_rule of the orders k_i + 1, exact for u^2; every d = 1
-bump and two_bumps from the windows module, imported on first use so that
-`import glslab` does not compile it.  inner_average is also every family's reference quadrature
-(ou_flow.EvolvedDensity), the only one of d >= 2 bumps and two_bumps.
+averages of u^2 and its derivatives (ou_average(x, times, order), whose
+order means what jet's does, each array stacked along a leading time
+axis).  Affine and Hermite u of degree k_i along axis i take them from
+inner_average on measure.tensor_rule of the orders k_i + 1, exact for u^2;
+every d = 1 bump and two_bumps from the windows module, imported on first
+use so that `import glslab` does not compile it.  inner_average is also
+every family's reference quadrature (ou_flow.EvolvedDensity), the only one
+of d >= 2 bumps and two_bumps.
 
 Tilts and Gaussian profiles state an Envelope, log h <= l0 + l1 |x| and
 |grad log u| <= g0 + g1 |x|; every other family states none.  From it the
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 from numbers import Real
 from typing import Sequence
 
@@ -161,8 +162,8 @@ def _hull_probes(d: int) -> np.ndarray:
 
 
 def _support(values: np.ndarray, floor: float) -> np.ndarray:
-    """The mask values > floor max(values), a relative support cut."""
-    return values > floor * max(float(values.max()), 1e-300)
+    """The mask values > floor max(values), a relative support cut per row."""
+    return values > floor * np.maximum(values.max(axis=-1, keepdims=True), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -272,12 +273,12 @@ class TestFunction:
         a closed form; t is finite and positive."""
         return None
 
-    def ou_average(self, x: np.ndarray, times, order: int) -> "list[tuple[np.ndarray, ...]] | None":
+    def ou_average(self, x: np.ndarray, times, order: int) -> "tuple[np.ndarray, ...] | None":
         """Exact Gaussian averages int f(e^{-t} x + sqrt(1 - e^{-2t}) y) dgamma(y)
-        of the first order + 1 of f = h0, grad h0 and Hess h0 (h0 = u^2), shapes
-        (n,), (n, d) and (n, d, d), one tuple for each t of the sequence times;
-        None for a family without them.  Every t is finite and positive.  The
-        families here also take one time t, and then return its one tuple."""
+        of the first order + 1 of f = h0, grad h0 and Hess h0 (h0 = u^2) at
+        each t of the sequence times, stacked by time: shapes (T, n), (T, n, d)
+        and (T, n, d, d) for T times; None for a family without them.  Every t
+        is finite and positive."""
         return None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -323,30 +324,11 @@ def check_envelope(n_outer: int, n_inner: int) -> None:
         )
 
 
-def _per_time(stacked) -> list[tuple[np.ndarray, ...]]:
-    """One tuple per time from averages stacked along a leading time axis."""
-    return [tuple(a[i] for a in stacked) for i in range(stacked[0].shape[0])]
-
-
-def _over_times(average):
-    """An ou_average over a sequence of times that also takes one time t,
-    and then returns its one tuple (or None)."""
-
-    @wraps(average)
-    def over(self, x, times, order):
-        if np.ndim(times):
-            return average(self, x, times, order)
-        out = average(self, x, [times], order)
-        return None if out is None else out[0]
-
-    return over
-
-
 def inner_average(
     u0: TestFunction, x: np.ndarray, times, order: int, nodes: np.ndarray, weights: np.ndarray
-) -> list[tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, ...]:
     """u0.ou_average(x, times, order) over the inner rule (nodes, weights) in
-    y, one tuple per time.
+    y, stacked by time.
 
     The outer points go in chunks of _POINT_BUDGET outer x inner points x
     d^2.  One jet of u0 to the given order serves every average of as many
@@ -382,7 +364,7 @@ def inner_average(
                 vals = vals.reshape((-1, xb.shape[0], m) + vals.shape[1:])
                 for i, block in enumerate(vals, first):
                     out[i, start : start + chunk] = np.tensordot(block, weights, axes=([1], [0]))
-    return _per_time(avg)
+    return avg
 
 
 @dataclass(frozen=True)
@@ -490,7 +472,6 @@ class Affine(TestFunction):
             return u, grad
         return u, grad, np.zeros(u.shape + nu.shape[-1:] * 2)
 
-    @_over_times
     def ou_average(self, x, times, order):
         # u^2 is quadratic per axis: the order-2 rule averages it exactly
         return inner_average(self, x, times, order, *tensor_rule((2,) * self.d))
@@ -643,7 +624,6 @@ class Bump(TestFunction):
         second = (8.0 / self.radius**4) * z[:, :, None] * z[:, None, :]
         return u, grad, self.amplitude * np.where(inside[:, None, None], first + second, 0.0)
 
-    @_over_times
     def ou_average(self, x, times, order):
         if self.d != 1:
             return None
@@ -651,7 +631,7 @@ class Bump(TestFunction):
 
         x = _points(x, 1)[:, 0]
         jets = self.amplitude**2 * JETS[4]
-        return _per_time(window_average(x, times, float(self.center[0]), self.radius, jets, order))
+        return window_average(x, times, float(self.center[0]), self.radius, jets, order)
 
 
 def _hermite_table(x: np.ndarray, kmax: int) -> np.ndarray:
@@ -774,7 +754,6 @@ class HermiteExpansion(TestFunction):
     def params(self) -> dict:
         return {"coeffs": [[list(alpha), coeff] for alpha, coeff in self.terms]}
 
-    @_over_times
     def ou_average(self, x, times, order):
         # u^2 has degree <= 2 k_i along axis i, k_i the largest degree there:
         # the order-(k_i + 1) rule on each axis averages it exactly
@@ -818,7 +797,6 @@ class TwoBumps(TestFunction):
         u = self.amplitude * (1.0 + right[0] + left[0])
         return (u,) + tuple(self.amplitude * (r + l) for r, l in zip(right[1:], left[1:]))
 
-    @_over_times
     def ou_average(self, x, times, order):
         # h0 = A^2 (1 + sum_i (2 b_i + b_i^2) + 2 b_+ b_-): each lobe on its own
         # window, and the cross term where the lobes overlap (separation < radius)
@@ -845,7 +823,7 @@ class TwoBumps(TestFunction):
             for o, c in zip(out, window_average(x, times, 0.0, half, window_jets(cross), order)):
                 o += c
         out[0] += square
-        return _per_time(out)
+        return tuple(out)
 
 
 def build_function(obj: dict) -> TestFunction:

@@ -24,18 +24,21 @@ TestFunction for v = sqrt(h), which plugs into every functional and
 certifier unchanged.  The inner rules of paths 2 and 3 go through one
 function, functions.inner_average, whose one pass over the inner points
 serves every average a call needs.  Like jet(x, order), every average
-takes an order and returns the first order + 1 of h, grad h and Hess h.
+takes an order and returns the first order + 1 of h, grad h and Hess h,
+each stacked along a leading time axis: (T, n), (T, n, d), (T, n, d, d).
 
 One function, _evolve, evolves a sequence of times; evolve is its one-time
-case, and flow_curve, stencil_states and certify_along_flow each make one
-call.  Consecutive times of one path go in batches whose times x rows stay
-within one block (functions._BLOCK): on path 1 one jet of the batch's
-members gives the masses, one their report rows and one report_rows reads
-them; on path 2 one average (u0.ou_average over the batch's times) on
-grid.points, or with the probe cloud in certify_along_flow, which reads the
-certificates from it too, gives every state, and one report_rows reads
-them; path 3 goes one time at a time.  Every state has the bits of a call
-with its time alone, and no average outlives its batch.
+case, and flow_curve, certify_along_flow and the stencils of every rate
+check (all sample times of an ODE check at once) each make one call.
+Consecutive times of one path go in batches whose times x rows stay within
+one block (functions._BLOCK): on path 1 one jet of the batch's members
+gives the masses, one their report rows and one report_rows reads them; on
+path 2 one average (u0.ou_average over the batch's times) on grid.points,
+or with the probe cloud in certify_along_flow, which reads the certificates
+from it too, gives every state: one row_sums its masses, one multiply per
+order scales it, and one report_rows reads its stacked rows; path 3 goes
+one time at a time.  Every state has the bits of a call with its time
+alone, and no average outlives its batch.
 
 On path 3 the inner (y) rule starts at the outer order and is doubled
 until its embedded error estimate inner_error drops below 1e-9, capped at
@@ -88,7 +91,7 @@ def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
         grad v = grad h / (2 sqrt h),
         Hess v = Hess h / (2 sqrt h) - grad h (x) grad h / (4 h^1.5)
 
-    on the support h > SUPPORT_FLOOR max h, and 0 off it."""
+    on the support h > SUPPORT_FLOOR max h of each row, and 0 off it."""
     out = [np.sqrt(np.maximum(h, 0.0))]
     if not derivs:
         return tuple(out)
@@ -107,11 +110,15 @@ def _root_jet(h: np.ndarray, *derivs: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _scaled(avg: tuple[np.ndarray, ...], t: float, amplitude: float) -> tuple[np.ndarray, ...]:
-    """h, grad h and Hess h of amplitude^2 times the density evolved from u0^2,
-    from u0's averages avg: the average of order k carries e^{-k t}."""
-    scale = amplitude**2
-    return tuple(scale * math.exp(-k * t) * a for k, a in enumerate(avg))
+def _scaled(avg: tuple[np.ndarray, ...], times, amplitudes) -> tuple[np.ndarray, ...]:
+    """h, grad h and Hess h at each time t of amplitude^2 times the density
+    evolved from u0^2, from u0's averages avg stacked by time: the average of
+    order k carries amplitude^2 e^{-k t}."""
+    out = []
+    for k, a in enumerate(avg):
+        factors = np.array([amp**2 * math.exp(-k * t) for t, amp in zip(times, amplitudes)])
+        out.append(factors.reshape(factors.shape + (1,) * (a.ndim - 1)) * a)
+    return tuple(out)
 
 
 def _hess_log(h: np.ndarray, gh: np.ndarray, hh: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -154,7 +161,7 @@ class EvolvedDensity(TestFunction):
                 raise FlowError(f"{self.u0.family} has no exact average; give an inner rule")
         else:
             avgs = inner_average(self.u0, x, [self.t], order, self.inner.nodes, self.inner.weights)
-        return _scaled(avgs[0], self.t, self.amplitude)
+        return tuple(a[0] for a in _scaled(avgs, [self.t], [self.amplitude]))
 
     def jet(self, x: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         return _root_jet(*self._average(x, order))
@@ -248,12 +255,12 @@ def _densities(members: list[TestFunction], x: np.ndarray, order: int) -> tuple[
     return tuple(np.array(rows) for rows in zip(*map(readers, members)))
 
 
-def _masses(grid: QuadratureGrid, h) -> list[float]:
-    """||sqrt h||^2 of each row of h, (k, n) or k rows (n,), on grid.nodes,
-    summed as l2_norm sums it, so that a member scaled by 1 / sqrt(mass) is
-    normalize(member, grid) bit for bit wherever normalize reads grid itself
-    (not on a pruned d = 3 twin); FlowError for a mass that vanishes."""
-    masses = [float(row_sums(np.sqrt(np.maximum(row, 0.0)) ** 2, grid.weights)) for row in h]
+def _masses(grid: QuadratureGrid, h: np.ndarray) -> list[float]:
+    """||sqrt h||^2 of each row of h (k, n) on grid.nodes, summed as l2_norm
+    sums it, so that a member scaled by 1 / sqrt(mass) is normalize(member,
+    grid) bit for bit wherever normalize reads grid itself (not on a pruned
+    d = 3 twin); FlowError for a mass that vanishes."""
+    masses = row_sums(np.sqrt(np.maximum(h, 0.0)) ** 2, grid.weights).tolist()
     if min(masses) <= 0:
         raise FlowError("evolved density has vanishing mass on the grid")
     return masses
@@ -293,26 +300,23 @@ def _averaged(
 ) -> list:
     """(state, reading) at each time of u0 without a closed form.  The exact
     path takes one average of the given order on x, grid.points followed by
-    any other rows, for every time, scaled to the state's v: the masses read
-    its node rows, one report_rows its grid.points rows, and read, if given,
-    all of it.  The quadrature path goes one time at a time, with None for
-    its reading."""
+    any other rows, stacked by time and scaled to each state's v: the masses
+    read its node rows, one report_rows its grid.points rows, and read, if
+    given, all of one time's rows.  The quadrature path goes one time at a
+    time, with None for its reading."""
     avgs = u0.ou_average(x, times, order)
     if avgs is None:
         return [(_quadrature(u0, t, grid), None) for t in times]
-    avgs, points = list(avgs), grid.points.shape[0]
-    masses = _masses(grid, [avg[0][: grid.n_points] for avg in avgs])
-    h, grad = np.empty((len(times), points)), np.empty((len(times), points, u0.d))
-    vs = []
-    for i, (t, mass) in enumerate(zip(times, masses)):
-        vs.append(EvolvedDensity(u0=u0, t=t).with_scale(1.0 / math.sqrt(mass)))
-        avgs[i] = avg = _scaled(avgs[i], t, vs[i].amplitude)
-        h[i] = avg[0][:points]
-        grad[i] = _root_jet(h[i], avg[1][:points])[1]
-    out = []
-    for t, v, mass, rep, avg in zip(times, vs, masses, report_rows(grid, h, grad), avgs):
-        out.append((_state(t, v, mass, rep), None if read is None else read(avg)))
-    return out
+    masses = _masses(grid, avgs[0][:, : grid.n_points])
+    vs = [EvolvedDensity(u0=u0, t=t).with_scale(1.0 / math.sqrt(m)) for t, m in zip(times, masses)]
+    avgs = _scaled(avgs, times, [v.amplitude for v in vs])
+    points = grid.points.shape[0]
+    h = avgs[0][:, :points]
+    reports = report_rows(grid, h, _root_jet(h, avgs[1][:, :points])[1])
+    return [
+        (_state(t, v, mass, rep), None if read is None else read(tuple(a[i] for a in avgs)))
+        for i, (t, v, mass, rep) in enumerate(zip(times, vs, masses, reports))
+    ]
 
 
 def _quadrature(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
@@ -337,10 +341,19 @@ def _quadrature(u0: TestFunction, t: float, grid: QuadratureGrid) -> FlowState:
     return _state(t, v, mass, report(v, grid), inner_err, order)
 
 
+def _time_list(times) -> list[float]:
+    """times as a list of floats; FlowError unless they are 1-d."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise FlowError(f"times must be a 1-d sequence, got shape {times.shape}")
+    return times.tolist()
+
+
 def _evolve(
     u0: TestFunction, times, grid: QuadratureGrid, x: np.ndarray, avg_order: int, read=None
 ):
-    """evolve at each of the times, yielded in order as (state, reading).
+    """evolve at each of the times, a 1-d sequence, yielded in order as
+    (state, reading).
 
     Consecutive times of one path go in batches of T with T x rows of x <=
     _BLOCK, so that a batch holds at most one block of rows more than one
@@ -350,7 +363,7 @@ def _evolve(
     h, ... of the state's v on every row of x), if read is given; it is None
     otherwise, so that no average outlives its batch.
     """
-    times = np.asarray(times, dtype=float).tolist()
+    times = _time_list(times)
     for t in times:
         _check_time(t)
     size = max(1, _BLOCK // x.shape[0])
@@ -367,11 +380,9 @@ def _evolve(
 
 def flow_curve(u0: TestFunction, times: np.ndarray, grid: QuadratureGrid) -> list[FlowState]:
     """States along increasing times; entropy and Fisher must not increase."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise FlowError("times must be a nonempty 1-d array")
-    if np.any(np.diff(times) <= 0):
-        raise FlowError("times must be strictly increasing")
+    times = _time_list(times)
+    if not times or np.any(np.diff(times) <= 0):
+        raise FlowError("times must be nonempty and strictly increasing")
     states = [state for state, _ in _evolve(u0, times, grid, grid.points, 1)]
     for prev, cur in zip(states, states[1:]):
         slack = 1e-8 + 2.0 * (prev.quadrature_error + cur.quadrature_error)
@@ -410,13 +421,23 @@ _Stencil = tuple[FlowState, FlowState, FlowState]
 _Figure = Callable[[FlowState], tuple[float, float]]
 
 
+def _stencils(u0: TestFunction, times, grid: QuadratureGrid):
+    """The stencil states at t - STENCIL_DT, t and t + STENCIL_DT of each
+    sample time t in turn, from one _evolve call; FlowError for any t <=
+    STENCIL_DT, before any evolution."""
+    stencil = []
+    for t in _time_list(times):
+        if t <= STENCIL_DT:
+            raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
+        stencil += (t - STENCIL_DT, t, t + STENCIL_DT)
+    states = (state for state, _ in _evolve(u0, stencil, grid, grid.points, 1))
+    return zip(states, states, states)
+
+
 def stencil_states(u0: TestFunction, t: float, grid: QuadratureGrid) -> _Stencil:
     """States at t - STENCIL_DT, t and t + STENCIL_DT for a centered difference."""
-    if t <= STENCIL_DT:
-        raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
-    times = (t - STENCIL_DT, t, t + STENCIL_DT)
-    lo, mid, hi = (state for state, _ in _evolve(u0, times, grid, grid.points, 1))
-    return lo, mid, hi
+    (stencil,) = _stencils(u0, [t], grid)
+    return stencil
 
 
 def _centered_rate(states: _Stencil, figure: _Figure) -> tuple[float, float]:
@@ -486,13 +507,13 @@ def _ode_samples(
     bound: Callable[[float, float], float],
     stop: Callable[[_Stencil], bool] = lambda states: False,
 ) -> list[OdeSample]:
-    """One OdeSample of a figure per time, until stop(stencil states) holds."""
+    """One OdeSample of a figure per time, until stop(stencil states) holds;
+    every time is checked, then one _evolve call evolves all their stencils."""
     samples: list[OdeSample] = []
-    for t in np.asarray(times, dtype=float).tolist():
-        states = stencil_states(u0, t, grid)
+    for states in _stencils(u0, times, grid):
         if stop(states):
             break
-        value, (rate, err) = figure(states[1])[0], _centered_rate(states, figure)
+        t, value, (rate, err) = states[1].t, figure(states[1])[0], _centered_rate(states, figure)
         b = bound(t, value)
         samples.append(OdeSample(t, value, rate, b, b - rate, err))
     return samples

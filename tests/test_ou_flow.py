@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -137,7 +138,8 @@ class TestSemigroup:
 
 
 class TestNonFiniteTimes:
-    """An infinite or undefined time is refused where the evolved density is built."""
+    """An infinite or undefined time is refused where the evolved density is
+    built, and times that are not a 1-d sequence before any evolution."""
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_single_time(self, grid1, t):
@@ -154,6 +156,13 @@ class TestNonFiniteTimes:
             flow_curve(u, np.array(times), grid1)
         with pytest.raises(FlowError, match="finite"):
             certify_along_flow(u, np.array(times), grid1)
+
+    @pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]]], ids=["scalar", "2d"])
+    def test_times_that_are_not_1d(self, grid1, times):
+        u = corpus.get("gaussian_shifted").normalized(grid1)
+        for op in (flow_curve, certify_along_flow, q_ode_check):
+            with pytest.raises(FlowError, match="1-d"):
+                op(u, times, grid1)
 
 
 def _order16(name):
@@ -458,7 +467,7 @@ class TestExactAverage:
 
     @staticmethod
     def _check_against_reference(u, x, t):
-        h, g, hh = u.ou_average(x, t, 2)
+        h, g, hh = (a[0] for a in u.ou_average(x, [t], 2))
         g, hh = g[:, 0], hh[:, 0, 0]
         rh, rg, rhh = _quad_reference(u, x, t)
         # the probes the certifier keeps
@@ -519,7 +528,7 @@ class TestExactAverage:
         u = normalize(u, grid1)
         for t in (0.1, 0.5, 1.0):
             err, quad = ou_flow._inner_mismatch(mehler_density(u, t, 256), grid1)
-            exact = u.ou_average(grid1.nodes, t, 0)[0]
+            exact = u.ou_average(grid1.nodes, [t], 0)[0][0]
             assert grid1.weights @ np.abs(exact - quad) <= err, t
 
     @pytest.mark.parametrize(
@@ -533,13 +542,14 @@ class TestExactAverage:
         ],
     )
     def test_lower_orders_are_a_prefix_of_order_2(self, u):
-        # ou_average(x, t, k) and _average(x, k) give the first k + 1 arrays
+        # ou_average(x, [t], k) and _average(x, k) give the first k + 1 arrays
         # of order 2 bit for bit, the narrow window (radius 0.25) included
         x = _probe_cloud(u.d, 64)
         v = ou_flow.EvolvedDensity(u0=u, t=0.5)
-        full, evolved = u.ou_average(x, 0.5, 2), v._average(x, 2)
+        full, evolved = [a[0] for a in u.ou_average(x, [0.5], 2)], v._average(x, 2)
         for order in (0, 1):
-            for got, want in ((u.ou_average(x, 0.5, order), full), (v._average(x, order), evolved)):
+            averages = [a[0] for a in u.ou_average(x, [0.5], order)]
+            for got, want in ((averages, full), (v._average(x, order), evolved)):
                 assert len(got) == order + 1
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
@@ -583,12 +593,12 @@ class TestExactAverage:
         # bumps and two_bumps at d = 2 do not
         for separation in (2.0, 1.9):
             d1 = TwoBumps(height=1.0, radius=2.0, separation=separation)
-            assert d1.ou_average(np.zeros((1, 1)), 0.5, 0) is not None
+            assert d1.ou_average(np.zeros((1, 1)), [0.5], 0) is not None
         x = grid2_order4.nodes
         overlapping = TwoBumps(height=1.0, radius=2.0, separation=1.9, d=2)
-        assert overlapping.ou_average(x, 0.5, 0) is None
+        assert overlapping.ou_average(x, [0.5], 0) is None
         bump_d2 = Bump(radius=2.0, center=np.zeros(2))
-        assert bump_d2.ou_average(x, 0.5, 0) is None
+        assert bump_d2.ou_average(x, [0.5], 0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             st = evolve(normalize(overlapping, grid2_order4), 0.5, grid2_order4)
@@ -641,14 +651,14 @@ class TestPolynomialAverage:
         one_axis = HermiteExpansion(terms=self._ONE_AXIS, d=3)
         mixed = HermiteExpansion(terms=(((0, 0, 0), 1.0), ((1, 0, 2), 0.01)), d=3)
         for u in (_fixture("affine_d3"), _fixture("hermite_d3"), quartic, one_axis, mixed):
-            u.ou_average(np.zeros((1, u.d)), 0.5, 0)
+            u.ou_average(np.zeros((1, u.d)), [0.5], 0)
         # per-axis degrees 1 1 1, 2 2 2, 4, 12 0 0 and 1 0 2
         assert points == [2**3, 3**3, 5, 13, 2 * 1 * 3]
 
     def test_one_high_degree_axis_averages_at_order_64(self, grid3):
         # 13^3 inner points per node put this past the envelope; 13 do not
         u = normalize(HermiteExpansion(terms=self._ONE_AXIS, d=3), grid3)
-        h = u.ou_average(grid3.nodes, 0.3, 0)[0]
+        h = u.ou_average(grid3.nodes, [0.3], 0)[0][0]
         # P_t conserves mass
         assert abs(float(grid3.weights @ h) - 1.0) < 1e-12
 
@@ -846,6 +856,25 @@ class TestOneBatchPerOp:
         assert _records([s] for s in flow_curve(u, times, grid1)) == _records([s] for s in want)
         assert calls == [4, 4, 2]
 
+    def test_no_average_outlives_its_batch(self):
+        # at order 32 each batch is one time of 46592 rows, whose h and
+        # grad h take 1.42 MiB: a flow that kept one time's average into the
+        # next batch would peak that much above a one-time evolve
+        grid = build_grid(GaussianMeasureSpec(d=3), 32)
+        u = normalize(_fixture("affine_d3"), grid)
+
+        def peak(op):
+            tracemalloc.start()
+            try:
+                op()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: evolve(u, 0.5, grid))
+        flow = peak(lambda: flow_curve(u, [0.0, 0.1, 0.3, 0.5, 1.0, 2.0], grid))
+        assert flow - one <= 0.25 * 2**20
+
 
 class TestFlowStateIsAReport:
     def test_fields_are_the_report_of_v(self, grid1):
@@ -911,6 +940,25 @@ class TestDerivativeChecks:
         u = corpus.get("tilt_half").normalized(grid1)
         with pytest.raises(FlowError):
             entropy_production_check(u, 1e-4, grid1)
+
+    def test_q_ode_evolves_every_sample_at_once(self, grid1, monkeypatch):
+        # the stencils of all samples share one average; a sample time too
+        # small for the stencil is refused before any of them is evolved
+        u = corpus.get("hermite_mixed").normalized(grid1)
+        calls = []
+        original = HermiteExpansion.ou_average
+
+        def counted(self, x, times, order):
+            calls.append(len(times))
+            return original(self, x, times, order)
+
+        monkeypatch.setattr(HermiteExpansion, "ou_average", counted)
+        assert len(q_ode_check(u, np.linspace(0.1, 1.0, 10), grid1)) == 10
+        assert calls == [30]
+        calls.clear()
+        with pytest.raises(FlowError, match="centered difference"):
+            q_ode_check(u, [0.5, 1e-4], grid1)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "name", ["tilt_half", "affine_eps01", "hermite_mixed", "gaussian_shifted"]
