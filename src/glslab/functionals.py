@@ -21,7 +21,9 @@ the entropy is pure rounding.
 report_rows takes k members with a leading member axis, h (k, N) and grad
 (k, N, d), and writes their entropy and Fisher integrands in place as the 2k
 rows of one array for one measure.embedded call (every reader here makes
-one); report is its one-row case, bit for bit.
+one); report is its one-row case, bit for bit.  node_figures reads the
+same rows on grid.nodes alone with one row_sums, embedded's fine sums,
+for callers that need only the entropy and the Fisher information.
 
 The module also checks two exact integral identities satisfied by smooth v
 under the generator L = Laplacian - x . grad:
@@ -41,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PositivityError
-from .measure import QuadratureGrid, embedded, rounding_floor
+from .measure import QuadratureGrid, _check, embedded, rounding_floor, row_sums
 from .functions import (
     SUPPORT_FLOOR,
     Envelope,
@@ -88,6 +90,22 @@ class FunctionalReport(Record):
     quadrature_error: float
 
 
+def deficit_and_ratio(entropy: float, fisher: float) -> tuple[float, float | None]:
+    """The deficit I - E / 2 and the ratio Q = I / E (None unless E > 0)."""
+    return fisher - 0.5 * entropy, fisher / entropy if entropy > 0 else None
+
+
+def _integrand_rows(h: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The entropy and Fisher integrands of k members, h (k, n) and grad
+    (k, n, d), as k entropy rows, then k Fisher rows, (2k, n)."""
+    k = h.shape[0]
+    rows = np.empty((2 * k,) + h.shape[1:])
+    # the Fisher rows' terms go through the entropy rows first
+    _rowdot(grad, grad, out=rows[k:], scratch=rows[:k])
+    _xlogx(h, rows[:k])
+    return rows
+
+
 def report(u: TestFunction, grid: QuadratureGrid) -> FunctionalReport:
     """Evaluate entropy, Fisher information and deficit; u must be normalized.
 
@@ -118,23 +136,20 @@ def report_rows(
     fine_h = h[:, :n]
     norms = _require_unit_norm(grid, fine_h)
     m1, gap = _moments(grid, fine_h)
-    # k entropy rows, then k Fisher rows, whose terms the entropy rows hold first
-    rows = np.empty((2 * k,) + h.shape[1:])
-    _rowdot(grad, grad, out=rows[k:], scratch=rows[:k])
-    _xlogx(h, rows[:k])
-    integrals, errors = embedded(grid, rows)
+    integrals, errors = embedded(grid, _integrand_rows(h, grad))
     reports = []
     for i, (norm, gap_i) in enumerate(zip(norms, gap.tolist())):
         e_out, f_out = (0.0, 0.0) if dropped is None else dropped[i]
         e, f, f_err = integrals[i], integrals[k + i], errors[k + i] + f_out
         e_err = max(errors[i], rounding_floor(norm**2, n)) + e_out
+        deficit, ratio_q = deficit_and_ratio(e, f)
         reports.append(
             FunctionalReport(
                 d=grid.d,
                 entropy=e,
                 fisher=f,
-                deficit=f - 0.5 * e,
-                ratio_q=f / e if e > 0 else None,
+                deficit=deficit,
+                ratio_q=ratio_q,
                 l2_norm=norm,
                 first_moment=m1[i],
                 second_moment_gap=gap_i,
@@ -144,6 +159,18 @@ def report_rows(
             )
         )
     return reports
+
+
+def node_figures(grid: QuadratureGrid, h: np.ndarray, grad: np.ndarray) -> tuple[list[float], list[float]]:
+    """The entropies and the Fisher informations of k normalized members,
+    given h (k, n) and grad (k, n, d) on the n grid.nodes: report_rows'
+    fine sums, bit for bit, with its unit-norm and finiteness checks."""
+    k = h.shape[0]
+    _require_unit_norm(grid, h)
+    rows = _integrand_rows(h, grad)
+    _check(rows, grid.nodes)
+    sums = row_sums(rows, grid.weights).tolist()
+    return sums[:k], sums[k:]
 
 
 @dataclass(frozen=True)

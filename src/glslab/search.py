@@ -16,8 +16,10 @@ needs no scipy at run time; minimize_callable drives it with a function,
 one point at a time.  The restarts draw their starting points before any
 value is known, so run_search runs them in lockstep: each round evaluates
 the pending point of every restart still running as one batch, the
-members checked, normalized and reported as rows of one array (the
-families' jet_rows and admits, functionals.report_rows).  The trace
+members checked and normalized as rows of one array (the families'
+jet_rows and admits) and their entropy and Fisher information read on
+the grid's nodes alone (functionals.node_figures), bit for bit report's:
+no coarse partner, error estimates or moments.  The trace
 still lists restart 0's evaluations first, then restart 1's, and so on,
 and every figure is bit for bit that of the restarts run one after
 another with raw_objective, which is the one-row case of the batch.
@@ -49,7 +51,7 @@ from .functions import (
     normalizable,
     normalize,
 )
-from .functionals import report, report_rows
+from .functionals import deficit_and_ratio, node_figures, report
 from .stability import BOUND_NAMES, verify_bounds
 
 BIG_VALUE = 1e6
@@ -196,12 +198,13 @@ def _objectives(problem: SearchProblem, thetas: np.ndarray, grid: QuadratureGrid
     live, rows = live[kept], _take(rows, kept)
     # normalize's with_scale(1 / norm), on the one keyword it multiplies
     rows[family.scaled] = (rows[family.scaled].T * (1.0 / norms[kept])).T
-    u, grad = family.jet_rows(grid.points, 1, **rows)
-    for i, rep in zip(live.tolist(), report_rows(grid, u**2, grad.transpose(0, 2, 1))):
+    u, grad = family.jet_rows(grid.nodes, 1, **rows)
+    for i, e, f in zip(live.tolist(), *node_figures(grid, u**2, grad.transpose(0, 2, 1))):
+        deficit, ratio_q = deficit_and_ratio(e, f)
         if problem.objective == "deficit":
-            values[i] = rep.deficit
-        elif not (rep.entropy < 1e-10 or rep.ratio_q is None):
-            values[i] = rep.ratio_q
+            values[i] = deficit
+        elif not (e < 1e-10 or ratio_q is None):
+            values[i] = ratio_q
     return values
 
 

@@ -29,7 +29,7 @@ from glslab import (
     report,
 )
 from glslab.errors import IntegrationError
-from glslab.functionals import report_rows
+from glslab.functionals import node_figures, report_rows
 from glslab.functions import Bump, l2_norm
 
 
@@ -308,6 +308,31 @@ class TestReportRows:
                 assert np.array([getattr(got, f) for f in floats]).tobytes() == np.array(
                     [getattr(want, f) for f in floats]
                 ).tobytes()
+
+    def test_node_figures_are_the_reports_figures(self, grid1, grid2):
+        # the fine sums of report_rows, from h and grad on the nodes alone
+        for grid, members in (
+            (grid1, [Tilt(a=[0.4]), GaussianProfile(sigma2=[0.6], mean=[0.2]), Bump(radius=2.0)]),
+            (grid2, [Affine(eps=0.1, nu=[1.0, 1.0]), Tilt(a=[0.2, -0.3])]),
+        ):
+            members = [normalize(u, grid) for u in members]
+            jets = [u.density_and_gradient(grid.nodes) for u in members]
+            got = node_figures(grid, np.array([h for h, _ in jets]), np.array([g for _, g in jets]))
+            want = [[report(u, grid).entropy for u in members], [report(u, grid).fisher for u in members]]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_node_figures_check_as_report_rows_does(self, grid1):
+        # the same errors with the same messages, on the nodes alone
+        messages = []
+        for read, x in ((report_rows, grid1.points), (node_figures, grid1.nodes)):
+            h, grad = _SpikedGradient().density_and_gradient(x)
+            with pytest.raises(NormalizationError) as unnormalized:
+                read(grid1, 2.0 * h[None], grad[None])
+            with pytest.raises(IntegrationError) as non_finite:
+                read(grid1, h[None], grad[None])
+            messages.append((str(unnormalized.value), str(non_finite.value)))
+        assert messages[0] == messages[1]
+        assert "non-finite integrand value" in messages[1][1]
 
     def test_report_keeps_its_error_messages(self, grid1):
         u = Tilt(a=[0.3])

@@ -30,6 +30,7 @@ from glslab import (
     report,
     run_search,
 )
+from glslab.functions import _hull_probes
 from glslab.measure import GaussianMeasureSpec, build_grid
 from glslab import search
 from glslab.search import (
@@ -290,6 +291,52 @@ def test_lockstep_rounds_batch_the_running_restarts(monkeypatch, d):
     assert sizes[0] == max(sizes) == problem.restarts
     # the last round evaluates the restarts' clipped end points
     assert sum(sizes) == result.n_evaluations + problem.restarts
+
+
+# a deficit and a ratio_q search of a d = 1 and a d = 2 family each, hermite
+# for its hull probes
+_NODE_PROBLEMS = [
+    ("deficit", "hermite", 1, (-0.05, -0.04), (0.05, 0.04)),
+    ("ratio_q", "tilt", 1, (0.2,), (0.45,)),
+    ("deficit", "gaussian", 2, (0.35, 0.45), (0.8, 0.9)),
+    ("ratio_q", "tilt", 2, (0.15, 0.25), (0.4, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "objective, family, d, lower, upper",
+    _NODE_PROBLEMS,
+    ids=[f"{o}_{f}_d{d}" for o, f, d, *_ in _NODE_PROBLEMS],
+)
+def test_a_search_evaluates_its_members_on_the_nodes_alone(monkeypatch, objective, family, d, lower, upper):
+    # every jet of a round is on grid.nodes, or on the hull probes of the
+    # hermite admits; none on grid.points or the coarse partner's nodes
+    grid = build_grid(GaussianMeasureSpec(d), 16)
+    xs = []
+    for cls in (search.Affine, search.GaussianProfile, search.HermiteExpansion, search.Tilt):
+        original = cls.jet_rows
+
+        def recorded(x, *args, original=original, **kwargs):
+            xs.append(x)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "jet_rows", staticmethod(recorded))
+    problem = SearchProblem(
+        name="nodes", objective=objective, family=family, d=d,
+        lower=lower, upper=upper, grid_order=16, maxiter=30,
+    )
+    result = run_search(problem, grid)
+    assert result.best_value < BIG_VALUE
+
+    def address(a):
+        return a.__array_interface__["data"][0], a.shape
+
+    allowed = {address(grid.nodes)}
+    if family == "hermite":
+        allowed.add(address(_hull_probes(d)))
+    assert xs
+    assert {address(x) for x in xs} <= allowed
+    assert {address(x) for x in xs}.isdisjoint({address(grid.points), address(grid.coarse.nodes)})
 
 
 def test_run_search_rejects_a_grid_that_does_not_fit_the_problem():
