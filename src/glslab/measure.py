@@ -39,11 +39,11 @@ each integrand's bound is at most EPS x that integral's scale
 (functions.pruned_read), and add the bound to the error they report;
 otherwise they read the full grid as before.  Every other reader keeps
 the full grid: the certifier's probes, the identities, the pressure,
-Pinsker, evolve's inner rule and mass, and search batches the full grid's
-nodes, so a d = 3 search batch's best_value may differ in the last bits
-from report of its best member.  A pruned report sums 95,800 terms, not 262,144, so its rounding
-floor is 17 ulps instead of 18.  The cut and the shell count are module
-constants, not options.
+Pinsker, evolve's inner rule and mass, and search batches the full
+grid's nodes, so a d = 3 search batch's best_value may differ in the
+last bits from report of its best member.  A pruned report sums 95,800
+terms, not 262,144, so its rounding floor is 17 ulps instead of 18.
+The cut and the shell count are module constants, not options.
 
 An order-n rule integrates polynomials of degree <= 2n - 1 per axis exactly.
 Error estimates are embedded, |result(n) - result(ceil(3n/4))|, with a

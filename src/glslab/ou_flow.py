@@ -28,9 +28,8 @@ takes an order and returns the first order + 1 of h, grad h and Hess h,
 each stacked along a leading time axis: (T, n), (T, n, d), (T, n, d, d).
 
 One function, _evolve, evolves a sequence of times; evolve is its one-time
-case, flow_curve and certify_along_flow each make one call, and an ODE
-check one call per batch of 1, 2, 4, ... sample times' stencils, so that
-it evolves at most about twice the samples it keeps when its stop ends it.
+case, and flow_curve, certify_along_flow and the stencils of every rate
+check (all sample times of an ODE check at once) each make one call.
 Consecutive times of one path go in batches whose times x rows stay within
 one block (functions._BLOCK): on path 1 one jet of the batch's members
 gives the masses, one their report rows and one report_rows reads them; on
@@ -424,22 +423,14 @@ _Figure = Callable[[FlowState], tuple[float, float]]
 
 def _stencils(u0: TestFunction, times, grid: QuadratureGrid):
     """The stencil states at t - STENCIL_DT, t and t + STENCIL_DT of each
-    sample time t in turn, one _evolve call per batch of 1, 2, 4, ...
-    sample times, each evolved when the one before it is used up; FlowError
-    for any t <= STENCIL_DT, before any evolution."""
+    sample time t in turn, from one _evolve call; FlowError for any t <=
+    STENCIL_DT, before any evolution."""
     stencil = []
     for t in _time_list(times):
         if t <= STENCIL_DT:
             raise FlowError(f"need t > {STENCIL_DT} for the centered difference, got t = {t}")
         stencil += (t - STENCIL_DT, t, t + STENCIL_DT)
-    ends = [0]
-    while ends[-1] < len(stencil):
-        ends.append(min(len(stencil), 2 * ends[-1] + 3))
-    states = (
-        state
-        for start, end in zip(ends, ends[1:])
-        for state, _ in _evolve(u0, stencil[start:end], grid, grid.points, 1)
-    )
+    states = (state for state, _ in _evolve(u0, stencil, grid, grid.points, 1))
     return zip(states, states, states)
 
 
@@ -517,7 +508,7 @@ def _ode_samples(
     stop: Callable[[_Stencil], bool] = lambda states: False,
 ) -> list[OdeSample]:
     """One OdeSample of a figure per time, until stop(stencil states) holds;
-    every time is checked before _stencils evolves any."""
+    every time is checked, then one _evolve call evolves all their stencils."""
     samples: list[OdeSample] = []
     for states in _stencils(u0, times, grid):
         if stop(states):

@@ -18,8 +18,9 @@ value is known, so run_search runs them in lockstep: each round evaluates
 the pending point of every restart still running as one batch, the
 members checked and normalized as rows of one array (the families'
 jet_rows and admits) and their entropy and Fisher information read on
-the grid's nodes alone (functionals.node_figures), bit for bit report's:
-no coarse partner, error estimates or moments.  The trace
+the grid's nodes alone (functionals.node_figures), with no coarse
+partner, error estimates or moments: bit for bit report's at d < 3, while
+at d = 3 report may read the grid's pruned twin (measure).  The trace
 still lists restart 0's evaluations first, then restart 1's, and so on,
 and every figure is bit for bit that of the restarts run one after
 another with raw_objective, which is the one-row case of the batch.

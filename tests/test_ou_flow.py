@@ -941,9 +941,9 @@ class TestDerivativeChecks:
         with pytest.raises(FlowError):
             entropy_production_check(u, 1e-4, grid1)
 
-    def test_q_ode_evolves_samples_in_growing_batches(self, grid1, monkeypatch):
-        # the stencils of 1, 2, 4, ... samples share one average; a sample
-        # time too small for the stencil is refused before any is evolved
+    def test_q_ode_evolves_every_sample_at_once(self, grid1, monkeypatch):
+        # the stencils of all samples share one average; a sample time too
+        # small for the stencil is refused before any of them is evolved
         u = corpus.get("hermite_mixed").normalized(grid1)
         calls = []
         original = HermiteExpansion.ou_average
@@ -954,29 +954,11 @@ class TestDerivativeChecks:
 
         monkeypatch.setattr(HermiteExpansion, "ou_average", counted)
         assert len(q_ode_check(u, np.linspace(0.1, 1.0, 10), grid1)) == 10
-        assert calls == [3, 6, 12, 9]
+        assert calls == [30]
         calls.clear()
         with pytest.raises(FlowError, match="centered difference"):
             q_ode_check(u, [0.5, 1e-4], grid1)
         assert calls == []
-
-    def test_q_ode_stops_evolving_soon_after_its_stop(self, grid1, monkeypatch):
-        # the entropy falls below 1e-10 at the 15th sample: the batches of
-        # 1, 2, 4 and 8 samples hold it, and the one after is never evolved
-        u = corpus.get("bump_r2").normalized(grid1)
-        times = np.linspace(0.1, 15.0, 40)
-        states = []
-        original = ou_flow._state
-
-        def counted(*args):
-            states.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(ou_flow, "_state", counted)
-        samples = q_ode_check(u, times, grid1)
-        assert len(samples) == 14
-        assert len(states) == 45
-        assert [s.t for s in samples] == times[:14].tolist()
 
     @pytest.mark.parametrize(
         "name", ["tilt_half", "affine_eps01", "hermite_mixed", "gaussian_shifted"]
