@@ -14,22 +14,26 @@ moment precondition A <= 0 likewise allows 2 x quadrature error plus the
 rounding floor of A itself.
 
 The bounds, for normalized u with density nu = u^2 dgamma, deficit
-delta = I - E/2 and second moment gap A = int (|x|^2 - d) dnu:
+delta = I - E/2 and second moment gap A = int (|x|^2 - d) dnu, come in three
+shapes.  A shape fixes a record's lhs, distance and exponent, and
+rhs = constant x distance^exponent up to rounding:
 
-    entropy_squared   delta >= E^2 / (2d)                 needs A <= 0
-    fisher_gap        delta >= psi(I)                      needs A <= 0
-    kappa_weighted    delta >= kappa^2 E^2 / 2             needs barycenter 0
-    log_concave       I >= (C*/2) E                        needs log-concave nu,
-                                                           barycenter 0
-    compact_support   I >= (C(R)/2) E                      needs supp u in B_R,
-                                                           barycenter 0
-    gaussian_tail     I >= (C_tail/2) E                    needs finite
-                                                           int e^{eps|x|^2} dnu,
-                                                           barycenter 0
+    delta >= c E^2      lhs delta, distance E, exponent 2, constant c
+      entropy_squared   c = 1/(2d)          needs A <= 0
+      kappa_weighted    c = kappa^2 / 2     needs barycenter 0
+    delta >= psi(I)     lhs delta, distance I, constant and exponent NaN
+      fisher_gap                            needs A <= 0
+    I >= (C/2) E        lhs I, distance E, exponent 1, constant C/2
+      log_concave       C = C*              needs log-concave nu, barycenter 0
+      compact_support   C = C(R)            needs supp u in B_R, barycenter 0
+      gaussian_tail     C = C_tail          needs finite int e^{eps|x|^2} dnu,
+                                            barycenter 0
 
-with psi(s) = s - (d/4) log(1 + 4s/d), C* = 1 + 1/1728, and the improved
-constants built by running the flow to an explicit waiting time and pulling
-the Fisher-to-entropy ratio Q = I/E back along its comparison ODE.
+A skipped record has NaN for all six of lhs, rhs, margin, constant, exponent
+and distance.  psi(s) = s - (d/4) log(1 + 4s/d), C* = 1 + 1/1728, and C(R)
+and C_tail come from running the flow to an explicit waiting time and
+pulling the Fisher-to-entropy ratio Q = I/E back along its comparison ODE
+dQ/dt <= 2Q(2Q - 1) (q0_lower_bound).
 
 Each verify_<bound> is a function of one Figures record, which holds the
 report, the kappa weight, the log-concavity certificate and the tail weight
@@ -218,6 +222,8 @@ class StabilityBound(Record):
 
 _CENTERED = ("centered", "barycenter norm {barycenter:.3e} is not zero")
 _MOMENT = ("second_moment_at_most_d", "second moment gap {rep.second_moment_gap:.3e} is positive")
+# the figures of a skipped record
+_SKIPPED = dict.fromkeys(("lhs", "rhs", "margin", "constant", "exponent", "distance"), math.nan)
 
 # The preconditions of each bound in the order they are checked, with the
 # message of the skipped record when one fails.  A message is formatted with
@@ -241,12 +247,7 @@ def _unmet(
             barycenter = float(np.linalg.norm(rep.first_moment))
             return StabilityBound(
                 name=name,
-                lhs=float("nan"),
-                rhs=float("nan"),
-                margin=float("nan"),
-                constant=float("nan"),
-                exponent=float("nan"),
-                distance=float("nan"),
+                **_SKIPPED,
                 quadrature_error=rep.quadrature_error,
                 status="skipped",
                 constraints=constraints,
@@ -270,6 +271,26 @@ def _checked(
         constraints=constraints,
         **fields,
     )
+
+
+def _squared(
+    name: str, rep: FunctionalReport, constant: float, rhs: float, constraints: dict, extras: dict
+) -> StabilityBound:
+    """delta >= c E^2, c = constant: lhs the deficit, distance E, exponent 2.  The
+    caller computes rhs, since E^2 / (2d) and (1/(2d)) E^2 differ in the last bit."""
+    shape = {"constant": constant, "exponent": 2.0, "distance": rep.entropy, "extras": extras}
+    return _checked(name, rep.deficit, rhs, rep.quadrature_error, constraints, **shape)
+
+
+def _improved(
+    name: str, rep: FunctionalReport, c: float, constraints: dict, extras: dict, error: float = 0.0
+) -> StabilityBound:
+    """I >= (C/2) E, C = c: lhs the Fisher information, distance E, exponent 1,
+    rhs (C/2) E, and error added to the report's quadrature error."""
+    half = 0.5 * c
+    shape = {"constant": half, "exponent": 1.0, "distance": rep.entropy, "extras": extras}
+    error += rep.quadrature_error
+    return _checked(name, rep.fisher, half * rep.entropy, error, constraints, **shape)
 
 
 def _centered(rep: FunctionalReport) -> bool:
@@ -339,17 +360,9 @@ def verify_entropy_squared(fig: Figures) -> StabilityBound:
     constraints = {"second_moment_at_most_d": _moment_at_most_d(rep)}
     if skipped := _unmet("entropy_squared", rep, constraints):
         return skipped
-    return _checked(
-        "entropy_squared",
-        rep.deficit,
-        rep.entropy**2 / (2.0 * rep.d),
-        rep.quadrature_error,
-        constraints,
-        constant=1.0 / (2.0 * rep.d),
-        exponent=2.0,
-        distance=rep.entropy,
-        extras={"entropy": rep.entropy, "deficit": rep.deficit},
-    )
+    extras = {"entropy": rep.entropy, "deficit": rep.deficit}
+    rhs = rep.entropy**2 / (2.0 * rep.d)
+    return _squared("entropy_squared", rep, 1.0 / (2.0 * rep.d), rhs, constraints, extras)
 
 
 def verify_fisher_gap(fig: Figures) -> StabilityBound:
@@ -382,17 +395,8 @@ def verify_kappa_weighted(fig: Figures) -> StabilityBound:
     if skipped := _unmet("kappa_weighted", rep, constraints):
         return skipped
     kappa = fig.kappa
-    return _checked(
-        "kappa_weighted",
-        rep.deficit,
-        0.5 * kappa**2 * rep.entropy**2,
-        rep.quadrature_error,
-        constraints,
-        constant=0.5 * kappa**2,
-        exponent=2.0,
-        distance=rep.entropy,
-        extras={"kappa": kappa},
-    )
+    rhs = 0.5 * kappa**2 * rep.entropy**2
+    return _squared("kappa_weighted", rep, 0.5 * kappa**2, rhs, constraints, {"kappa": kappa})
 
 
 def verify_log_concave(fig: Figures) -> StabilityBound:
@@ -401,17 +405,8 @@ def verify_log_concave(fig: Figures) -> StabilityBound:
     constraints = {"centered": _centered(rep), "log_concave": certificate.certified}
     if skipped := _unmet("log_concave", rep, constraints, status=certificate.status):
         return skipped
-    return _checked(
-        "log_concave",
-        rep.fisher,
-        0.5 * C_STAR * rep.entropy,
-        rep.quadrature_error,
-        constraints,
-        constant=0.5 * C_STAR,
-        exponent=1.0,
-        distance=rep.entropy,
-        extras={"min_eigenvalue": certificate.min_eigenvalue},
-    )
+    extras = {"min_eigenvalue": certificate.min_eigenvalue}
+    return _improved("log_concave", rep, C_STAR, constraints, extras)
 
 
 def verify_compact_support(fig: Figures) -> StabilityBound:
@@ -423,17 +418,9 @@ def verify_compact_support(fig: Figures) -> StabilityBound:
     if skipped := _unmet("compact_support", rep, constraints):
         return skipped
     radius = float(u.support_radius)
-    c_r = improved_constant_compact(radius)
-    return _checked(
-        "compact_support",
-        rep.fisher,
-        0.5 * c_r * rep.entropy,
-        rep.quadrature_error,
-        constraints,
-        constant=0.5 * c_r,
-        exponent=1.0,
-        distance=rep.entropy,
-        extras={"support_radius": radius, "t_star": t_star_compact(radius)},
+    extras = {"support_radius": radius, "t_star": t_star_compact(radius)}
+    return _improved(
+        "compact_support", rep, improved_constant_compact(radius), constraints, extras
     )
 
 
@@ -477,14 +464,14 @@ def tail_weight(u: TestFunction, grid: QuadratureGrid, eps: float) -> TailWeight
     t0 = 2.0 * t_star_tail(eps)
     lam = lambda1_tail_lower(eps, max(float(a_tail), 1.0), t0)
     c0 = 1.0 + 0.25 * lam
-    constant = 1.0 + (c0 - 1.0) / (1.0 + c0 * math.expm1(2.0 * t0))
     return TailWeight(
         eps=eps,
         a_tail=float(a_tail),
         t0=t0,
         lambda1_lower=lam,
         c0=c0,
-        constant=constant,
+        # C_tail pulls Q(t0) >= c0/2 back to t = 0
+        constant=2.0 * q0_lower_bound(0.5 * c0, t0),
         quadrature_error=float(a_err) + dropped,
     )
 
@@ -505,17 +492,9 @@ def verify_gaussian_tail(fig: Figures) -> StabilityBound:
     if skipped := _unmet("gaussian_tail", rep, constraints):
         return skipped
     tail = fig.tail
-    return _checked(
-        "gaussian_tail",
-        rep.fisher,
-        0.5 * tail.constant * rep.entropy,
-        rep.quadrature_error + tail.quadrature_error,
-        constraints,
-        constant=0.5 * tail.constant,
-        exponent=1.0,
-        distance=rep.entropy,
-        extras={key: getattr(tail, key) for key in ("eps", "a_tail", "t0", "lambda1_lower")},
-    )
+    extras = {key: getattr(tail, key) for key in ("eps", "a_tail", "t0", "lambda1_lower")}
+    error = tail.quadrature_error
+    return _improved("gaussian_tail", rep, tail.constant, constraints, extras, error)
 
 
 def verify_bounds(

@@ -175,12 +175,14 @@ class TestPinsker:
         # for u^2 = (0, 2) indicator-like tilts the L1 norm is computable;
         # here: gaussian with s = 0.5 has ||h - 1||_1 = 2(Phi-ish) evaluated
         # by an independent dense trapezoid rule
+        from scipy.integrate import trapezoid
+
         s2 = 0.5
         u = GaussianProfile(sigma2=np.array([s2]))
         xs = np.linspace(-12, 12, 200001)
         h = np.exp(-0.5 * xs**2 / s2) / math.sqrt(s2) / np.exp(-0.5 * xs**2)
         dens = np.exp(-0.5 * xs**2) / math.sqrt(2 * math.pi)
-        tv = np.trapezoid(np.abs(h - 1.0) * dens, xs)
+        tv = trapezoid(np.abs(h - 1.0) * dens, xs)
         r = pinsker_gap(u, grid1)
         # |h - 1| has kinks where h crosses 1, which caps the polynomial rule
         # at a few percent; 5% still separates the formula from a wrong

@@ -9,6 +9,7 @@ lobes, which the probe cloud must find and refute.
 import json
 import math
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -329,11 +330,14 @@ class TestOneAveragePerTime:
     )
     def test_equals_evolve_then_certify(self, name):
         u, times, grid, n_probes = _along_the_flow(name)
-        want = []
-        for t in times:
-            state = evolve(u, t, grid)
-            want.append((state, certify(state.v, grid, n_probes)))
-        assert _json(certify_along_flow(u, times, grid, n_probes)) == _json(want)
+        # bump_d2's inner rule stops unconverged at its cap, which warns
+        quadrature = name == "bump_d2.json"
+        with pytest.warns(UserWarning, match="inner rule error") if quadrature else nullcontext():
+            want = []
+            for t in times:
+                state = evolve(u, t, grid)
+                want.append((state, certify(state.v, grid, n_probes)))
+            assert _json(certify_along_flow(u, times, grid, n_probes)) == _json(want)
 
     def test_one_average_per_op(self, grid1, monkeypatch):
         # the nonzero times of one call share one average; t = 0 takes none

@@ -1,6 +1,7 @@
 """Every result record's to_json() is its dataclass fields as plain JSON data."""
 
 import json
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -141,7 +142,9 @@ def test_plain_walks_arrays_scalars_and_tuples():
 )
 def test_flow_state_writes_v_as_its_family_json(d, order, build, inner):
     grid = build_grid(GaussianMeasureSpec(d=d), order)
-    state = evolve(normalize(build(), grid), 0.5, grid)
+    # the quadrature case stops unconverged at its cap, which warns
+    with pytest.warns(UserWarning, match="inner rule error") if inner else nullcontext():
+        state = evolve(normalize(build(), grid), 0.5, grid)
     assert (state.inner_order > 0) == inner
     payload = state.to_json()
     text = json.dumps(payload)

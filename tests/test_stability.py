@@ -381,6 +381,39 @@ class TestSharedReport:
             assert json.dumps(alone.to_json()) == json.dumps(record.to_json()), bound
 
 
+# the report figure each shaped bound reads as its lhs; the distance of
+# every one is the entropy
+SHAPE_LHS = {
+    "entropy_squared": "deficit",
+    "kappa_weighted": "deficit",
+    "log_concave": "fisher",
+    "compact_support": "fisher",
+    "gaussian_tail": "fisher",
+}
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in corpus.entries()])
+def test_records_follow_their_shape(name):
+    # delta >= c E^2 and I >= (C/2) E: margin = lhs - rhs, lhs and distance
+    # are the report's, rhs = constant x distance^exponent up to rounding
+    # (E^2 / (2d) and (1/(2d)) E^2 differ in the last bit); a skipped record
+    # of any bound is NaN in all six figures
+    entry = corpus.get(name)
+    grid = build_grid(GaussianMeasureSpec(d=entry.d), 16)
+    u = entry.normalized(grid)
+    rep = Figures(u, grid).rep
+    for record in verify_bounds(u, grid):
+        if record.status == "skipped":
+            figures = ("lhs", "rhs", "margin", "constant", "exponent", "distance")
+            assert all(math.isnan(getattr(record, f)) for f in figures), record
+        elif record.name in SHAPE_LHS:
+            assert record.margin == record.lhs - record.rhs
+            assert record.lhs == getattr(rep, SHAPE_LHS[record.name])
+            assert record.distance == rep.entropy
+            want = record.constant * record.distance**record.exponent
+            assert abs(record.rhs - want) <= 2 * math.ulp(want), record
+
+
 E_BASED = ("entropy_squared", "fisher_gap", "kappa_weighted", "log_concave")
 
 
